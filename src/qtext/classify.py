@@ -19,10 +19,9 @@ from .texts import Text, null_index_set, subtext, text_properties
 from .graphs import (
     ForbiddenWitness,
     GraphClass,
+    RecognitionResult,
     SimpleGraph,
-    connected_components,
     graph_of_text,
-    induced_subgraph,
     recognize,
 )
 
@@ -146,15 +145,24 @@ class Decision:
     forbidden_witness: ForbiddenWitness | None = None
 
 
-def _core_and_pendants(g: SimpleGraph, rec) -> tuple[list[int], dict[int, int]]:
-    """Clique core and pendant->anchor map of a connected well-split graph."""
+def _core_and_pendants(g: SimpleGraph,
+                       rec: RecognitionResult) -> tuple[list[int], dict[int, int]]:
+    """Clique core and pendant->anchor map of a well-split graph with edges.
+
+    v1 of the splitting holds the pendants (degree 1) and the isolated
+    vertices (degree 0, left out of the map).  Restricted to the one
+    component with edges, the splitting is the one `recognize` would give
+    that component alone: isolated vertices never enter v2, and neither the
+    hub nor the lexicographic order of the candidate cliques changes.
+    """
     core = sorted(rec.splitting.v2)
     attach = {}
     for v in sorted(rec.splitting.v1):
         nb = g.neighbors(v)
-        if len(nb) != 1:
+        if len(nb) > 1:
             raise RuntimeError("internal: pendant without a unique anchor")
-        attach[v] = next(iter(nb))
+        if nb:
+            attach[v] = next(iter(nb))
     return core, attach
 
 
@@ -180,26 +188,15 @@ def decide_translatable(t: Text) -> Decision:
     if rec.klass in (GraphClass.NOT_SPLIT, GraphClass.SPLIT_NOT_WELL_SPLIT):
         return Decision(translatable=False, reason=REASON_NOT_WELL_SPLIT,
                         forbidden_witness=rec.witness)
-    comps = connected_components(g)
-    isolated = sorted(v for c in comps if len(c) == 1 for v in c)
-    big = [c for c in comps if len(c) >= 2]
-    if len(big) != 1:
-        raise RuntimeError("internal: a split graph with edges has one big component")
-    remainder = sorted(big[0])
-    sub_g, vmap = induced_subgraph(g, remainder)
-    sub_rec = recognize(sub_g)
-    core_local, attach_local = _core_and_pendants(sub_g, sub_rec)
-    core = [vmap[v] for v in core_local]
-    attach = {vmap[p]: vmap[a] for p, a in attach_local.items()}
-    core_text = subtext(t, core)
-    sig = hadamard_inverse_signature(core_text)
+    core, attach = _core_and_pendants(g, rec)
+    sig = hadamard_inverse_signature(subtext(t, core))
     fq = decide_fully_quantum(sig)
     decomp = Decomposition(
-        classical_part=frozenset(isolated) | frozenset(attach),
+        classical_part=rec.splitting.v1,
         quantum_part=frozenset(core),
-        attachment=dict(sorted(attach.items())))
+        attachment=attach)
     if not attach:
-        # Remainder is a complete core; only the spectral test is left.
+        # No pendants: the edges form a complete core; only the spectral test is left.
         if fq.translatable:
             return Decision(translatable=True, reason=REASON_OK_FULLY_QUANTUM,
                             signature=sig, decomposition=decomp,

@@ -2,7 +2,8 @@
 
 Subcommands: validate, graph, analyze, classify, translate, realize,
 verify, gen.  Exit codes: 0 success/translatable, 1 untranslatable,
-2 invalid input, 3 verification failed, 4 search failure.
+2 invalid input, 3 verification failed, 4 search failure, 5 undecided (a
+valid text whose spectral test sits on the zero band).
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ EXIT_UNTRANSLATABLE = 1
 EXIT_INVALID = 2
 EXIT_VERIFY_FAILED = 3
 EXIT_SEARCH_FAILED = 4
+EXIT_UNDECIDED = 5
 
 
 def _fail(args, exc, code=EXIT_INVALID) -> int:
@@ -108,7 +110,7 @@ def _cmd_classify(args) -> int:
     try:
         decision = decide_zero_translatable(t) if args.q0 else decide_translatable(t)
     except BorderlineSignature as exc:
-        return _fail(args, exc)
+        return _fail(args, exc, code=EXIT_UNDECIDED)
     qio.dump_json(qio.decision_to_dict(decision), args.output)
     return EXIT_OK if decision.translatable else EXIT_UNTRANSLATABLE
 
@@ -130,7 +132,7 @@ def _cmd_translate(args) -> int:
         qio.dump_json(qio.decision_to_dict(exc.decision), args.output)
         return EXIT_UNTRANSLATABLE
     except BorderlineSignature as exc:
-        return _fail(args, exc)
+        return _fail(args, exc, code=EXIT_UNDECIDED)
     except (SearchBudgetExhausted, SynthError, TranslationError) as exc:
         return _fail(args, exc, code=EXIT_SEARCH_FAILED)
     qio.save_witness(w, args.output)

@@ -8,6 +8,11 @@ independent part V1 and a maximal complete part V2, and in every such
 division each V1 vertex has at most one neighbour.  Equivalently, the
 graph avoids four induced subgraphs: two disjoint edges, the 4-cycle, the
 diamond (K4 minus an edge), and the 5-cycle.
+
+`recognize` decides splitness from the degree sequence (Hammer & Simeone,
+*The splittance of a graph*, 1981) and well-splitness from one splitting.
+Only a refusal searches for a forbidden induced subgraph, and it reports
+the first one in lexicographic subset order.
 """
 
 from __future__ import annotations
@@ -47,11 +52,18 @@ class SimpleGraph:
 
     n: int
     edges: frozenset[tuple[int, int]]
+    # Neighbour sets, built once from `edges` so that degree and
+    # neighbour queries cost O(1) and O(degree).
+    _adj: tuple[frozenset[int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        adj = [set() for _ in range(self.n)]
         for (i, j) in self.edges:
             if not (0 <= i < j < self.n):
                 raise GraphError(f"bad edge ({i}, {j}) for n = {self.n}")
+            adj[i].add(j)
+            adj[j].add(i)
+        object.__setattr__(self, "_adj", tuple(frozenset(a) for a in adj))
 
     def has_edge(self, i: int, j: int) -> bool:
         if i == j:
@@ -59,10 +71,10 @@ class SimpleGraph:
         return (min(i, j), max(i, j)) in self.edges
 
     def degree(self, v: int) -> int:
-        return sum(1 for (i, j) in self.edges if v in (i, j))
+        return len(self._adj[v])
 
     def neighbors(self, v: int) -> frozenset[int]:
-        return frozenset(j if i == v else i for (i, j) in self.edges if v in (i, j))
+        return self._adj[v]
 
 
 def make_graph(n: int, edges) -> SimpleGraph:
@@ -116,8 +128,7 @@ def induced_subgraph(g: SimpleGraph, vertices) -> tuple[SimpleGraph, list[int]]:
 # --- forbidden induced subgraphs ------------------------------------------
 
 # Edge slot order for 4-vertex masks: (0,1),(0,2),(0,3),(1,2),(1,3),(2,3).
-_PAIRS4 = list(itertools.combinations(range(4), 2))
-_PAIRS5 = list(itertools.combinations(range(5), 2))
+_PAIRS = {k: list(itertools.combinations(range(k), 2)) for k in (4, 5)}
 
 
 def _mask_of(edges, pairs) -> int:
@@ -135,20 +146,26 @@ def _orbit(edges, nverts, pairs) -> set[int]:
     return out
 
 
-def _build_tables():
-    kinds4 = {}
-    for m in _orbit([(0, 1), (2, 3)], 4, _PAIRS4):
-        kinds4[m] = "TwoK2"
-    for m in _orbit([(0, 1), (1, 2), (2, 3), (0, 3)], 4, _PAIRS4):
-        kinds4[m] = "C4"
-    diamond = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]
-    for m in _orbit(diamond, 4, _PAIRS4):
-        kinds4[m] = "Diamond"
-    c5 = {(m) for m in _orbit([(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)], 5, _PAIRS5)}
-    return kinds4, c5
+_PATTERNS = {
+    "TwoK2": [(0, 1), (2, 3)],
+    "C4": [(0, 1), (1, 2), (2, 3), (0, 3)],
+    "Diamond": [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)],
+    "C5": [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)],
+}
+_SIZE = {kind: 1 + max(map(max, edges)) for kind, edges in _PATTERNS.items()}
 
 
-_KINDS4, _C5_MASKS = _build_tables()
+def _build_tables() -> dict[int, dict[int, str]]:
+    """Edge mask -> kind of forbidden subgraph, per subset size."""
+    tables = {4: {}, 5: {}}
+    for kind, edges in _PATTERNS.items():
+        size = _SIZE[kind]
+        for m in _orbit(edges, size, _PAIRS[size]):
+            tables[size][m] = kind
+    return tables
+
+
+_KINDS = _build_tables()
 
 
 @dataclass(frozen=True)
@@ -178,34 +195,38 @@ class Splitting:
     v2: frozenset[int]
 
 
-def _scan_forbidden(g: SimpleGraph):
-    """First induced 2K2/C4, first diamond, first C5, in subset order."""
-    first_split = None
-    first_diamond = None
+def _first_forbidden(g: SimpleGraph, kinds: tuple[str, ...],
+                     min_degree: int) -> ForbiddenWitness | None:
+    """First induced subgraph of one of `kinds` (all of one size), in
+    lexicographic subset order.
+
+    Only vertices of degree >= `min_degree` can lie on such a subgraph, so
+    only they are combined; dropping vertices keeps the subset order.
+    """
+    size = _SIZE[kinds[0]]
+    pairs, table = _PAIRS[size], _KINDS[size]
     adj = [g.neighbors(v) for v in range(g.n)]
-    for quad in itertools.combinations(range(g.n), 4):
+    candidates = [v for v in range(g.n) if len(adj[v]) >= min_degree]
+    for sub in itertools.combinations(candidates, size):
         mask = 0
-        for k, (a, b) in enumerate(_PAIRS4):
-            if quad[b] in adj[quad[a]]:
+        for k, (a, b) in enumerate(pairs):
+            if sub[b] in adj[sub[a]]:
                 mask |= 1 << k
-        kind = _KINDS4.get(mask)
-        if kind in ("TwoK2", "C4") and first_split is None:
-            first_split = ForbiddenWitness(kind=kind, vertices=quad)
-        elif kind == "Diamond" and first_diamond is None:
-            first_diamond = ForbiddenWitness(kind=kind, vertices=quad)
-        if first_split is not None and first_diamond is not None:
-            break
-    first_c5 = None
-    if first_split is None:
-        for quint in itertools.combinations(range(g.n), 5):
-            mask = 0
-            for k, (a, b) in enumerate(_PAIRS5):
-                if quint[b] in adj[quint[a]]:
-                    mask |= 1 << k
-            if mask in _C5_MASKS:
-                first_c5 = ForbiddenWitness(kind="C5", vertices=quint)
-                break
-    return first_split, first_diamond, first_c5
+        kind = table.get(mask)
+        if kind in kinds:
+            return ForbiddenWitness(kind=kind, vertices=sub)
+    return None
+
+
+def _is_split(g: SimpleGraph) -> bool:
+    """Hammer-Simeone degree-sequence test.
+
+    With degrees d_1 >= ... >= d_n and m = max{i : d_i >= i - 1}, the
+    graph is split iff sum_{i<=m} d_i = m(m - 1) + sum_{i>m} d_i.
+    """
+    d = sorted((g.degree(v) for v in range(g.n)), reverse=True)
+    m = sum(1 for i, di in enumerate(d) if di >= i)
+    return sum(d[:m]) == m * (m - 1) + sum(d[m:])
 
 
 def maximal_cliques(g: SimpleGraph) -> list[frozenset[int]]:
@@ -232,7 +253,7 @@ def all_splittings(g: SimpleGraph) -> list[Splitting]:
     out = []
     for clique in maximal_cliques(g):
         rest = frozenset(range(g.n)) - clique
-        if all(not g.has_edge(i, j) for i, j in itertools.combinations(sorted(rest), 2)):
+        if all(g.neighbors(v).isdisjoint(rest) for v in rest):
             out.append(Splitting(v1=rest, v2=clique))
     return out
 
@@ -253,7 +274,7 @@ def split_by_definition(g: SimpleGraph) -> tuple[bool, bool]:
 
     Split: some maximal clique has an independent complement.  Well-split:
     split, and in *every* splitting each v1 vertex has degree at most one.
-    Independent of the forbidden-subgraph scan; used as its cross-check.
+    Independent of `recognize`; used as its cross-check.
     """
     splittings = all_splittings(g)
     if not splittings:
@@ -270,28 +291,38 @@ class RecognitionResult:
 
 
 def recognize(g: SimpleGraph) -> RecognitionResult:
-    """Classify a graph by induced-forbidden-subgraph scan.
+    """Classify a graph as Independent (no edges), WellSplit,
+    SplitNotWellSplit or NotSplit.
 
-    Independent (no edges), WellSplit, SplitNotWellSplit (an induced
-    diamond but none of 2K2/C4/C5), or NotSplit.  When split, a
-    deterministic Splitting is attached; when not well-split, a
-    ForbiddenWitness is attached.
+    Splitness comes from the Hammer-Simeone degree-sequence test.  A split
+    graph gets the deterministic Splitting, whose v2 is a maximal clique;
+    it is well-split iff every v1 vertex has degree <= 1.  (A v1 vertex a
+    with neighbours c, d and a clique vertex b outside N(a), which exists
+    because v2 is maximal, induce a diamond; conversely every diamond puts
+    a vertex of degree >= 2 into v1 of every splitting.)  Only a graph that
+    is not well-split is searched for its ForbiddenWitness: the first
+    induced 2K2 or C4, else the first C5, when not split; the first
+    diamond when split.  "First" is in lexicographic subset order.
     """
-    first_split, first_diamond, first_c5 = _scan_forbidden(g)
-    not_split_witness = first_split if first_split is not None else first_c5
-    if not_split_witness is not None:
-        return RecognitionResult(GraphClass.NOT_SPLIT, None, not_split_witness)
+    if not _is_split(g):
+        witness = (_first_forbidden(g, ("TwoK2", "C4"), 1)
+                   or _first_forbidden(g, ("C5",), 2))
+        return RecognitionResult(GraphClass.NOT_SPLIT, None, _certified(witness))
     splitting = _deterministic_splitting(g)
     if splitting is None:
-        raise GraphError("internal: scan says split but no splitting exists")
-    if first_diamond is not None:
-        return RecognitionResult(GraphClass.SPLIT_NOT_WELL_SPLIT, splitting, first_diamond)
-    if not g.edges:
-        return RecognitionResult(GraphClass.INDEPENDENT, splitting, None)
-    # Cross-check the scan against the chosen splitting.
+        raise GraphError("internal: degree test says split but no splitting exists")
     if any(g.degree(v) > 1 for v in splitting.v1):
-        raise GraphError("internal: forbidden scan and splitting check disagree")
-    return RecognitionResult(GraphClass.WELL_SPLIT, splitting, None)
+        witness = _first_forbidden(g, ("Diamond",), 2)
+        return RecognitionResult(GraphClass.SPLIT_NOT_WELL_SPLIT, splitting,
+                                 _certified(witness))
+    klass = GraphClass.WELL_SPLIT if g.edges else GraphClass.INDEPENDENT
+    return RecognitionResult(klass, splitting, None)
+
+
+def _certified(witness: ForbiddenWitness | None) -> ForbiddenWitness:
+    if witness is None:
+        raise GraphError("internal: a refused graph has no forbidden subgraph")
+    return witness
 
 
 @dataclass(frozen=True)

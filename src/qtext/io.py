@@ -17,24 +17,37 @@ from .translation import TranslationWitness, q_from_Q
 from .classify import Decision
 
 
-def matrix_to_json(m: np.ndarray) -> list:
-    out = []
-    for row in np.asarray(m, dtype=complex):
-        out.append([[float(v.real), float(v.imag)] for v in row])
+def _complex_to_json(a) -> list:
+    """Nested lists shaped like `a` with every entry as an [re, im] pair."""
+    a = np.asarray(a, dtype=complex)
+    return np.stack([a.real, a.imag], -1).tolist()
+
+
+def _complex_from_json(pairs, ndim: int) -> np.ndarray:
+    """Inverse of `_complex_to_json` for an array of `ndim` dimensions."""
+    a = np.asarray(pairs)
+    if a.dtype.kind not in "biuf" or a.ndim != ndim + 1 or a.shape[-1] != 2:
+        raise ValueError(f"expected a {ndim}-d array of [re, im] number pairs")
+    out = np.empty(a.shape[:-1], dtype=complex)
+    out.real = a[..., 0]
+    out.imag = a[..., 1]
     return out
 
 
+def matrix_to_json(m: np.ndarray) -> list:
+    return _complex_to_json(m)
+
+
 def matrix_from_json(rows) -> np.ndarray:
-    return np.array([[complex(p[0], p[1]) for p in row] for row in rows],
-                    dtype=complex)
+    return _complex_from_json(rows, 2)
 
 
 def vector_to_json(v: np.ndarray) -> list:
-    return [[float(x.real), float(x.imag)] for x in np.asarray(v, dtype=complex)]
+    return _complex_to_json(v)
 
 
 def vector_from_json(pairs) -> np.ndarray:
-    return np.array([complex(p[0], p[1]) for p in pairs], dtype=complex)
+    return _complex_from_json(pairs, 1)
 
 
 def text_to_dict(t: Text) -> dict:

@@ -20,7 +20,6 @@ DIAGONAL_TOL = 1e-12
 DISTINCT_TOL = 1e-12
 UNIFORM_TOL = 1e-12
 REAL_TOL = 1e-12
-EMBED_TOL = 1e-10
 EQUIV_TOL = 1e-9
 # Rank cut for embeddings; far below psd_tol so round-trips stay at 1e-10.
 RANK_TOL = 1e-11

@@ -43,7 +43,6 @@ Q_CONSISTENCY_TOL = 1e-12
 B_FLOOR = 1e-12
 NORMALIZER_FLOOR = 1e-12
 FRAME_RANK_TOL = 1e-12
-MODULUS_MARGIN = 1e-6
 
 
 class TranslationError(ValueError):

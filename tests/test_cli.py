@@ -1,12 +1,14 @@
 """Command-line interface: exit codes, JSON output, and file pipelines."""
 
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import qtext
 from qtext import io as qio
 from qtext import validate_text
 from qtext.cli import main
@@ -95,6 +97,22 @@ class TestClassify:
         code, out, _ = run(capsys, "classify", "-i", classical_file, "--q0",
                            "--json")
         assert code == 0
+
+
+class TestBorderline:
+    @pytest.mark.parametrize("z02", [2e-9, 1e-8])
+    def test_valid_but_undecided_exits_5(self, capsys, tmp_path, z02):
+        # the reciprocal Gram of this 3-text has an eigenvalue on the edge
+        # of the zero band: the text is valid, but no sign can be decided
+        g = np.array([[1.0, 0.3, z02], [0.3, 1.0, 0.3], [z02, 0.3, 1.0]])
+        p = str(tmp_path / "border.json")
+        qio.save_text(validate_text(g), p)
+        code, _, _ = run(capsys, "validate", "-i", p)
+        assert code == 0
+        for cmd in ("classify", "translate"):
+            code, _, err = run(capsys, cmd, "-i", p, "--json")
+            assert code == 5, cmd
+            assert json.loads(err)["error"] == "BorderlineSignature"
 
 
 class TestTranslateVerify:
@@ -210,9 +228,13 @@ class TestParsing:
         assert code == 2
 
     def test_console_script(self, text_file):
-        # the installed entry point behaves like main()
+        # the installed entry point behaves like main(); the child imports
+        # the same package as this test, installed or not
+        src = os.path.dirname(os.path.dirname(qtext.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-m", "qtext.cli", "classify",
                                "-i", text_file, "--json"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=path))
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["translatable"]

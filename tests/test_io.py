@@ -46,6 +46,40 @@ class TestTextJson:
             qio.text_from_dict(d)
 
 
+class TestComplexArrays:
+    @staticmethod
+    def reference_pairs(a):
+        # entry-by-entry conversion the vectorised writers must match
+        a = np.asarray(a, dtype=complex)
+        if a.ndim == 1:
+            return [[float(x.real), float(x.imag)] for x in a]
+        return [[[float(v.real), float(v.imag)] for v in row] for row in a]
+
+    def test_writers_match_reference_bytes(self):
+        rng = np.random.default_rng(4)
+        for shape in [(1, 1), (3, 3), (17, 17), (5,), (40,)]:
+            a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            flat = a.reshape(-1)
+            flat[0] = complex(-0.0, 1e-300)
+            flat[-1] = complex(1e-300, -0.0)
+            write = qio.vector_to_json if a.ndim == 1 else qio.matrix_to_json
+            read = qio.vector_from_json if a.ndim == 1 else qio.matrix_from_json
+            got = json.dumps(write(a), indent=2, sort_keys=True)
+            want = json.dumps(self.reference_pairs(a), indent=2, sort_keys=True)
+            assert got == want
+            back = read(json.loads(got))
+            assert back.shape == a.shape
+            assert back.tobytes() == a.tobytes()  # exact, signs of zero included
+
+    def test_malformed_pairs_rejected(self):
+        for rows in ([[[1.0, 0.0, 2.0]]], [[[1.0]]], [[[None, 0.0]]],
+                     [[["1", "0"]]], [[[1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]):
+            with pytest.raises(ValueError):
+                qio.matrix_from_json(rows)
+        with pytest.raises(ValueError):
+            qio.vector_from_json([[[1.0, 0.0]]])
+
+
 class TestGraphJson:
     def test_round_trip(self):
         g = make_graph(5, [(0, 3), (1, 2), (2, 4)])
