@@ -5,12 +5,20 @@ Four construction routes, dispatched by `translate`:
 * classical texts are cloned exactly (Q = 0, any target output);
 * uniform real texts get the closed-form central translation;
 * texts without orthogonal pairs get a seeded search whose first candidate
-  is built from the exceptional eigenvector of the reciprocal Gram matrix;
+  is built from the exceptional eigenvector of the reciprocal Gram matrix
+  (stepped into the open cone of valid directions when that eigenvector
+  has a zero entry);
 * mixed texts translate their complete core with Q > 0 and then absorb the
   pendant states one attachment at a time; isolated states join as a free
   classical summand at the end.
 
-All witnesses are verified with `check_witness` before being returned.
+`translate` and `realize_graph` verify every witness they return with one
+`check_witness`, which also fills its residuals.  The lower-level builders
+return witnesses with residuals["eq2"] = None until they are checked.
+
+scipy is imported as a bare package: `scipy.optimize` loads on first
+attribute access, so only a search that reaches its Nelder-Mead restarts
+pays for it.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
+import scipy
 
 from .texts import (
     Text,
@@ -38,10 +46,16 @@ from .graphs import (
     recognize,
     NotWellSplit,
 )
-from .classify import Decision, decide_translatable, decide_zero_translatable
+from .classify import (
+    SIGNATURE_SCALE,
+    Decision,
+    decide_translatable,
+    decide_zero_translatable,
+)
 from .translation import (
     TranslationWitness,
     TranslationError,
+    WitnessReport,
     check_witness,
     overlap_residual,
     q_from_Q,
@@ -141,14 +155,31 @@ def _eigen_overlaps(t: Text, sign: int) -> np.ndarray | None:
     For sign(Q) = +1 the relevant eigenvector belongs to the smallest
     eigenvalue, for -1 to the largest; entrywise inversion of that vector
     makes the constraint subspace of the output Gram match the sign
-    condition.  Returns None when the eigenvector has a (near-)zero entry.
+    condition.
+
+    Any direction w with sign * (w* M^-1 w) < 0 serves as well: by
+    Haynsworth inertia additivity on [[M, w], [w*, 0]], M is then definite
+    of sign -sign(Q) on the hyperplane orthogonal to w.  So when the
+    eigenvector u has a (near-)zero entry, w = u + s 1 steps into that open
+    cone, with s = 1e-2 max|u| halved up to 40 times until w satisfies the
+    condition and has no near-zero entry; the overlaps are then 1 ./ w.
+    Returns None when M has a zero eigenvalue or no step qualifies.
     """
     M = 1.0 / t.gram
     lam, vec = np.linalg.eigh((M + M.conj().T) / 2.0)
     u = vec[:, 0] if sign > 0 else vec[:, -1]
-    if np.min(np.abs(u)) < 1e-10 * np.max(np.abs(u)):
+    if np.min(np.abs(u)) >= 1e-10 * np.max(np.abs(u)):
+        return 1.0 / u
+    if np.min(np.abs(lam)) <= SIGNATURE_SCALE * np.max(np.abs(lam)):
         return None
-    return 1.0 / u
+    s = 1e-2 * np.max(np.abs(u))
+    for _ in range(41):
+        w = u + s
+        form = float(np.sum(np.abs(vec.conj().T @ w) ** 2 / lam))
+        if sign * form < 0 and np.min(np.abs(w)) >= 1e-10 * np.max(np.abs(w)):
+            return 1.0 / w
+        s *= 0.5
+    return None
 
 
 def _delta_schedule(start: float, max_q: float):
@@ -175,6 +206,14 @@ def _fully_quantum_overlaps(t: Text, sign: int, start: float = Q_START,
         if Y is not None and _penalty(Y) <= PENALTY_SUCCESS:
             return Q, a, Y
     return None
+
+
+def _verify(t: Text, w: TranslationWitness) -> WitnessReport:
+    """check_witness(t, w); a passing witness takes its r1 and r3 as residuals."""
+    report = check_witness(t, w)
+    if report.passed:
+        w.residuals = {"eq4": report.r1, "eq2": report.r3}
+    return report
 
 
 def search_translation(t: Text, sign: int, seed: int = 0,
@@ -205,8 +244,7 @@ def search_translation(t: Text, sign: int, seed: int = 0,
         best = min(best, p)
         if p <= PENALTY_SUCCESS:
             w = witness_from_overlaps(t, Q, a, Y, with_unitary=True)
-            rep = check_witness(t, w)
-            if rep.passed:
+            if _verify(t, w).passed:
                 return w
         return None
 
@@ -261,8 +299,7 @@ def search_translation(t: Text, sign: int, seed: int = 0,
             Y = _forced_output(t, best_x["Q"], best_x["a"])
             w = witness_from_overlaps(t, best_x["Q"], best_x["a"], Y,
                                       with_unitary=True)
-            rep = check_witness(t, w)
-            if rep.passed:
+            if _verify(t, w).passed:
                 return SearchOutcome(w, float(best), evaluations)
         restart += 1
     return SearchOutcome(None, float(best), evaluations)
@@ -273,7 +310,8 @@ def clone_classical(t: Text, target_output=None) -> TranslationWitness:
 
     Q = 0, the tablet sits in the fresh padded coordinate, and the output
     Gram is free to be any valid text of the same size (default: the input
-    itself).  The overlap residual is exactly zero.
+    itself).  The overlap residual is exactly zero.  The unitary is attached
+    but unchecked, so residuals["eq2"] is None until `check_witness` runs.
     """
     props = text_properties(t)
     if not props.classical:
@@ -295,7 +333,8 @@ def central_translate_uniform(t: Text, eps_overlap: float = 0.25) -> Translation
 
     The tablet has the same overlap c with every state, so the output is
     uniform with y = (1 + Q c^2 / z) / (1 + Q c^2), feasible for small |Q|
-    of sign -sign(z).
+    of sign -sign(z).  The unitary is attached but unchecked, so
+    residuals["eq2"] is None until `check_witness` runs.
     """
     props = text_properties(t)
     if t.n < 2 or props.classical or not (props.uniform and props.real_text
@@ -455,7 +494,21 @@ def translate(t: Text, seed: int = 0, budget: int = 100000,
     verified witness within the budget (which never happens for the
     classifier's own sign choices in practice).  With q0=True only
     classical texts are accepted and the clone construction is used.
+    Every route ends in one `check_witness`, whose r1 and r3 become the
+    witness's residuals.
     """
+    final = _construct(t, seed, budget, force_sign, q0)
+    report = _verify(t, final)
+    if not report.passed:
+        raise SearchBudgetExhausted(
+            f"constructed witness failed verification: r1={report.r1:.3e}, "
+            f"r2_ok={report.r2_ok}, r3={report.r3}")
+    return final
+
+
+def _construct(t: Text, seed: int, budget: int, force_sign: int | None,
+               q0: bool) -> TranslationWitness:
+    """The witness `translate` returns, with its unitary but not yet checked."""
     if q0:
         d = decide_zero_translatable(t)
         if not d.translatable:
@@ -470,14 +523,10 @@ def translate(t: Text, seed: int = 0, budget: int = 100000,
             return clone_classical(t)
         # any sign works on an orthogonal family: a tablet orthogonal to
         # every state leaves all output overlaps free
-        w = witness_from_overlaps(t, force_sign * Q_START,
-                                  np.zeros(t.n, dtype=complex),
-                                  np.eye(t.n, dtype=complex),
-                                  with_unitary=True)
-        report = check_witness(t, w)
-        if not report.passed:
-            raise SearchBudgetExhausted("forced-sign clone failed to verify")
-        return w
+        return witness_from_overlaps(t, force_sign * Q_START,
+                                     np.zeros(t.n, dtype=complex),
+                                     np.eye(t.n, dtype=complex),
+                                     with_unitary=True)
     decomp = decision.decomposition
     pendants = sorted(decomp.attachment)
     core = sorted(decomp.quantum_part)
@@ -510,24 +559,14 @@ def translate(t: Text, seed: int = 0, budget: int = 100000,
                     t_R, w_R.Q,
                     tablet_overlaps(embed_text(t_R, pad_extra_dim=True), w_R.tablet),
                     w_R.output_gram, with_unitary=True)
-            final = w_R
-        else:
-            final = _scatter_witness(t, remainder, w_R, with_unitary=True)
-    else:
-        if force_sign is not None and force_sign != +1:
-            raise SearchBudgetExhausted(
-                "texts with pendant states only admit Q > 0")
-        order, w_chain = _mixed_witness(t, core, pendants, decomp.attachment)
-        full_order = order  # core then pendants, in attachment order
-        final = _scatter_witness(t, full_order, w_chain, with_unitary=True)
-
-    report = check_witness(t, final)
-    if not report.passed:
+            return w_R
+        return _scatter_witness(t, remainder, w_R, with_unitary=True)
+    if force_sign is not None and force_sign != +1:
         raise SearchBudgetExhausted(
-            f"constructed witness failed verification: r1={report.r1:.3e}, "
-            f"r2_ok={report.r2_ok}, r3={report.r3}")
-    final.residuals = {"eq4": report.r1, "eq2": report.r3}
-    return final
+            "texts with pendant states only admit Q > 0")
+    # the chain's order: core first, then pendants in attachment order
+    order, w_chain = _mixed_witness(t, core, pendants, decomp.attachment)
+    return _scatter_witness(t, order, w_chain, with_unitary=True)
 
 
 @dataclass
@@ -555,6 +594,8 @@ def realize_graph(g: SimpleGraph, seed: int = 0) -> RealizeResult:
         t = validate_text(np.eye(g.n, dtype=complex))
         w = witness_from_overlaps(t, 1.0, np.zeros(g.n, dtype=complex),
                                   np.eye(g.n, dtype=complex), with_unitary=True)
+        if not _verify(t, w).passed:
+            raise SynthError("internal: realized witness failed verification")
         return RealizeResult(text=t, witness=w)
     if len(big) > 1:
         raise NotWellSplit("internal: several non-trivial components")
@@ -625,8 +666,6 @@ def realize_graph(g: SimpleGraph, seed: int = 0) -> RealizeResult:
     if graph_of_text(text) != g:
         raise SynthError("internal: realized text has the wrong overlap graph")
     witness = witness_from_overlaps(text, 1.0, o_full, Y_full, with_unitary=True)
-    report = check_witness(text, witness)
-    if not report.passed:
+    if not _verify(text, witness).passed:
         raise SynthError("internal: realized witness failed verification")
-    witness.residuals = {"eq4": report.r1, "eq2": report.r3}
     return RealizeResult(text=text, witness=witness)

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .texts import (
     Text,
@@ -281,7 +280,11 @@ def witness_from_overlaps(t: Text, Q: float, overlaps: np.ndarray,
     """Assemble a witness from the overlap vector it must induce.
 
     The tablet is reconstructed inside the span of the states (minimal
-    norm), with the remaining weight on one fresh padded coordinate.
+    norm), with the remaining weight on one fresh padded coordinate.  With
+    `with_unitary` the unitary is synthesized and attached, but not
+    checked: residuals["eq4"] holds the overlap residual and
+    residuals["eq2"] stays None until `check_witness` has run on the
+    witness (as `translate` and `realize_graph` do once before returning).
     """
     if not -1.0 <= float(Q) <= 1.0:
         raise QOutOfRange(f"Q = {Q} outside [-1, 1]")
@@ -315,8 +318,6 @@ def witness_from_overlaps(t: Text, Q: float, overlaps: np.ndarray,
     )
     if with_unitary:
         w.unitary = synthesize_unitary(t, w)
-        report = check_witness(t, w)
-        w.residuals = {"eq4": report.r1, "eq2": report.r3}
     return w
 
 
@@ -393,12 +394,26 @@ def _orthonormal_polar(W: np.ndarray) -> np.ndarray:
     return u @ vh
 
 
+def _null_space(A: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the null space of A, as columns.
+
+    Full SVD with the rank rule of scipy.linalg.null_space: singular values
+    above max(s) * eps * max(A.shape) count as nonzero.
+    """
+    _, s, vh = np.linalg.svd(A, full_matrices=True)
+    tol = np.amax(s, initial=0.0) * np.finfo(s.dtype).eps * max(A.shape)
+    num = int(np.count_nonzero(s > tol))
+    return vh[num:].conj().T
+
+
 def synthesize_unitary(t: Text, w: TranslationWitness) -> np.ndarray:
     """Unitary mapping each frame state Omega_i onto chi_i (x) psi_i.
 
     Exists iff the two families share a Gram matrix (checked at 1e-8).
     Both frames are orthonormalized with the same spectral coefficients and
-    completed by SVD null-space bases, so the result is deterministic.
+    completed by the null-space bases of `_null_space` (a numpy SVD), so the
+    result is deterministic.  The unitary is not checked here; that is
+    `check_witness`'s job.
     """
     tablet = np.asarray(w.tablet, dtype=complex)
     emb = _embedding_for_tablet(t, len(tablet))
@@ -420,8 +435,8 @@ def synthesize_unitary(t: Text, w: TranslationWitness) -> np.ndarray:
     coeff = vec[:, keep] / np.sqrt(lam[keep])
     P = _orthonormal_polar(A @ coeff)
     Qf = _orthonormal_polar(Bm @ coeff)
-    Np = scipy.linalg.null_space(P.conj().T)
-    Nq = scipy.linalg.null_space(Qf.conj().T)
+    Np = _null_space(P.conj().T)
+    Nq = _null_space(Qf.conj().T)
     U = np.hstack([Qf, Nq]) @ np.hstack([P, Np]).conj().T
     return U
 

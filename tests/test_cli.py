@@ -238,3 +238,17 @@ class TestParsing:
                               env=dict(os.environ, PYTHONPATH=path))
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["translatable"]
+
+
+class TestStartup:
+    def test_import_leaves_scipy_submodules_unloaded(self):
+        # the SVD null space is numpy's and the optimizer loads on first use,
+        # so the CLI starts without scipy.linalg or scipy.optimize
+        src = os.path.dirname(os.path.dirname(qtext.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = ("import sys, qtext.cli; "
+                "print([m for m in ('scipy.linalg', 'scipy.optimize') if m in sys.modules])")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=path))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -31,6 +31,7 @@ from qtext import (
     translate,
     validate_text,
 )
+from qtext import synth, translation
 from tests.conftest import uniform_gram
 
 
@@ -280,3 +281,100 @@ class TestRealizeGraph:
             g = shape_to_graph(shape)
             res = realize_graph(g)
             assert decide_translatable(res.text).translatable
+
+
+def symmetric_core(a, z02):
+    """z01 = z12 = a and a small z02: the exceptional eigenvector of 1 ./ z
+    is (1, 0, -1) / sqrt(2), with an exact zero entry."""
+    return np.array([[1.0, a, z02], [a, 1.0, a], [z02, a, 1.0]], dtype=complex)
+
+
+def with_pendant(core, anchor, overlap):
+    k = core.shape[0]
+    z = np.eye(k + 1, dtype=complex)
+    z[:k, :k] = core
+    z[anchor, k] = z[k, anchor] = overlap
+    return z
+
+
+ZERO_ENTRY_TEXTS = {
+    "core_z0.01": symmetric_core(0.4, 0.01),
+    "core_z0.05": symmetric_core(0.4, 0.05),
+    "pendant_z0.01": with_pendant(symmetric_core(0.4, 0.01), 1, 0.2),
+    "pendant_z0.05": with_pendant(symmetric_core(0.4, 0.05), 1, 0.15),
+}
+
+
+class TestZeroEntryEigenvector:
+    @pytest.fixture
+    def no_optimizer(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("Nelder-Mead reached")
+        monkeypatch.setattr("scipy.optimize.minimize", refuse)
+
+    @pytest.mark.parametrize("z02", [0.01, 0.05])
+    def test_eigenvector_has_zero_entry(self, z02):
+        M = 1.0 / symmetric_core(0.4, z02)
+        u = np.linalg.eigh(M)[1][:, 0]
+        assert np.min(np.abs(u)) < 1e-10 * np.max(np.abs(u))
+
+    @pytest.mark.parametrize("z02", [0.01, 0.05])
+    def test_direction_lies_in_the_cone(self, z02):
+        t = validate_text(symmetric_core(0.4, z02))
+        a = synth._eigen_overlaps(t, +1)
+        assert a is not None and np.all(np.isfinite(a))
+        w = 1.0 / a
+        M = 1.0 / t.gram
+        assert np.real(np.vdot(w, np.linalg.solve(M, w))) < 0
+
+    @pytest.mark.parametrize("label", sorted(ZERO_ENTRY_TEXTS))
+    def test_translates_without_optimizer(self, label, no_optimizer):
+        t = validate_text(ZERO_ENTRY_TEXTS[label])
+        w = translate(t)
+        rep = check_witness(t, w)
+        assert rep.passed
+        assert 0 < w.Q <= 1
+        assert rep.r1 <= 1e-8 and rep.r3 <= 1e-8 and rep.unitarity <= 1e-10
+        assert w.residuals == {"eq4": rep.r1, "eq2": rep.r3}
+
+
+class TestOneCheckPerWitness:
+    @pytest.fixture
+    def check_calls(self, monkeypatch):
+        calls = []
+
+        def counting(t, w):
+            calls.append(w)
+            return check_witness(t, w)
+        monkeypatch.setattr(synth, "check_witness", counting)
+        monkeypatch.setattr(translation, "check_witness", counting)
+        return calls
+
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_uniform_translate_checks_once(self, n, check_calls):
+        w = translate(validate_text(uniform_gram(n, 0.4)))
+        assert len(check_calls) == 1 and check_calls[0] is w
+
+    @pytest.mark.parametrize("kwargs", [{}, {"q0": True}, {"force_sign": +1},
+                                        {"force_sign": -1}])
+    def test_clone_routes_carry_final_check(self, kwargs, check_calls):
+        t = validate_text(np.eye(3))
+        w = translate(t, **kwargs)
+        assert len(check_calls) == 1
+        rep = check_witness(t, w)
+        assert rep.passed and rep.r3 is not None
+        assert w.residuals == {"eq4": rep.r1, "eq2": rep.r3}
+
+    def test_builders_leave_eq2_unset(self):
+        t = validate_text(np.eye(3))
+        w = clone_classical(t)
+        assert w.unitary is not None and w.residuals["eq2"] is None
+        w = central_translate_uniform(validate_text(uniform_gram(4, 0.3)))
+        assert w.unitary is not None and w.residuals["eq2"] is None
+
+    def test_edgeless_realization_is_checked(self, check_calls):
+        res = realize_graph(make_graph(3, []))
+        assert len(check_calls) == 1
+        rep = check_witness(res.text, res.witness)
+        assert rep.passed
+        assert res.witness.residuals == {"eq4": rep.r1, "eq2": rep.r3}

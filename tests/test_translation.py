@@ -27,6 +27,7 @@ from qtext import (
     validate_text,
     witness_from_overlaps,
 )
+from qtext.translation import _null_space
 from tests.conftest import uniform_gram
 
 
@@ -263,6 +264,36 @@ class TestSynthesizeUnitary:
         bad = TranslationWitness(Q=w.Q, q=w.q, tablet=w.tablet, output_gram=y)
         with pytest.raises(GramMismatch):
             synthesize_unitary(uniform3, bad)
+
+
+class TestNullSpace:
+    @staticmethod
+    def frame(D, k, seed):
+        """Adjoint of a random orthonormal D x k frame, as in synthesize_unitary."""
+        rng = np.random.default_rng([seed, D, k])
+        raw = rng.standard_normal((D, k)) + 1j * rng.standard_normal((D, k))
+        u, _, vh = np.linalg.svd(raw, full_matrices=False)
+        return (u @ vh).conj().T
+
+    @pytest.mark.parametrize("D,k", [(4, 1), (9, 3), (16, 4), (25, 6), (49, 8), (64, 64)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_scipy(self, D, k, seed):
+        scipy_linalg = pytest.importorskip("scipy.linalg")
+        A = self.frame(D, k, seed)
+        N = _null_space(A)
+        ref = scipy_linalg.null_space(A)
+        assert N.shape == ref.shape == (D, D - k)
+        np.testing.assert_allclose(N, ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(N.conj().T @ N, np.eye(D - k), atol=1e-12)
+        np.testing.assert_allclose(A @ N, 0, atol=1e-12)
+
+    def test_rank_deficient_rows(self):
+        A = self.frame(16, 3, 7)
+        A = np.vstack([A, A[0] + A[1]])
+        N = _null_space(A)
+        assert N.shape == (16, 13)
+        np.testing.assert_allclose(N.conj().T @ N, np.eye(13), atol=1e-12)
+        np.testing.assert_allclose(A @ N, 0, atol=1e-12)
 
 
 class TestOverlapResidual:
