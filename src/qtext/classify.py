@@ -4,7 +4,7 @@ The decision reduces to graph shape plus one spectral test.  For a text
 with no orthogonal pairs, form the entrywise reciprocal M = 1 ./ z of the
 Gram matrix.  A translation with parameter Q of sign eps exists (for some
 arbitrarily small |Q|) iff all eigenvalues of M except one simple one have
-sign -eps.  Texts with orthogonal pairs are handled by splitting the
+sign eps or vanish.  Texts with orthogonal pairs are handled by splitting the
 overlap graph: isolated states contribute a free classical summand, and
 pendant states attach to a complete core that must admit eps = +1.
 """

@@ -2,8 +2,9 @@
 
 Subcommands: validate, graph, analyze, classify, translate, realize,
 verify, gen.  Exit codes: 0 success/translatable, 1 untranslatable,
-2 invalid input, 3 verification failed, 4 search failure, 5 undecided (a
-valid text whose spectral test sits on the zero band).
+2 invalid input, 3 verification failed, 4 construction failed (including
+a forced sign of Q the classifier does not admit), 5 undecided (a valid
+text whose spectral test sits on the zero band).
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .classify import (
 )
 from .translation import TranslationError, check_witness
 from .synth import (
-    SearchBudgetExhausted,
     SynthError,
     Untranslatable,
     realize_graph,
@@ -36,7 +36,7 @@ EXIT_OK = 0
 EXIT_UNTRANSLATABLE = 1
 EXIT_INVALID = 2
 EXIT_VERIFY_FAILED = 3
-EXIT_SEARCH_FAILED = 4
+EXIT_CONSTRUCTION_FAILED = 4
 EXIT_UNDECIDED = 5
 
 
@@ -126,15 +126,14 @@ def _cmd_translate(args) -> int:
     elif args.sign == "-":
         sign = -1
     try:
-        w = translate(t, seed=args.seed, budget=int(args.budget),
-                      force_sign=sign, q0=args.q0)
+        w = translate(t, force_sign=sign, q0=args.q0)
     except Untranslatable as exc:
         qio.dump_json(qio.decision_to_dict(exc.decision), args.output)
         return EXIT_UNTRANSLATABLE
     except BorderlineSignature as exc:
         return _fail(args, exc, code=EXIT_UNDECIDED)
-    except (SearchBudgetExhausted, SynthError, TranslationError) as exc:
-        return _fail(args, exc, code=EXIT_SEARCH_FAILED)
+    except (SynthError, TranslationError) as exc:
+        return _fail(args, exc, code=EXIT_CONSTRUCTION_FAILED)
     qio.save_witness(w, args.output)
     return EXIT_OK
 
@@ -145,11 +144,11 @@ def _cmd_realize(args) -> int:
     except (GraphError, ValueError, OSError, KeyError) as exc:
         return _fail(args, exc)
     try:
-        result = realize_graph(g, seed=args.seed)
+        result = realize_graph(g)
     except GraphError as exc:
         return _fail(args, exc, code=EXIT_UNTRANSLATABLE)
     except SynthError as exc:
-        return _fail(args, exc, code=EXIT_SEARCH_FAILED)
+        return _fail(args, exc, code=EXIT_CONSTRUCTION_FAILED)
     qio.save_text(result.text, args.output)
     if args.witness:
         qio.save_witness(result.witness, args.witness)
@@ -235,17 +234,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("translate", help="construct and verify a witness")
     add_common(p, inp=True)
     p.add_argument("--q0", action="store_true", help="clone classical texts only")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=float, default=100000)
     p.add_argument("--sign", choices=["+", "-"], default=None,
-                   help="force the sign of Q in the search")
+                   help="force the sign of Q (exit 4 if it is not admissible)")
     p.set_defaults(func=_cmd_translate)
 
     p = sub.add_parser("realize", help="build a text realizing a graph")
     p.add_argument("--graph", "-g", required=True, help="graph JSON file")
     p.add_argument("--output", "-o", default=None, help="text output file")
     p.add_argument("--witness", "-w", default=None, help="optional witness output")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_realize)
 

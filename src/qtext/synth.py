@@ -1,13 +1,12 @@
 """Constructing translations.
 
-Four construction routes, dispatched by `translate`:
+Four construction routes, dispatched by `translate`, all in closed form:
 
 * classical texts are cloned exactly (Q = 0, any target output);
 * uniform real texts get the closed-form central translation;
-* texts without orthogonal pairs get a seeded search whose first candidate
-  is built from the exceptional eigenvector of the reciprocal Gram matrix
-  (stepped into the open cone of valid directions when that eigenvector
-  has a zero entry);
+* texts without orthogonal pairs take their tablet overlaps from the
+  exceptional eigenvector of the reciprocal Gram matrix (stepped into the
+  cone of valid directions when that eigenvector has a zero entry);
 * mixed texts translate their complete core with Q > 0 and then absorb the
   pendant states one attachment at a time; isolated states join as a free
   classical summand at the end.
@@ -15,10 +14,6 @@ Four construction routes, dispatched by `translate`:
 `translate` and `realize_graph` verify every witness they return with one
 `check_witness`, which also fills its residuals.  The lower-level builders
 return witnesses with residuals["eq2"] = None until they are checked.
-
-scipy is imported as a bare package: `scipy.optimize` loads on first
-attribute access, so only a search that reaches its Nelder-Mead restarts
-pays for it.
 """
 
 from __future__ import annotations
@@ -26,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
+import scipy  # unused here; perfbench/tracing.py patches synth.scipy.optimize
 
 from .texts import (
     Text,
@@ -59,6 +54,7 @@ from .translation import (
     check_witness,
     overlap_residual,
     q_from_Q,
+    synthesize_unitary,
     tablet_overlaps,
     witness_from_overlaps,
     B_FLOOR,
@@ -103,7 +99,8 @@ class BadOverlapPattern(SynthError):
 
 @dataclass
 class SearchOutcome:
-    """Result of one bounded search: a witness or one-sided failure."""
+    """Result of the eigenvector route for one sign of Q: a witness or
+    None, the best penalty seen and the number of forced outputs tried."""
 
     witness: TranslationWitness | None
     best_penalty: float
@@ -152,31 +149,46 @@ def _span_normalize(t: Text, a: np.ndarray) -> np.ndarray:
 def _eigen_overlaps(t: Text, sign: int) -> np.ndarray | None:
     """Overlap direction from the exceptional eigenvector of M = 1 ./ z.
 
-    For sign(Q) = +1 the relevant eigenvector belongs to the smallest
-    eigenvalue, for -1 to the largest; entrywise inversion of that vector
-    makes the constraint subspace of the output Gram match the sign
-    condition.
+    For sign(Q) = +1 the relevant eigenvector u belongs to the smallest
+    eigenvalue, for -1 to the largest; M is semidefinite of sign sign(Q)
+    on the hyperplane orthogonal to u, and entrywise inversion of u makes
+    the constraint subspace of the output Gram match the sign condition.
 
-    Any direction w with sign * (w* M^-1 w) < 0 serves as well: by
-    Haynsworth inertia additivity on [[M, w], [w*, 0]], M is then definite
-    of sign -sign(Q) on the hyperplane orthogonal to w.  So when the
-    eigenvector u has a (near-)zero entry, w = u + s 1 steps into that open
-    cone, with s = 1e-2 max|u| halved up to 40 times until w satisfies the
-    condition and has no near-zero entry; the overlaps are then 1 ./ w.
-    Returns None when M has a zero eigenvalue or no step qualifies.
+    When u has a (near-)zero entry the overlaps are 1 ./ w for a nearby
+    direction w with no such entry:
+
+    * M invertible: any w with sign * (w* M^-1 w) < 0 serves, since by
+      Haynsworth inertia additivity on [[M, w], [w*, 0]] M is then
+      definite of sign sign(Q) on the hyperplane orthogonal to w.  The
+      step w = u + s 1 enters that open cone, with s = 1e-2 max|u| halved
+      up to 40 times until w qualifies.
+    * M singular: w = u + 1e-2 v, with v the eigenvector of the opposite
+      extreme eigenvalue.  The hyperplane orthogonal to w holds every other
+      eigenvector and 1e-2 u - v, whose Rayleigh quotient is proportional
+      to 1e-4 lam_u + lam_v, of sign sign(Q) while |lam_v| > 1e-4 |lam_u|;
+      so the compression of M to it is semidefinite of sign sign(Q), with
+      the null vectors of M in its kernel.  By Cauchy interlacing no hyperplane
+      does better than semidefinite, and the output Gram is singular.
+
+    Returns None when no step qualifies.
     """
     M = 1.0 / t.gram
     lam, vec = np.linalg.eigh((M + M.conj().T) / 2.0)
-    u = vec[:, 0] if sign > 0 else vec[:, -1]
-    if np.min(np.abs(u)) >= 1e-10 * np.max(np.abs(u)):
+    u, v = (vec[:, 0], vec[:, -1]) if sign > 0 else (vec[:, -1], vec[:, 0])
+
+    def no_zero_entry(w):
+        return np.min(np.abs(w)) >= 1e-10 * np.max(np.abs(w))
+
+    if no_zero_entry(u):
         return 1.0 / u
     if np.min(np.abs(lam)) <= SIGNATURE_SCALE * np.max(np.abs(lam)):
-        return None
+        w = u + 1e-2 * v
+        return 1.0 / w if no_zero_entry(w) else None
     s = 1e-2 * np.max(np.abs(u))
     for _ in range(41):
         w = u + s
         form = float(np.sum(np.abs(vec.conj().T @ w) ** 2 / lam))
-        if sign * form < 0 and np.min(np.abs(w)) >= 1e-10 * np.max(np.abs(w)):
+        if sign * form < 0 and no_zero_entry(w):
             return 1.0 / w
         s *= 0.5
     return None
@@ -193,19 +205,28 @@ def _delta_schedule(start: float, max_q: float):
 
 
 def _fully_quantum_overlaps(t: Text, sign: int, start: float = Q_START,
-                            max_q: float = 1.0):
-    """Deterministic (Q, overlaps, Y) for a text without orthogonal pairs,
-    or None when the eigenvector route does not apply."""
+                            max_q: float = 1.0) -> SearchOutcome:
+    """Eigenvector overlaps at the first Q of the schedule whose forced
+    output Gram passes the penalty, for a text without orthogonal pairs.
+
+    The witness carries no unitary and is unchecked; it is None when the
+    eigenvector route gives no direction or no step of Q passes.
+    """
     a = _eigen_overlaps(t, sign)
-    if a is None:
-        return None
-    a = _span_normalize(t, a)
-    for delta in _delta_schedule(start, max_q):
-        Q = sign * delta
-        Y = _forced_output(t, Q, a)
-        if Y is not None and _penalty(Y) <= PENALTY_SUCCESS:
-            return Q, a, Y
-    return None
+    best, evaluations = np.inf, 0
+    if a is not None:
+        a = _span_normalize(t, a)
+        for delta in _delta_schedule(start, max_q):
+            evaluations += 1
+            Y = _forced_output(t, sign * delta, a)
+            if Y is None:
+                continue
+            p = _penalty(Y)
+            best = min(best, p)
+            if p <= PENALTY_SUCCESS:
+                w = witness_from_overlaps(t, sign * delta, a, Y)
+                return SearchOutcome(w, float(best), evaluations)
+    return SearchOutcome(None, float(best), evaluations)
 
 
 def _verify(t: Text, w: TranslationWitness) -> WitnessReport:
@@ -216,93 +237,24 @@ def _verify(t: Text, w: TranslationWitness) -> WitnessReport:
     return report
 
 
-def search_translation(t: Text, sign: int, seed: int = 0,
-                       budget: int = 100000) -> SearchOutcome:
-    """Bounded search for a witness with the given sign of Q.
+def search_translation(t: Text, sign: int) -> SearchOutcome:
+    """Closed-form witness with the given sign of Q for an efficient text
+    without orthogonal pairs.
 
-    Never claims untranslatability: a None witness only means the budget
-    ran out.  The first candidates are deterministic (the eigenvector
-    construction, then a constant-overlap tablet); afterwards Nelder-Mead
-    restarts from seeded random tablets minimize the infeasibility
-    penalty.  Success requires penalty <= 1e-16 and a passing witness.
+    The witness is `_fully_quantum_overlaps`'s with its unitary attached
+    but unchecked (residuals["eq2"] is None).  A None witness never claims
+    untranslatability; for a sign the classifier admits it is not
+    expected at all.
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     props = text_properties(t)
     if not (props.efficient and props.fully_quantum):
         raise SynthError("search needs an efficient text without orthogonal pairs")
-    evaluations = 0
-    best = np.inf
-
-    def try_overlaps(Q: float, a: np.ndarray):
-        nonlocal evaluations, best
-        evaluations += 1
-        Y = _forced_output(t, Q, a)
-        if Y is None:
-            return None
-        p = _penalty(Y)
-        best = min(best, p)
-        if p <= PENALTY_SUCCESS:
-            w = witness_from_overlaps(t, Q, a, Y, with_unitary=True)
-            if _verify(t, w).passed:
-                return w
-        return None
-
-    smart = []
-    a_eig = _eigen_overlaps(t, sign)
-    if a_eig is not None:
-        smart.append(_span_normalize(t, a_eig))
-    smart.append(_span_normalize(t, np.ones(t.n, dtype=complex)))
-    for a in smart:
-        for delta in _delta_schedule(Q_START, 1.0):
-            if evaluations >= budget:
-                return SearchOutcome(None, float(best), evaluations)
-            w = try_overlaps(sign * delta, a)
-            if w is not None:
-                return SearchOutcome(w, float(best), evaluations)
-
-    emb = embed_text(t, pad_extra_dim=True)
-    L = emb.dim
-    restart = 0
-    while evaluations < budget:
-        rng = np.random.default_rng([seed, restart, 20240501])
-        x0 = np.concatenate([
-            [Q_START * 0.7 ** restart],
-            rng.standard_normal(2 * L),
-        ])
-        best_x = {"p": np.inf, "Q": None, "a": None}
-
-        def fun(x):
-            nonlocal evaluations, best
-            evaluations += 1
-            Q = sign * min(1.0, abs(x[0]))
-            raw = x[1:1 + L] + 1j * x[1 + L:1 + 2 * L]
-            norm = np.linalg.norm(raw)
-            if norm < 1e-12:
-                return 1e6
-            tab = raw / norm
-            a = tablet_overlaps(emb, tab)
-            Y = _forced_output(t, Q, a)
-            if Y is None:
-                return 1e6
-            p = _penalty(Y)
-            best = min(best, p)
-            if p < best_x["p"]:
-                best_x.update(p=p, Q=Q, a=a.copy())
-            return p
-
-        scipy.optimize.minimize(
-            fun, x0, method="Nelder-Mead",
-            options={"maxfev": int(min(2000, budget - evaluations)),
-                     "fatol": 1e-18, "xatol": 1e-12})
-        if best_x["p"] <= PENALTY_SUCCESS:
-            Y = _forced_output(t, best_x["Q"], best_x["a"])
-            w = witness_from_overlaps(t, best_x["Q"], best_x["a"], Y,
-                                      with_unitary=True)
-            if _verify(t, w).passed:
-                return SearchOutcome(w, float(best), evaluations)
-        restart += 1
-    return SearchOutcome(None, float(best), evaluations)
+    out = _fully_quantum_overlaps(t, sign)
+    if out.witness is not None:
+        out.witness.unitary = synthesize_unitary(t, out.witness)
+    return out
 
 
 def clone_classical(t: Text, target_output=None) -> TranslationWitness:
@@ -437,9 +389,10 @@ def attach_classical(base_witness: TranslationWitness, base_text: Text,
                    "eq2": None})
 
 
-def _scatter_witness(t: Text, order: list[int], w_local: TranslationWitness,
-                     with_unitary: bool = True) -> TranslationWitness:
-    """Spread a witness on subtext(t, order) over the full text.
+def _scatter_witness(t: Text, order: list[int],
+                     w_local: TranslationWitness) -> TranslationWitness:
+    """Spread a witness on subtext(t, order) over the full text, with an
+    unchecked unitary.
 
     States outside `order` must be orthogonal to everything; they keep
     zero tablet overlap and get fresh orthonormal outputs.
@@ -452,8 +405,7 @@ def _scatter_witness(t: Text, order: list[int], w_local: TranslationWitness,
     o_full[order] = o_local
     Y_full = np.eye(t.n, dtype=complex)
     Y_full[np.ix_(order, order)] = w_local.output_gram
-    return witness_from_overlaps(t, w_local.Q, o_full, Y_full,
-                                 with_unitary=with_unitary)
+    return witness_from_overlaps(t, w_local.Q, o_full, Y_full, with_unitary=True)
 
 
 def _mixed_witness(t: Text, core: list[int], pendants: list[int],
@@ -462,12 +414,10 @@ def _mixed_witness(t: Text, core: list[int], pendants: list[int],
     t_core = subtext(t, core)
     start = Q_START
     for _ in range(60):
-        base = _fully_quantum_overlaps(t_core, +1, start=start, max_q=start)
-        if base is None:
+        w_cur = _fully_quantum_overlaps(t_core, +1, start=start, max_q=start).witness
+        if w_cur is None:
             raise SearchBudgetExhausted(
                 "no positive-Q witness found for the complete core")
-        Q2, a2, Y2 = base
-        w_cur = witness_from_overlaps(t_core, Q2, a2, Y2, with_unitary=False)
         order = list(core)
         t_cur = t_core
         try:
@@ -485,19 +435,19 @@ def _mixed_witness(t: Text, core: list[int], pendants: list[int],
     raise SearchBudgetExhausted("attachment chain kept overflowing Q = 1")
 
 
-def translate(t: Text, seed: int = 0, budget: int = 100000,
-              force_sign: int | None = None, q0: bool = False) -> TranslationWitness:
+def translate(t: Text, force_sign: int | None = None,
+              q0: bool = False) -> TranslationWitness:
     """Decide, construct, and verify a translation of a text.
 
     Raises Untranslatable(decision) when the classifier refuses, and
-    SearchBudgetExhausted when a positive decision fails to produce a
-    verified witness within the budget (which never happens for the
-    classifier's own sign choices in practice).  With q0=True only
-    classical texts are accepted and the clone construction is used.
+    SearchBudgetExhausted when `force_sign` is a sign of Q the classifier
+    does not admit or when the closed-form construction yields no verified
+    witness (not expected on a text the classifier accepts).  With q0=True
+    only classical texts are accepted and the clone construction is used.
     Every route ends in one `check_witness`, whose r1 and r3 become the
     witness's residuals.
     """
-    final = _construct(t, seed, budget, force_sign, q0)
+    final = _construct(t, force_sign, q0)
     report = _verify(t, final)
     if not report.passed:
         raise SearchBudgetExhausted(
@@ -506,8 +456,7 @@ def translate(t: Text, seed: int = 0, budget: int = 100000,
     return final
 
 
-def _construct(t: Text, seed: int, budget: int, force_sign: int | None,
-               q0: bool) -> TranslationWitness:
+def _construct(t: Text, force_sign: int | None, q0: bool) -> TranslationWitness:
     """The witness `translate` returns, with its unitary but not yet checked."""
     if q0:
         d = decide_zero_translatable(t)
@@ -527,46 +476,37 @@ def _construct(t: Text, seed: int, budget: int, force_sign: int | None,
                                      np.zeros(t.n, dtype=complex),
                                      np.eye(t.n, dtype=complex),
                                      with_unitary=True)
+    signs = decision.sign_constraint
+    if force_sign is not None:
+        if force_sign not in signs:
+            raise SearchBudgetExhausted(
+                f"sign(Q) = {force_sign} is not admissible for this text; "
+                f"admissible: {sorted(signs)}")
+        signs = frozenset({force_sign})
     decomp = decision.decomposition
     pendants = sorted(decomp.attachment)
     core = sorted(decomp.quantum_part)
-    isolated = sorted(decomp.classical_part - set(decomp.attachment))
-    remainder = sorted(set(core) | set(pendants))
+    isolated = decomp.classical_part - set(decomp.attachment)
 
     if not pendants:
-        t_R = subtext(t, remainder)
-        props_R = text_properties(t_R)
-        signs = decision.sign_constraint or frozenset({+1, -1})
-        if force_sign is not None:
-            signs = frozenset({force_sign})
-        w_R = None
-        if props_R.uniform and props_R.real_text and force_sign is None:
-            w_R = central_translate_uniform(t_R)
+        t_core = subtext(t, core)
+        props_core = text_properties(t_core)
+        if props_core.uniform and props_core.real_text and force_sign is None:
+            w_core = central_translate_uniform(t_core)
         else:
-            last = None
             for sign in sorted(signs, reverse=True):
-                last = search_translation(t_R, sign, seed=seed, budget=budget)
-                if last.witness is not None:
-                    w_R = last.witness
+                out = search_translation(t_core, sign)
+                if out.witness is not None:
                     break
-            if w_R is None:
+            else:
                 raise SearchBudgetExhausted(
-                    f"search failed; best penalty {last.best_penalty:.3e} "
-                    f"after {last.evaluations} evaluations")
-        if not isolated:
-            if w_R.unitary is None:
-                w_R = witness_from_overlaps(
-                    t_R, w_R.Q,
-                    tablet_overlaps(embed_text(t_R, pad_extra_dim=True), w_R.tablet),
-                    w_R.output_gram, with_unitary=True)
-            return w_R
-        return _scatter_witness(t, remainder, w_R, with_unitary=True)
-    if force_sign is not None and force_sign != +1:
-        raise SearchBudgetExhausted(
-            "texts with pendant states only admit Q > 0")
+                    f"construction failed; best penalty {out.best_penalty:.3e} "
+                    f"after {out.evaluations} evaluations")
+            w_core = out.witness
+        return _scatter_witness(t, core, w_core) if isolated else w_core
     # the chain's order: core first, then pendants in attachment order
     order, w_chain = _mixed_witness(t, core, pendants, decomp.attachment)
-    return _scatter_witness(t, order, w_chain, with_unitary=True)
+    return _scatter_witness(t, order, w_chain)
 
 
 @dataclass
@@ -575,16 +515,14 @@ class RealizeResult:
     witness: TranslationWitness
 
 
-def realize_graph(g: SimpleGraph, seed: int = 0) -> RealizeResult:
+def realize_graph(g: SimpleGraph) -> RealizeResult:
     """A translatable text whose overlap graph equals `g` exactly, plus its
     witness with 0 < Q <= 1.
 
     Clique states share a negative overlap z, each pendant overlaps its
     anchor only, and isolated vertices become orthogonal summands.  The
-    construction is deterministic; `seed` is accepted for interface
-    stability but unused.
+    construction is deterministic.
     """
-    del seed
     rec = recognize(g)
     if rec.klass not in (GraphClass.INDEPENDENT, GraphClass.WELL_SPLIT):
         raise NotWellSplit(f"graph is {rec.klass.value}")

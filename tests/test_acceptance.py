@@ -79,7 +79,7 @@ def three_text_corpus():
     out = []
     for seed in range(500):
         t = gen_text(GenSpec(mode="random_efficient", n=3, seed=seed))
-        out.append((t, translate(t, seed=seed)))
+        out.append((t, translate(t)))
     return out
 
 
@@ -94,7 +94,7 @@ def four_text_results():
         if not text_properties(t).fully_quantum:
             continue
         d = decide_translatable(t)
-        w = translate(t, seed=1) if d.translatable else None
+        w = translate(t) if d.translatable else None
         out.append((t, d, w))
     return out
 
@@ -362,10 +362,10 @@ def test_09_subtext_heredity_with_restricted_witnesses():
     corpus = []
     for seed in range(20):
         t = gen_text(GenSpec(mode="random_efficient", n=2, seed=seed))
-        corpus.append((t, translate(t, seed=seed)))
+        corpus.append((t, translate(t)))
     for seed in range(31):
         t = gen_text(GenSpec(mode="random_efficient", n=3, seed=seed))
-        corpus.append((t, translate(t, seed=seed)))
+        corpus.append((t, translate(t)))
     for n in (3, 4, 5):
         lo = -1.0 / (n - 1) + 0.02
         for z in np.linspace(lo, 0.9, 7):
@@ -380,7 +380,7 @@ def test_09_subtext_heredity_with_restricted_witnesses():
         seed += 1
         if not decide_translatable(t).translatable:
             continue
-        corpus.append((t, translate(t, seed=seed)))
+        corpus.append((t, translate(t)))
         found += 1
     shapes = [WellSplitShape(2, 0, ()), WellSplitShape(2, 1, (1,)),
               WellSplitShape(3, 0, ()), WellSplitShape(2, 1, (2,)),

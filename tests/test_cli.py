@@ -155,9 +155,10 @@ class TestTranslateVerify:
         assert code == 3
 
     def test_forced_sign_failure_exits_4(self, capsys, text_file):
-        code, _, err = run(capsys, "translate", "-i", text_file,
-                           "--sign", "+", "--budget", "2000")
+        # z = 1/2 admits only Q < 0, so a forced Q > 0 is refused up front
+        code, _, err = run(capsys, "translate", "-i", text_file, "--sign", "+")
         assert code == 4
+        assert "not admissible" in err
 
     def test_q0_translate(self, capsys, classical_file, tmp_path):
         w = str(tmp_path / "w.json")
@@ -171,8 +172,8 @@ class TestTranslateVerify:
     def test_deterministic_bytes(self, capsys, text_file, tmp_path):
         w1 = str(tmp_path / "w1.json")
         w2 = str(tmp_path / "w2.json")
-        run(capsys, "translate", "-i", text_file, "-o", w1, "--seed", "9")
-        run(capsys, "translate", "-i", text_file, "-o", w2, "--seed", "9")
+        run(capsys, "translate", "-i", text_file, "-o", w1)
+        run(capsys, "translate", "-i", text_file, "-o", w2)
         assert open(w1, "rb").read() == open(w2, "rb").read()
 
 
@@ -242,12 +243,25 @@ class TestParsing:
 
 class TestStartup:
     def test_import_leaves_scipy_submodules_unloaded(self):
-        # the SVD null space is numpy's and the optimizer loads on first use,
-        # so the CLI starts without scipy.linalg or scipy.optimize
+        # the SVD null space is numpy's and every construction route is in
+        # closed form, so neither starting the CLI nor translating on the
+        # eigenvector, singular-step, mixed and central routes loads
+        # scipy.linalg or scipy.optimize
         src = os.path.dirname(os.path.dirname(qtext.__file__))
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        code = ("import sys, qtext.cli; "
-                "print([m for m in ('scipy.linalg', 'scipy.optimize') if m in sys.modules])")
+        code = (
+            "import sys, numpy as np, qtext.cli\n"
+            "from qtext import GenSpec, check_witness, gen_text, translate, validate_text\n"
+            "a, z = 0.4, 0.4 ** 2 / (2 - 0.4 ** 2)\n"
+            "core = np.array([[1, a, z], [a, 1, a], [z, a, 1]], dtype=complex)\n"
+            "mixed = np.eye(4, dtype=complex)\n"
+            "mixed[:3, :3] = core\n"
+            "mixed[1, 3] = mixed[3, 1] = 0.2\n"
+            "for g in (gen_text(GenSpec(mode='random_efficient', n=3, seed=0)).gram,\n"
+            "          core, mixed, np.full((4, 4), 0.3) + 0.7 * np.eye(4)):\n"
+            "    t = validate_text(g)\n"
+            "    assert check_witness(t, translate(t)).passed\n"
+            "print([m for m in ('scipy.linalg', 'scipy.optimize') if m in sys.modules])")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, env=dict(os.environ, PYTHONPATH=path))
         assert proc.returncode == 0, proc.stderr

@@ -161,7 +161,7 @@ def test_witness_restricts_to_every_subset():
         d = decide_translatable(t)
         if not d.translatable:
             continue
-        w = translate(t, seed=seed)
+        w = translate(t)
         for keep in ([0], [2], [0, 1], [0, 2], [1, 2], [2, 0]):
             ts = subtext(t, keep)
             ws = restrict_witness(t, w, keep)
@@ -177,7 +177,7 @@ def test_translated_outputs_are_valid_texts():
         t = gen_text(GenSpec(mode="random_efficient", n=3, seed=seed))
         if not decide_translatable(t).translatable:
             continue
-        w = translate(t, seed=seed)
+        w = translate(t)
         try:
             out = validate_text(w.output_gram)
         except DuplicateStates:

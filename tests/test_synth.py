@@ -1,5 +1,6 @@
-"""Witness construction: cloning, the closed-form uniform route, search,
-pendant attachment, and graph realization."""
+"""Witness construction: cloning, the closed-form uniform route, the
+eigenvector route (with its zero-entry and singular steps), pendant
+attachment, graph realization, and a corpus guard over every route."""
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from qtext import (
     central_translate_uniform,
     check_witness,
     clone_classical,
+    decide_translatable,
     gen_text,
     GenSpec,
     graph_of_text,
@@ -111,15 +113,16 @@ class TestSearch:
         assert check_witness(uniform3, out.witness).passed
 
     def test_inadmissible_sign_comes_back_empty(self, uniform3):
-        # the signature admits only -1 here; a +1 search must fail
-        out = search_translation(uniform3, sign=+1, budget=4000)
+        # the signature admits only -1 here; the +1 route must fail after
+        # one pass over the Q schedule
+        out = search_translation(uniform3, sign=+1)
         assert out.witness is None
         assert out.best_penalty > 0
-        assert out.evaluations <= 4000
+        assert out.evaluations == len(list(synth._delta_schedule(synth.Q_START, 1.0)))
 
     def test_deterministic(self, uniform3):
-        a = search_translation(uniform3, sign=-1, seed=5)
-        b = search_translation(uniform3, sign=-1, seed=5)
+        a = search_translation(uniform3, sign=-1)
+        b = search_translation(uniform3, sign=-1)
         np.testing.assert_array_equal(a.witness.tablet, b.witness.tablet)
         assert a.witness.Q == b.witness.Q
 
@@ -155,6 +158,25 @@ class TestTranslate:
         with pytest.raises(SearchBudgetExhausted):
             translate(path3, force_sign=-1)
 
+    @pytest.mark.parametrize("gram, sign", [
+        (gen_text(GenSpec(mode="random_efficient", n=3, seed=0)).gram, -1),
+        (uniform_gram(3, 0.5), +1),
+        (uniform_gram(4, -0.2), -1),
+    ])
+    def test_force_inadmissible_sign_is_refused_up_front(self, gram, sign,
+                                                         monkeypatch):
+        # the classifier's sign constraint already says no: no construction
+        # is attempted
+        t = validate_text(gram)
+        assert sign not in decide_translatable(t).sign_constraint
+        calls = []
+        real = synth._eigen_overlaps
+        monkeypatch.setattr(synth, "_eigen_overlaps",
+                            lambda *a: calls.append(a) or real(*a))
+        with pytest.raises(SearchBudgetExhausted, match="not admissible"):
+            translate(t, force_sign=sign)
+        assert calls == []
+
     def test_force_sign_on_classical(self):
         t = validate_text(np.eye(3))
         for sign in (+1, -1):
@@ -174,8 +196,8 @@ class TestTranslate:
         assert exc_info.value.decision.reason == "Q0_NOT_CLASSICAL"
 
     def test_determinism(self, path3):
-        w1 = translate(path3, seed=3)
-        w2 = translate(path3, seed=3)
+        w1 = translate(path3)
+        w2 = translate(path3)
         assert w1.Q == w2.Q
         np.testing.assert_array_equal(w1.tablet, w2.tablet)
         np.testing.assert_array_equal(w1.unitary, w2.unitary)
@@ -297,6 +319,11 @@ def with_pendant(core, anchor, overlap):
     return z
 
 
+def singular_core(a):
+    """symmetric_core with z02 = a^2 / (2 - a^2), which makes det(1 ./ z) = 0."""
+    return symmetric_core(a, a * a / (2.0 - a * a))
+
+
 ZERO_ENTRY_TEXTS = {
     "core_z0.01": symmetric_core(0.4, 0.01),
     "core_z0.05": symmetric_core(0.4, 0.05),
@@ -304,14 +331,20 @@ ZERO_ENTRY_TEXTS = {
     "pendant_z0.05": with_pendant(symmetric_core(0.4, 0.05), 1, 0.15),
 }
 
+SINGULAR_A = (0.2, 0.4, 0.6, -0.3)
+SINGULAR_TEXTS = {f"core_a{a}": singular_core(a) for a in SINGULAR_A}
+SINGULAR_TEXTS.update({f"pendant_a{a}_p{p}": with_pendant(singular_core(a), 1, p)
+                       for a in SINGULAR_A for p in (0.2, 0.1)})
+
+
+def assert_gates(t, w):
+    rep = check_witness(t, w)
+    assert rep.passed, rep
+    assert rep.r1 <= 1e-8 and rep.r3 <= 1e-8 and rep.unitarity <= 1e-10, rep
+    assert w.residuals == {"eq4": rep.r1, "eq2": rep.r3}
+
 
 class TestZeroEntryEigenvector:
-    @pytest.fixture
-    def no_optimizer(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("Nelder-Mead reached")
-        monkeypatch.setattr("scipy.optimize.minimize", refuse)
-
     @pytest.mark.parametrize("z02", [0.01, 0.05])
     def test_eigenvector_has_zero_entry(self, z02):
         M = 1.0 / symmetric_core(0.4, z02)
@@ -328,14 +361,48 @@ class TestZeroEntryEigenvector:
         assert np.real(np.vdot(w, np.linalg.solve(M, w))) < 0
 
     @pytest.mark.parametrize("label", sorted(ZERO_ENTRY_TEXTS))
-    def test_translates_without_optimizer(self, label, no_optimizer):
+    def test_translates_without_optimizer(self, label):
         t = validate_text(ZERO_ENTRY_TEXTS[label])
         w = translate(t)
-        rep = check_witness(t, w)
-        assert rep.passed
+        assert_gates(t, w)
         assert 0 < w.Q <= 1
-        assert rep.r1 <= 1e-8 and rep.r3 <= 1e-8 and rep.unitarity <= 1e-10
-        assert w.residuals == {"eq4": rep.r1, "eq2": rep.r3}
+
+
+class TestSingularReciprocal:
+    @pytest.mark.parametrize("a", SINGULAR_A)
+    def test_core_is_singular_with_zero_entry(self, a):
+        lam, vec = np.linalg.eigh(1.0 / singular_core(a))
+        assert np.min(np.abs(lam)) <= 1e-9 * np.max(np.abs(lam))
+        u = vec[:, 0]
+        assert np.min(np.abs(u)) < 1e-10 * np.max(np.abs(u))
+        d = decide_translatable(validate_text(singular_core(a)))
+        assert d.translatable and +1 in d.sign_constraint
+
+    @pytest.mark.parametrize("a", SINGULAR_A)
+    @pytest.mark.parametrize("sign", [+1, -1])
+    def test_compression_is_semidefinite(self, a, sign):
+        # M is semidefinite of sign sign(Q) on the hyperplane orthogonal to
+        # the stepped direction, and singular there (Cauchy interlacing)
+        t = validate_text(singular_core(a))
+        w = 1.0 / synth._eigen_overlaps(t, sign)
+        M = 1.0 / t.gram
+        basis = np.linalg.svd(w.conj()[None, :])[2][1:].conj().T
+        mu = np.sort(sign * np.linalg.eigvalsh(basis.conj().T @ M @ basis))
+        scale = np.max(np.abs(np.linalg.eigvalsh(M)))
+        assert mu[0] >= -1e-12 * scale and abs(mu[0]) <= 1e-12 * scale
+        assert mu[1] > 1e-3 * scale
+
+    @pytest.mark.parametrize("label", sorted(SINGULAR_TEXTS))
+    def test_translates_in_closed_form(self, label):
+        # the bare cores and, through the mixed chain, the cores with a
+        # pendant: decide_translatable accepts all of them
+        t = validate_text(SINGULAR_TEXTS[label])
+        assert decide_translatable(t).translatable
+        w = translate(t)
+        assert_gates(t, w)
+        assert 0 < w.Q <= 1
+        # the output Gram of the core is singular
+        assert abs(np.linalg.eigvalsh(w.output_gram[:3, :3])[0]) <= 1e-12
 
 
 class TestOneCheckPerWitness:
@@ -353,6 +420,15 @@ class TestOneCheckPerWitness:
     @pytest.mark.parametrize("n", [3, 8])
     def test_uniform_translate_checks_once(self, n, check_calls):
         w = translate(validate_text(uniform_gram(n, 0.4)))
+        assert len(check_calls) == 1 and check_calls[0] is w
+
+    @pytest.mark.parametrize("gram", [
+        gen_text(GenSpec(mode="random_efficient", n=3, seed=0)).gram,
+        gen_text(GenSpec(mode="random_efficient", n=4, seed=1)).gram,
+        ZERO_ENTRY_TEXTS["core_z0.01"],
+    ], ids=["random3_seed0", "random4_seed1", "core_z0.01"])
+    def test_eigen_translate_checks_once(self, gram, check_calls):
+        w = translate(validate_text(gram))
         assert len(check_calls) == 1 and check_calls[0] is w
 
     @pytest.mark.parametrize("kwargs", [{}, {"q0": True}, {"force_sign": +1},
@@ -378,3 +454,53 @@ class TestOneCheckPerWitness:
         rep = check_witness(res.text, res.witness)
         assert rep.passed
         assert res.witness.residuals == {"eq4": rep.r1, "eq2": rep.r3}
+
+
+def closed_form_corpus():
+    """Seeded texts over every construction route, each alone, with a
+    pendant of overlap 0.1 on state 0 and with an isolated state: random
+    real n = 2..5, random complex n = 3..4, uniform of both signs, the
+    zero-entry and the singular cores."""
+    base = []
+    for n in range(2, 6):
+        for seed in range(10):
+            g = gen_text(GenSpec(mode="random_efficient", n=n, seed=seed)).gram
+            base.append((f"real{n}_s{seed}", g.real.astype(complex)))
+    for n in (3, 4):
+        for seed in range(10):
+            base.append((f"complex{n}_s{seed}",
+                         gen_text(GenSpec(mode="random_efficient", n=n, seed=seed)).gram))
+    for n in range(3, 9):
+        base.append((f"uniform{n}+", uniform_gram(n, 0.4)))
+        base.append((f"uniform{n}-", uniform_gram(n, -0.5 / (n - 1))))
+    base += list(ZERO_ENTRY_TEXTS.items())[:2]
+    base += [(f"singular_a{a}", singular_core(a)) for a in SINGULAR_A]
+    out = []
+    for label, g in base:
+        out.append((label, g))
+        out.append((label + "_pendant", with_pendant(g, 0, 0.1)))
+        out.append((label + "_isolated", with_pendant(g, 0, 0.0)))
+    return out
+
+
+class TestClosedFormCorpus:
+    def test_every_admissible_sign_gets_a_witness(self):
+        yes = forced = 0
+        for label, g in closed_form_corpus():
+            t = validate_text(g)
+            d = decide_translatable(t)
+            if not d.translatable:
+                with pytest.raises(Untranslatable):
+                    translate(t)
+                continue
+            yes += 1
+            w = translate(t)
+            assert_gates(t, w)
+            assert int(np.sign(w.Q)) in d.sign_constraint, label
+            for sign in sorted(d.sign_constraint):
+                w = translate(t, force_sign=sign)
+                assert_gates(t, w)
+                assert int(np.sign(w.Q)) == sign, label
+                forced += 1
+        # 142 yes-texts and 170 admissible signs at the time of writing
+        assert yes >= 140 and forced > yes
