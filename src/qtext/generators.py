@@ -152,7 +152,7 @@ def oracle_feasible(t: Text, samples: int = 100000, seed: int = 0,
     free_j = np.array([j for _, j in free], dtype=int)
 
     def evaluate(Q: np.ndarray, tablets: np.ndarray, free_vals: np.ndarray):
-        """Batched acceptance test; returns per-sample (ok, penalty, Y, A)."""
+        """Batched acceptance test; returns per-sample (ok, Y, A)."""
         nonlocal best
         m = len(Q)
         A = tablets @ E.conj()
@@ -187,9 +187,9 @@ def oracle_feasible(t: Text, samples: int = 100000, seed: int = 0,
             ok &= offmod.max(axis=1) < 1.0 - 1e-12
         if free_i.size:
             ok &= nullres.max(axis=1) <= 1e-8
-        return ok, Y, A, B
+        return ok, Y, A
 
-    def record(Q, tablet, Y, A, B) -> bool:
+    def record(Q, tablet, Y, A) -> bool:
         nonlocal witness
         if overlap_residual(t, float(Q), A, Y) > 1e-8:
             return False
@@ -197,7 +197,7 @@ def oracle_feasible(t: Text, samples: int = 100000, seed: int = 0,
         if witness is None:
             witness = TranslationWitness(
                 Q=float(Q), q=q_from_Q(float(Q)), tablet=np.array(tablet),
-                output_gram=np.array(Y), b=np.array(B), unitary=None,
+                output_gram=np.array(Y), unitary=None,
                 residuals={"eq4": overlap_residual(t, float(Q), A, Y),
                            "eq2": None})
         return True
@@ -206,9 +206,9 @@ def oracle_feasible(t: Text, samples: int = 100000, seed: int = 0,
     probe = np.zeros((1, emb.dim), dtype=complex)
     probe[0, -1] = 1.0
     used += 1
-    ok, Y, A, B = evaluate(np.zeros(1), probe, np.zeros((1, len(free)), dtype=complex))
+    ok, Y, A = evaluate(np.zeros(1), probe, np.zeros((1, len(free)), dtype=complex))
     if ok[0]:
-        record(0.0, probe[0], Y[0], A[0], B[0])
+        record(0.0, probe[0], Y[0], A[0])
         if not keep_all:
             return OracleReport(found=True, best_penalty=float(best),
                                 samples=used, seed=seed, witness=witness,
@@ -223,11 +223,11 @@ def oracle_feasible(t: Text, samples: int = 100000, seed: int = 0,
         radii = np.sqrt(rng.uniform(0.0, 1.0, size=(m, len(free))))
         phases = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, size=(m, len(free))))
         free_vals = radii * phases
-        ok, Y, A, B = evaluate(Q, tablets, free_vals)
+        ok, Y, A = evaluate(Q, tablets, free_vals)
         used += m
         hit = False
         for s in np.flatnonzero(ok):
-            hit = record(Q[s], tablets[s], Y[s], A[s], B[s]) or hit
+            hit = record(Q[s], tablets[s], Y[s], A[s]) or hit
             if hit and not keep_all:
                 break
         if hit and not keep_all:

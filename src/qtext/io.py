@@ -97,7 +97,7 @@ def witness_from_dict(d: dict) -> TranslationWitness:
         "eq2": d.get("residuals", {}).get("eq2"),
     }
     return TranslationWitness(Q=Q, q=q, tablet=tablet, output_gram=output,
-                              b=None, unitary=unitary, residuals=residuals)
+                              unitary=unitary, residuals=residuals)
 
 
 def decision_to_dict(d: Decision) -> dict:

@@ -27,6 +27,7 @@ from .texts import (
     Text,
     SizeMismatch,
     embed_text,
+    psd_tol,
     subtext,
     text_properties,
     validate_text,
@@ -34,16 +35,14 @@ from .texts import (
 from .graphs import (
     GraphClass,
     SimpleGraph,
-    connected_components,
     graph_of_text,
-    induced_subgraph,
-    parameterize,
     recognize,
     NotWellSplit,
 )
 from .classify import (
     SIGNATURE_SCALE,
     Decision,
+    _core_and_pendants,
     decide_translatable,
     decide_zero_translatable,
 )
@@ -51,6 +50,7 @@ from .translation import (
     TranslationWitness,
     TranslationError,
     WitnessReport,
+    _embedding_for_tablet,
     check_witness,
     overlap_residual,
     q_from_Q,
@@ -107,9 +107,8 @@ class SearchOutcome:
     evaluations: int
 
 
-def _penalty(Y: np.ndarray) -> float:
+def _penalty(Y: np.ndarray, lam_min: float) -> float:
     """max(0, -lam_min)^2 plus squared modulus excesses over 1 - 1e-6."""
-    lam_min = float(np.linalg.eigvalsh(Y)[0])
     p = max(0.0, -lam_min) ** 2
     n = Y.shape[0]
     for i in range(n):
@@ -207,7 +206,8 @@ def _delta_schedule(start: float, max_q: float):
 def _fully_quantum_overlaps(t: Text, sign: int, start: float = Q_START,
                             max_q: float = 1.0) -> SearchOutcome:
     """Eigenvector overlaps at the first Q of the schedule whose forced
-    output Gram passes the penalty, for a text without orthogonal pairs.
+    output Gram passes the penalty and the PSD floor of `validate_text`,
+    for a text without orthogonal pairs.
 
     The witness carries no unitary and is unchecked; it is None when the
     eigenvector route gives no direction or no step of Q passes.
@@ -221,9 +221,12 @@ def _fully_quantum_overlaps(t: Text, sign: int, start: float = Q_START,
             Y = _forced_output(t, sign * delta, a)
             if Y is None:
                 continue
-            p = _penalty(Y)
+            lam_min = float(np.linalg.eigvalsh(Y)[0])
+            p = _penalty(Y, lam_min)
             best = min(best, p)
-            if p <= PENALTY_SUCCESS:
+            # the penalty alone lets lam_min reach -1e-8; the output Gram
+            # must also clear validate_text's floor of -psd_tol(n)
+            if p <= PENALTY_SUCCESS and lam_min >= -psd_tol(t.n):
                 w = witness_from_overlaps(t, sign * delta, a, Y)
                 return SearchOutcome(w, float(best), evaluations)
     return SearchOutcome(None, float(best), evaluations)
@@ -344,8 +347,7 @@ def attach_classical(base_witness: TranslationWitness, base_text: Text,
     gram_new[n, n] = 1.0
     t_new = validate_text(gram_new)
 
-    emb_base = embed_text(base_text, pad_extra_dim=(
-        len(base_witness.tablet) == embed_text(base_text).dim + 1))
+    emb_base = _embedding_for_tablet(base_text, len(base_witness.tablet))
     o_old = tablet_overlaps(emb_base, np.asarray(base_witness.tablet, dtype=complex))
 
     emb_new = embed_text(t_new, pad_extra_dim=True)
@@ -381,10 +383,9 @@ def attach_classical(base_witness: TranslationWitness, base_text: Text,
     Y_new[:n, n] = Y_new[n, :n].conj()
     Y_new[n, n] = 1.0
 
-    b_new = 1.0 + Q_new * np.abs(o_new) ** 2
     return TranslationWitness(
         Q=float(Q_new), q=q_from_Q(Q_new), tablet=tablet, output_gram=Y_new,
-        b=b_new, unitary=None,
+        unitary=None,
         residuals={"eq4": overlap_residual(t_new, float(Q_new), o_new, Y_new),
                    "eq2": None})
 
@@ -397,9 +398,7 @@ def _scatter_witness(t: Text, order: list[int],
     States outside `order` must be orthogonal to everything; they keep
     zero tablet overlap and get fresh orthonormal outputs.
     """
-    t_local = subtext(t, order)
-    emb_local = embed_text(t_local, pad_extra_dim=(
-        len(w_local.tablet) == embed_text(t_local).dim + 1))
+    emb_local = _embedding_for_tablet(subtext(t, order), len(w_local.tablet))
     o_local = tablet_overlaps(emb_local, np.asarray(w_local.tablet, dtype=complex))
     o_full = np.zeros(t.n, dtype=complex)
     o_full[order] = o_local
@@ -526,29 +525,23 @@ def realize_graph(g: SimpleGraph) -> RealizeResult:
     rec = recognize(g)
     if rec.klass not in (GraphClass.INDEPENDENT, GraphClass.WELL_SPLIT):
         raise NotWellSplit(f"graph is {rec.klass.value}")
-    comps = connected_components(g)
-    big = [c for c in comps if len(c) >= 2]
-    if not big:
+    if not g.edges:
         t = validate_text(np.eye(g.n, dtype=complex))
         w = witness_from_overlaps(t, 1.0, np.zeros(g.n, dtype=complex),
                                   np.eye(g.n, dtype=complex), with_unitary=True)
         if not _verify(t, w).passed:
             raise SynthError("internal: realized witness failed verification")
         return RealizeResult(text=t, witness=w)
-    if len(big) > 1:
-        raise NotWellSplit("internal: several non-trivial components")
-    comp = sorted(big[0])
-    sub_g, vmap = induced_subgraph(g, comp)
-    shape = parameterize(sub_g)
-    clique_local = sorted((v for v in shape.labels if shape.labels[v].startswith("w")),
-                          key=lambda v: int(shape.labels[v][1:]))
+    # the component with edges: the core and its pendants, in sorted order
+    core, attach = _core_and_pendants(g, rec)
+    comp = sorted(core + list(attach))
+    pos = {v: i for i, v in enumerate(comp)}
+    clique_local = [pos[v] for v in core]
     pends_local: dict[int, list[int]] = {}
-    for v, lab in shape.labels.items():
-        if lab.startswith("v"):
-            i = int(lab[1:].split(",")[0])
-            pends_local.setdefault(i, []).append(v)
-    n2 = shape.n2
-    k = sub_g.n
+    for v, anchor in attach.items():
+        pends_local.setdefault(pos[anchor], []).append(pos[v])
+    n2 = len(core)
+    k = len(comp)
 
     z = -min(0.1, 0.5 / max(1, n2 - 1))
     for _ in range(60):
@@ -560,8 +553,7 @@ def realize_graph(g: SimpleGraph) -> RealizeResult:
                 for b in range(a + 1, n2):
                     cand[clique_local[a], clique_local[b]] = z
                     cand[clique_local[b], clique_local[a]] = z
-            for i, vs in pends_local.items():
-                w_i = clique_local[i - 1]
+            for w_i, vs in pends_local.items():
                 for v in vs:
                     cand[v, w_i] = zi
                     cand[w_i, v] = zi
@@ -585,8 +577,7 @@ def realize_graph(g: SimpleGraph) -> RealizeResult:
 
     Y_local = np.eye(k, dtype=complex)
     inv_b = 1.0 / (1.0 - z)  # B at every anchor is 1 + Q * t^2 = 1 - z
-    for i, vs in pends_local.items():
-        w_i = clique_local[i - 1]
+    for w_i, vs in pends_local.items():
         for v in vs:
             Y_local[v, w_i] = Y_local[w_i, v] = np.sqrt(inv_b)
         for a in range(len(vs)):

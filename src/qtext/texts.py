@@ -163,12 +163,11 @@ def text_properties(t: Text) -> TextProperties:
 
 def null_index_set(t: Text) -> frozenset[tuple[int, int]]:
     """Pairs (i, j), i < j, whose inner product is orthogonal at 1e-9."""
-    pairs = []
-    for i in range(t.n):
-        for j in range(i + 1, t.n):
-            if abs(t.gram[i, j]) <= ZERO_TOL:
-                pairs.append((i, j))
-    return frozenset(pairs)
+    z = t.gram
+    # hypot is the scalar modulus bit for bit (see graphs.graph_of_text)
+    i, j = np.nonzero(np.hypot(z.real, z.imag) <= ZERO_TOL)
+    upper = i < j
+    return frozenset(zip(i[upper].tolist(), j[upper].tolist()))
 
 
 def subtext(t: Text, indices) -> Text:

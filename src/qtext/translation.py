@@ -15,6 +15,10 @@ conditions
 with a_i = <psi_i|psi_0>, B_i = 1 + Q |a_i|^2 and Q = 2 Re(q) / (1 + |q|^2).
 Pairs with z_ij = 0 impose no condition: the corresponding output overlaps
 y_ij are free, subject only to the output Gram being a valid text.
+
+A witness stores Q, q, the tablet, the output Gram and optionally U; the
+overlaps a_i, the factors B_i and the frame states are recomputed from
+them wherever they are needed.
 """
 
 from __future__ import annotations
@@ -26,9 +30,7 @@ import numpy as np
 from .texts import (
     Text,
     StateEmbedding,
-    ZERO_TOL,
     embed_text,
-    null_index_set,
     subtext,
     validate_text,
     TextError,
@@ -99,23 +101,9 @@ def tablet_overlaps(emb: StateEmbedding, tablet: np.ndarray) -> np.ndarray:
     return emb.vectors.conj().T @ tablet
 
 
-@dataclass(frozen=True)
-class OmegaSystem:
-    """Frame states Omega_i as columns, with their normalizers A_i."""
-
-    q: complex
-    tablet: np.ndarray
-    normalizers: np.ndarray
-    omegas: np.ndarray
-
-    def __post_init__(self):
-        self.tablet.setflags(write=False)
-        self.normalizers.setflags(write=False)
-        self.omegas.setflags(write=False)
-
-
-def build_omega(emb: StateEmbedding, tablet: np.ndarray, q: complex) -> OmegaSystem:
-    """Frame states on the doubled space of an embedding.
+def build_omega(emb: StateEmbedding, tablet: np.ndarray, q: complex) -> np.ndarray:
+    """Frame states Omega_i, as the columns of a D x n matrix on the doubled
+    space of an embedding (D = dim^2).
 
     A_i = 1 + |q|^2 + 2 Re(q) |<psi_i|psi_0>|^2 must stay above 1e-12.
     """
@@ -125,97 +113,12 @@ def build_omega(emb: StateEmbedding, tablet: np.ndarray, q: complex) -> OmegaSys
     A = 1.0 + abs(q) ** 2 + 2.0 * q.real * np.abs(a) ** 2
     if np.min(A) <= NORMALIZER_FLOOR:
         raise DegenerateNormalizer(f"min A_i = {np.min(A):.3e}")
-    d = emb.vectors.shape[0]
-    omegas = np.empty((d * d, emb.vectors.shape[1]), dtype=complex)
-    for i in range(emb.vectors.shape[1]):
-        psi = emb.vectors[:, i]
-        omegas[:, i] = (np.kron(psi, tablet) + q * np.kron(tablet, psi)) / np.sqrt(A[i])
-    return OmegaSystem(q=q, tablet=tablet, normalizers=A, omegas=omegas)
-
-
-@dataclass(frozen=True)
-class PartialGram:
-    """Output Gram with the entries of orthogonal input pairs left free."""
-
-    values: np.ndarray
-    free: frozenset[tuple[int, int]]
-
-    def __post_init__(self):
-        self.values.setflags(write=False)
-
-
-def output_gram(t: Text, Q: float, tablet: np.ndarray,
-                emb: StateEmbedding | None = None) -> PartialGram:
-    """Forced output overlaps y_ij = (1 + Q a_i conj(a_j) / z_ij) / sqrt(B_i B_j).
-
-    Entries of orthogonal input pairs are left at zero and reported free.
-    """
-    if not -1.0 <= float(Q) <= 1.0:
-        raise QOutOfRange(f"Q = {Q} outside [-1, 1]")
-    if emb is None:
-        emb = embed_text(t, pad_extra_dim=(len(tablet) == embed_text(t).dim + 1))
-    a = tablet_overlaps(emb, tablet)
-    B = 1.0 + Q * np.abs(a) ** 2
-    if np.min(B) <= B_FLOOR:
-        raise DegenerateB(f"min B_i = {np.min(B):.3e}")
-    free = null_index_set(t)
-    n = t.n
-    vals = np.eye(n, dtype=complex)
-    scale = np.sqrt(np.outer(B, B))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if (i, j) in free:
-                continue
-            y = (1.0 + Q * a[i] * np.conj(a[j]) / t.gram[i, j]) / scale[i, j]
-            vals[i, j] = y
-            vals[j, i] = np.conj(y)
-    return PartialGram(values=vals, free=free)
-
-
-def complete_output_gram(partial: PartialGram, free_values: dict | None = None) -> np.ndarray:
-    """Fill the free entries of a partial output Gram and validate the result.
-
-    With `free_values` the given entries are used directly; otherwise the
-    free entries default to zero, followed by an alternating-projection
-    repair pass if plain zeros are not PSD.  Raises Infeasible when no
-    valid completion is found.
-    """
-    n = partial.values.shape[0]
-    y = np.array(partial.values, dtype=complex)
-    off = ~np.eye(n, dtype=bool)
-    fixed_mask = off.copy()
-    for (i, j) in partial.free:
-        fixed_mask[i, j] = fixed_mask[j, i] = False
-    if fixed_mask.any() and np.any(np.abs(y[fixed_mask]) >= 1.0 - 1e-12):
-        raise Infeasible("a forced output overlap has modulus >= 1")
-    if free_values is not None:
-        for (i, j), v in free_values.items():
-            if (min(i, j), max(i, j)) not in partial.free:
-                raise Infeasible(f"entry ({i}, {j}) is not free")
-            y[i, j] = complex(v)
-            y[j, i] = np.conj(complex(v))
-        try:
-            return validate_text(y).gram
-        except TextError as exc:
-            raise Infeasible(f"supplied free entries invalid: {exc}") from exc
-    try:
-        return validate_text(y).gram
-    except TextError:
-        pass
-    # Alternating projections between the PSD cone and the fixed entries.
-    cap = 1.0 - 1e-9
-    for _ in range(500):
-        lam, vec = np.linalg.eigh((y + y.conj().T) / 2.0)
-        y = (vec * np.clip(lam, 0.0, None)) @ vec.conj().T
-        y[fixed_mask] = partial.values[fixed_mask]
-        np.fill_diagonal(y, 1.0)
-        hot = (np.abs(y) > cap) & ~fixed_mask & off
-        if hot.any():
-            y[hot] *= cap / np.abs(y[hot])
-    try:
-        return validate_text(y).gram
-    except TextError as exc:
-        raise Infeasible(f"no valid completion found: {exc}") from exc
+    V = emb.vectors
+    D, n = V.shape[0] ** 2, V.shape[1]
+    # column i is kron(psi_i, tablet) + q kron(tablet, psi_i)
+    psi_tab = (V[:, None, :] * tablet[None, :, None]).reshape(D, n)
+    tab_psi = (tablet[:, None, None] * V[None, :, :]).reshape(D, n)
+    return (psi_tab + q * tab_psi) / np.sqrt(A)
 
 
 @dataclass
@@ -226,7 +129,6 @@ class TranslationWitness:
     q             : a representative with 2 Re(q)/(1+|q|^2) = Q
     tablet        : unit tablet in embedding coordinates (optionally padded)
     output_gram   : Gram matrix of the output text
-    b             : the factors B_i = 1 + Q |<psi_i|psi_0>|^2
     unitary       : optional unitary on the doubled padded space
     residuals     : {'eq4': overlap residual, 'eq2': mapping residual}
     """
@@ -235,7 +137,6 @@ class TranslationWitness:
     q: complex
     tablet: np.ndarray
     output_gram: np.ndarray
-    b: np.ndarray | None = None
     unitary: np.ndarray | None = None
     residuals: dict = field(default_factory=dict)
 
@@ -245,11 +146,14 @@ class TranslationWitness:
 
 
 def _embedding_for_tablet(t: Text, tablet_len: int) -> StateEmbedding:
+    """The embedding a tablet of this length lives in: the text's own, or
+    that embedding with one zero coordinate appended (padded)."""
     base = embed_text(t)
     if tablet_len == base.dim:
         return base
     if tablet_len == base.dim + 1:
-        return embed_text(t, pad_extra_dim=True)
+        vectors = np.vstack([base.vectors, np.zeros((1, t.n), dtype=complex)])
+        return StateEmbedding(dim=tablet_len, vectors=vectors, padded=True)
     raise DimensionMismatch(
         f"tablet length {tablet_len} does not match embedding dimension "
         f"{base.dim} (or {base.dim} + 1)")
@@ -313,7 +217,7 @@ def witness_from_overlaps(t: Text, Q: float, overlaps: np.ndarray,
     out = validate_text(output).gram
     w = TranslationWitness(
         Q=float(Q), q=q_from_Q(Q), tablet=tablet, output_gram=out,
-        b=B, unitary=None,
+        unitary=None,
         residuals={"eq4": overlap_residual(t, float(Q), a, out), "eq2": None},
     )
     if with_unitary:
@@ -366,9 +270,9 @@ def check_witness(t: Text, w: TranslationWitness) -> WitnessReport:
         if U.shape != (D, D):
             raise DimensionMismatch(f"unitary has shape {U.shape}, expected {(D, D)}")
         unitarity = float(np.max(np.abs(U.conj().T @ U - np.eye(D))))
-        omega = build_omega(emb, tablet, w.q)
+        omegas = build_omega(emb, tablet, w.q)
         targets = _product_targets(out, emb)
-        r3 = float(np.max(np.linalg.norm(U @ omega.omegas - targets, axis=0)))
+        r3 = float(np.max(np.linalg.norm(U @ omegas - targets, axis=0)))
     passed = bool(r1 <= EQ4_TOL and r2_ok and (r3 is None or r3 <= EQ2_TOL))
     return WitnessReport(r1=r1, r2_ok=r2_ok, r2_error=r2_error,
                          r3=r3, unitarity=unitarity, passed=passed)
@@ -376,17 +280,14 @@ def check_witness(t: Text, w: TranslationWitness) -> WitnessReport:
 
 def _product_targets(out_text: Text, emb: StateEmbedding) -> np.ndarray:
     """Columns chi_i (x) psi_i in the doubled space of `emb`."""
-    d = emb.vectors.shape[0]
+    d, n = emb.vectors.shape
     y_emb = embed_text(out_text)
     if y_emb.dim > d:
         raise DimensionMismatch(
             f"output text needs dimension {y_emb.dim}, language has {d}")
-    chi = np.zeros((d, out_text.n), dtype=complex)
+    chi = np.zeros((d, n), dtype=complex)
     chi[:y_emb.dim, :] = y_emb.vectors
-    targets = np.empty((d * d, out_text.n), dtype=complex)
-    for i in range(out_text.n):
-        targets[:, i] = np.kron(chi[:, i], emb.vectors[:, i])
-    return targets
+    return (chi[:, None, :] * emb.vectors[None, :, :]).reshape(d * d, n)
 
 
 def _orthonormal_polar(W: np.ndarray) -> np.ndarray:
@@ -417,11 +318,9 @@ def synthesize_unitary(t: Text, w: TranslationWitness) -> np.ndarray:
     """
     tablet = np.asarray(w.tablet, dtype=complex)
     emb = _embedding_for_tablet(t, len(tablet))
-    omega = build_omega(emb, tablet, w.q)
+    A = build_omega(emb, tablet, w.q)
     out = validate_text(w.output_gram)
-    targets = _product_targets(out, emb)
-    A = omega.omegas
-    Bm = targets
+    Bm = _product_targets(out, emb)
     Ga = A.conj().T @ A
     Gb = Bm.conj().T @ Bm
     mismatch = float(np.max(np.abs(Ga - Gb)))

@@ -26,7 +26,7 @@ from qtext import (
     split_by_definition,
     validate_text,
 )
-import qtext.classify
+from tests.conftest import near_zero_gram
 
 
 def path(n):
@@ -53,6 +53,17 @@ class TestGraphOfText:
     def test_identity_gives_edgeless(self):
         g = graph_of_text(validate_text(np.eye(4)))
         assert g.edges == frozenset()
+
+    def test_matches_entrywise_definition(self):
+        rng = np.random.default_rng(19)
+        for n in (1, 2, 3, 5, 8, 13, 32, 64):
+            for _ in range(3):
+                t = validate_text(near_zero_gram(n, rng))
+                want = frozenset((i, j) for i in range(n) for j in range(i + 1, n)
+                                 if abs(t.gram[i, j]) > 1e-9)
+                g = graph_of_text(t)
+                assert g.n == n and g.edges == want
+                assert all(type(k) is int for edge in g.edges for k in edge)
 
 
 class TestComponents:
@@ -341,15 +352,8 @@ def text_of_graph(g, z_clique, z_pendant=0.1):
 
 
 class TestDecideRecognizesOnce:
-    def test_one_recognition_per_request(self, monkeypatch):
-        calls = []
-        real = qtext.classify.recognize
-
-        def counting(g):
-            calls.append(g.n)
-            return real(g)
-
-        monkeypatch.setattr(qtext.classify, "recognize", counting)
+    def test_one_recognition_per_request(self, count_calls):
+        calls = count_calls(recognize)
         star = make_graph(7, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4)])
         texts = [
             validate_text(np.full((5, 5), 0.3) + 0.7 * np.eye(5)),

@@ -77,11 +77,11 @@ def test_omega_gram_identity_random():
         tab = rng.normal(size=emb.dim) + 1j * rng.normal(size=emb.dim)
         tab /= np.linalg.norm(tab)
         Q = float(rng.uniform(-0.95, 0.95))
-        sys = build_omega(emb, tab, q_from_Q(Q))
+        omegas = build_omega(emb, tab, q_from_Q(Q))
         a = tablet_overlaps(emb, tab)
         B = 1.0 + Q * np.abs(a) ** 2
         expected = (t.gram + Q * np.outer(a, a.conj())) / np.sqrt(np.outer(B, B))
-        got = sys.omegas.conj().T @ sys.omegas
+        got = omegas.conj().T @ omegas
         np.testing.assert_allclose(got, expected, atol=1e-12)
 
 

@@ -27,12 +27,14 @@ from qtext import (
     make_graph,
     parameterize,
     realize_graph,
+    recognize,
     search_translation,
     shape_to_graph,
     subtext,
     translate,
     validate_text,
 )
+import qtext.texts
 from qtext import synth, translation
 from tests.conftest import uniform_gram
 
@@ -294,6 +296,19 @@ class TestRealizeGraph:
         np.testing.assert_array_equal(a.text.gram, b.text.gram)
         np.testing.assert_array_equal(a.witness.tablet, b.witness.tablet)
 
+    def test_recognizes_once(self, count_calls):
+        calls = count_calls(recognize)
+        graphs = [make_graph(3, []), make_graph(3, [(0, 1)]),
+                  make_graph(4, [(0, 1), (0, 2), (0, 3)]),
+                  shape_to_graph(WellSplitShape(n2=3, ell=2, m=(2, 1))),
+                  # a triangle with two pendants on one vertex, plus an
+                  # isolated vertex
+                  make_graph(6, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4)])]
+        for g in graphs:
+            before = len(calls)
+            realize_graph(g)
+            assert len(calls) == before + 1 and calls[-1][0] is g
+
     def test_decision_agrees(self):
         # realized texts must classify as translatable
         from qtext import decide_translatable
@@ -406,37 +421,29 @@ class TestSingularReciprocal:
 
 
 class TestOneCheckPerWitness:
-    @pytest.fixture
-    def check_calls(self, monkeypatch):
-        calls = []
-
-        def counting(t, w):
-            calls.append(w)
-            return check_witness(t, w)
-        monkeypatch.setattr(synth, "check_witness", counting)
-        monkeypatch.setattr(translation, "check_witness", counting)
-        return calls
-
     @pytest.mark.parametrize("n", [3, 8])
-    def test_uniform_translate_checks_once(self, n, check_calls):
+    def test_uniform_translate_checks_once(self, n, count_calls):
+        calls = count_calls(check_witness)
         w = translate(validate_text(uniform_gram(n, 0.4)))
-        assert len(check_calls) == 1 and check_calls[0] is w
+        assert len(calls) == 1 and calls[0][1] is w
 
     @pytest.mark.parametrize("gram", [
         gen_text(GenSpec(mode="random_efficient", n=3, seed=0)).gram,
         gen_text(GenSpec(mode="random_efficient", n=4, seed=1)).gram,
         ZERO_ENTRY_TEXTS["core_z0.01"],
     ], ids=["random3_seed0", "random4_seed1", "core_z0.01"])
-    def test_eigen_translate_checks_once(self, gram, check_calls):
+    def test_eigen_translate_checks_once(self, gram, count_calls):
+        calls = count_calls(check_witness)
         w = translate(validate_text(gram))
-        assert len(check_calls) == 1 and check_calls[0] is w
+        assert len(calls) == 1 and calls[0][1] is w
 
     @pytest.mark.parametrize("kwargs", [{}, {"q0": True}, {"force_sign": +1},
                                         {"force_sign": -1}])
-    def test_clone_routes_carry_final_check(self, kwargs, check_calls):
+    def test_clone_routes_carry_final_check(self, kwargs, count_calls):
+        calls = count_calls(check_witness)
         t = validate_text(np.eye(3))
         w = translate(t, **kwargs)
-        assert len(check_calls) == 1
+        assert len(calls) == 1
         rep = check_witness(t, w)
         assert rep.passed and rep.r3 is not None
         assert w.residuals == {"eq4": rep.r1, "eq2": rep.r3}
@@ -448,12 +455,79 @@ class TestOneCheckPerWitness:
         w = central_translate_uniform(validate_text(uniform_gram(4, 0.3)))
         assert w.unitary is not None and w.residuals["eq2"] is None
 
-    def test_edgeless_realization_is_checked(self, check_calls):
+    def test_edgeless_realization_is_checked(self, count_calls):
+        calls = count_calls(check_witness)
         res = realize_graph(make_graph(3, []))
-        assert len(check_calls) == 1
+        assert len(calls) == 1
         rep = check_witness(res.text, res.witness)
         assert rep.passed
         assert res.witness.residuals == {"eq4": rep.r1, "eq2": rep.r3}
+
+
+RANDOM3 = gen_text(GenSpec(mode="random_efficient", n=3, seed=0)).gram
+
+
+class TestOneEmbeddingPerLookup:
+    """embed_text runs once each time a witness meets its text (assembly,
+    unitary, check, attachment, scattering) and once per output Gram the
+    unitary or the check embeds; padding appends a zero row to that one
+    embedding."""
+
+    @pytest.mark.parametrize("gram,expected", [
+        (uniform_gram(8, 0.4), 5),
+        (RANDOM3, 5),
+        # the isolated states add a scatter and a second unitary
+        (with_pendant(with_pendant(RANDOM3, 0, 0.0), 0, 0.0), 9),
+        # core, attachment, chain check, scatter, unitary, final check
+        (with_pendant(RANDOM3, 0, 0.1), 10),
+    ], ids=["uniform8", "random3", "core_two_isolated", "core_pendant"])
+    def test_translate(self, gram, expected, count_calls):
+        calls = count_calls(qtext.texts.embed_text)
+        w = translate(validate_text(gram))
+        assert len(calls) == expected
+        assert w.residuals["eq2"] is not None
+
+    def test_realize_graph(self, count_calls):
+        calls = count_calls(qtext.texts.embed_text)
+        realize_graph(shape_to_graph(WellSplitShape(n2=3, ell=2, m=(2, 1))))
+        assert len(calls) == 5
+
+    def test_padded_embedding_matches_embed_text(self):
+        t = validate_text(RANDOM3)
+        ref = qtext.texts.embed_text(t, pad_extra_dim=True)
+        emb = translation._embedding_for_tablet(t, ref.dim)
+        assert (emb.dim, emb.padded) == (ref.dim, True)
+        np.testing.assert_array_equal(emb.vectors, ref.vectors)
+        with pytest.raises(qtext.DimensionMismatch):
+            translation._embedding_for_tablet(t, ref.dim + 1)
+
+
+class TestPsdFloor:
+    def test_route_skips_output_below_validate_floor(self, monkeypatch):
+        # a forced output with lam_min = -5e-9 passes the penalty (2.5e-17
+        # <= 1e-16) but not validate_text (floor -3e-9 at n = 3); the route
+        # must move on to the next Q instead of raising NotPSD
+        t = validate_text(RANDOM3)
+        z = -0.5 - 2.5e-9
+        bad = np.full((3, 3), z, dtype=complex)
+        np.fill_diagonal(bad, 1.0)
+        lam_min = np.linalg.eigvalsh(bad)[0]
+        assert -1e-8 < lam_min < -qtext.texts.psd_tol(3)
+        assert synth._penalty(bad, lam_min) <= synth.PENALTY_SUCCESS
+        with pytest.raises(TextError):
+            validate_text(bad)
+        real = synth._forced_output
+        calls = []
+
+        def first_step_bad(t_, Q, a):
+            calls.append(Q)
+            return bad if len(calls) == 1 else real(t_, Q, a)
+
+        monkeypatch.setattr(synth, "_forced_output", first_step_bad)
+        w = translate(t)
+        assert len(calls) == 2 and abs(w.Q) == synth.Q_START / 2
+        assert w.Q == calls[1]
+        assert_gates(t, w)
 
 
 def closed_form_corpus():

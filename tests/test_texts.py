@@ -18,7 +18,7 @@ from qtext import (
     texts_equivalent,
     validate_text,
 )
-from tests.conftest import uniform_gram
+from tests.conftest import near_zero_gram, uniform_gram
 
 
 class TestValidateText:
@@ -116,6 +116,17 @@ class TestProperties:
     def test_null_index_set(self, path3):
         assert null_index_set(path3) == frozenset({(0, 2)})
         assert null_index_set(validate_text(uniform_gram(3, 0.5))) == frozenset()
+
+    def test_null_index_set_matches_entrywise_definition(self):
+        rng = np.random.default_rng(17)
+        for n in (1, 2, 3, 5, 8, 13, 32, 64):
+            for _ in range(3):
+                t = validate_text(near_zero_gram(n, rng))
+                want = frozenset((i, j) for i in range(n) for j in range(i + 1, n)
+                                 if abs(t.gram[i, j]) <= 1e-9)
+                got = null_index_set(t)
+                assert got == want
+                assert all(type(k) is int for pair in got for k in pair)
 
 
 class TestUniformSpectrum:

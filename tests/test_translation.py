@@ -6,17 +6,15 @@ import pytest
 
 from qtext import (
     DegenerateNormalizer,
+    DuplicateStates,
     GramMismatch,
-    Infeasible,
     QOutOfRange,
     TranslationError,
     TranslationWitness,
     Q_from_q,
     build_omega,
     check_witness,
-    complete_output_gram,
     embed_text,
-    output_gram,
     overlap_residual,
     q_from_Q,
     restrict_witness,
@@ -27,18 +25,10 @@ from qtext import (
     validate_text,
     witness_from_overlaps,
 )
+from qtext import translation
+from qtext.synth import _forced_output
 from qtext.translation import _null_space
 from tests.conftest import uniform_gram
-
-
-def span_tablet(t, a):
-    """Unit tablet (padded coordinates) whose state overlaps equal `a`."""
-    emb = embed_text(t, pad_extra_dim=True)
-    coeff = np.linalg.solve(t.gram, a)
-    tab = emb.vectors[:-1, :] @ coeff
-    s2 = float(np.real(np.vdot(a, coeff)))
-    tab = np.concatenate([tab, [np.sqrt(max(0.0, 1.0 - s2))]])
-    return emb, tab
 
 
 class TestQParameter:
@@ -79,11 +69,11 @@ class TestBuildOmega:
             tab = rng.normal(size=emb.dim) + 1j * rng.normal(size=emb.dim)
             tab /= np.linalg.norm(tab)
             q = complex(rng.normal(), rng.normal()) * 0.5
-            sys = build_omega(emb, tab, q)
+            omegas = build_omega(emb, tab, q)
             Q = Q_from_q(q)
             a = tablet_overlaps(emb, tab)
             B = 1.0 + Q * np.abs(a) ** 2
-            omega_gram = sys.omegas.conj().T @ sys.omegas
+            omega_gram = omegas.conj().T @ omegas
             expect = (t.gram + Q * np.outer(a, a.conj())) / np.sqrt(np.outer(B, B))
             np.testing.assert_allclose(omega_gram, expect, atol=1e-12)
 
@@ -91,8 +81,9 @@ class TestBuildOmega:
         emb = embed_text(uniform3, pad_extra_dim=True)
         tab = np.zeros(emb.dim, dtype=complex)
         tab[-1] = 1.0
-        sys = build_omega(emb, tab, 0.2 + 0.1j)
-        norms = np.linalg.norm(sys.omegas, axis=0)
+        omegas = build_omega(emb, tab, 0.2 + 0.1j)
+        assert omegas.shape == (emb.dim ** 2, 3)
+        norms = np.linalg.norm(omegas, axis=0)
         np.testing.assert_allclose(norms, 1.0, atol=1e-12)
 
     def test_degenerate_normalizer(self, uniform3):
@@ -102,83 +93,60 @@ class TestBuildOmega:
         with pytest.raises(DegenerateNormalizer):
             build_omega(emb, tab, -1.0)
 
+    def test_columns_equal_kron_reference(self):
+        # the broadcast columns are bit-identical to the per-column kron form
+        rng = np.random.default_rng(23)
+        for trial in range(30):
+            n = int(rng.integers(1, 7))
+            k = int(rng.integers(min(n, 2), n + 1))
+            v = rng.normal(size=(k, n)) + 1j * rng.normal(size=(k, n)) * (trial % 2)
+            v /= np.linalg.norm(v, axis=0)
+            g = v.conj().T @ v
+            np.fill_diagonal(g, 1.0)
+            t = validate_text(g)
+            emb = embed_text(t, pad_extra_dim=bool(trial % 3))
+            tab = rng.normal(size=emb.dim) + 1j * rng.normal(size=emb.dim)
+            tab /= np.linalg.norm(tab)
+            q = complex(rng.normal(), rng.normal()) * 0.5
+            a = tablet_overlaps(emb, tab)
+            A = 1.0 + abs(q) ** 2 + 2.0 * q.real * np.abs(a) ** 2
+            ref = np.column_stack([
+                (np.kron(emb.vectors[:, i], tab) + q * np.kron(tab, emb.vectors[:, i]))
+                / np.sqrt(A[i]) for i in range(n)])
+            np.testing.assert_array_equal(build_omega(emb, tab, q), ref)
+            out = translation._product_targets(t, emb)
+            chi = np.zeros_like(emb.vectors)
+            own = embed_text(t)
+            chi[:own.dim] = own.vectors
+            ref = np.column_stack([np.kron(chi[:, i], emb.vectors[:, i]) for i in range(n)])
+            np.testing.assert_array_equal(out, ref)
+
 
 class TestOutputGram:
+    """The one forced-output kernel, synth._forced_output, on texts without
+    orthogonal pairs (where every output entry is forced)."""
+
     def test_two_state_zero_overlap(self):
         # z = -0.1, tablet overlap 0.4 on both states, Q = -z/t^2 = 0.625
         # forces the output overlap to exactly zero
         t = validate_text(np.array([[1.0, -0.1], [-0.1, 1.0]], dtype=complex))
-        emb, tab = span_tablet(t, np.array([0.4, 0.4], dtype=complex))
-        partial = output_gram(t, 0.625, tab, emb)
-        assert partial.free == frozenset()
-        assert partial.values[0, 1] == pytest.approx(0.0, abs=1e-14)
+        y = _forced_output(t, 0.625, np.array([0.4, 0.4], dtype=complex))
+        assert y[0, 1] == pytest.approx(0.0, abs=1e-14)
 
     def test_forced_entry_formula(self, uniform3):
-        emb, tab = span_tablet(uniform3, np.array([0.3, 0.3, 0.3], complex))
         Q = -0.4
-        partial = output_gram(uniform3, Q, tab, emb)
+        y = _forced_output(uniform3, Q, np.array([0.3, 0.3, 0.3], complex))
         B = 1 + Q * 0.09
         want = (0.5 + Q * 0.09) / (B * 0.5)
-        assert partial.values[0, 1] == pytest.approx(want)
+        assert y[0, 1] == pytest.approx(want)
 
-    def test_orthogonal_pairs_are_free(self, path3):
-        emb, tab = span_tablet(path3, np.array([0.2, 0.2, 0.2], complex))
-        partial = output_gram(path3, 0.5, tab, emb)
-        assert partial.free == frozenset({(0, 2)})
-
-    def test_q_zero_forces_unit_overlaps(self, path3):
+    def test_q_zero_forces_unit_overlaps(self, uniform3):
         # at Q = 0 every non-orthogonal pair is forced to y = 1 (duplicate
         # output states), so only all-orthogonal texts survive Q = 0
-        emb, tab = span_tablet(path3, np.zeros(3, dtype=complex))
-        partial = output_gram(path3, 0.0, tab, emb)
-        np.testing.assert_allclose(partial.values[0, 1], 1.0, atol=1e-14)
-        np.testing.assert_allclose(partial.values[1, 2], 1.0, atol=1e-14)
-        with pytest.raises(Infeasible):
-            complete_output_gram(partial)
-
-
-class TestCompleteOutputGram:
-    def _partial(self):
-        # classical 3-text: all outputs free
-        t = validate_text(np.eye(3))
-        emb, tab = span_tablet(t, np.zeros(3, dtype=complex))
-        return output_gram(t, 0.0, tab, emb)
-
-    def test_zero_fill_when_feasible(self):
-        y = complete_output_gram(self._partial())
-        assert y[0, 2] == 0.0
-        assert np.linalg.eigvalsh(y)[0] > 0
-
-    def test_explicit_free_values(self):
-        y = complete_output_gram(self._partial(),
-                                 free_values={(0, 2): 0.1 + 0.05j})
-        assert y[0, 2] == pytest.approx(0.1 + 0.05j)
-        assert y[2, 0] == pytest.approx(0.1 - 0.05j)
-
-    def test_rejects_nonfree_assignment(self, path3):
-        emb, tab = span_tablet(path3, np.full(3, 0.3, dtype=complex))
-        partial = output_gram(path3, -0.5, tab, emb)
-        with pytest.raises(Infeasible):
-            complete_output_gram(partial, free_values={(0, 1): 0.3})
-
-    def test_rejects_bad_explicit_value(self):
-        with pytest.raises(Infeasible):
-            complete_output_gram(self._partial(), free_values={(0, 2): 2.0})
-
-    def test_projection_repairs_zero_fill(self):
-        # negative Q inflates the forced chain overlaps enough that zeros in
-        # the free slots are not PSD; the projection pass must repair them
-        g = np.eye(4, dtype=complex)
-        for i in range(3):
-            g[i, i + 1] = g[i + 1, i] = 0.55
-        t = validate_text(g)
-        emb, tab = span_tablet(t, np.full(4, 0.5, dtype=complex))
-        partial = output_gram(t, -0.9, tab, emb)
-        zero_fill = np.array(partial.values)
-        assert np.linalg.eigvalsh(zero_fill)[0] < 0
-        y = complete_output_gram(partial)
-        assert np.linalg.eigvalsh(y)[0] >= -1e-12
-        np.testing.assert_allclose(y[0, 1], partial.values[0, 1], atol=1e-14)
+        y = _forced_output(uniform3, 0.0, np.zeros(3, dtype=complex))
+        np.testing.assert_allclose(y[np.triu_indices(3, 1)], 1.0, atol=1e-14)
+        with pytest.raises(DuplicateStates):
+            validate_text(y)
 
 
 class TestCheckWitness:
