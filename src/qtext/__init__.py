@@ -70,9 +70,7 @@ from .classify import (
     Decision,
     Decomposition,
     EigenSignature,
-    FullyQuantumDecision,
     HasOrthogonalPair,
-    decide_fully_quantum,
     decide_translatable,
     decide_zero_translatable,
     hadamard_inverse_signature,

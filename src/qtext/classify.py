@@ -105,22 +105,6 @@ def hadamard_inverse_signature(t: Text) -> EigenSignature:
 
 
 @dataclass(frozen=True)
-class FullyQuantumDecision:
-    translatable: bool
-    admissible_signs: frozenset[int]
-    efficient_output_possible: bool
-
-
-def decide_fully_quantum(sig: EigenSignature) -> FullyQuantumDecision:
-    """Translatability of a text without orthogonal pairs, from its signature."""
-    return FullyQuantumDecision(
-        translatable=bool(sig.admissible_signs),
-        admissible_signs=sig.admissible_signs,
-        efficient_output_possible=sig.det_nonzero,
-    )
-
-
-@dataclass(frozen=True)
 class Decomposition:
     """How the state set splits for synthesis.
 
@@ -190,14 +174,13 @@ def decide_translatable(t: Text) -> Decision:
                         forbidden_witness=rec.witness)
     core, attach = _core_and_pendants(g, rec)
     sig = hadamard_inverse_signature(subtext(t, core))
-    fq = decide_fully_quantum(sig)
     decomp = Decomposition(
         classical_part=rec.splitting.v1,
         quantum_part=frozenset(core),
         attachment=attach)
     if not attach:
         # No pendants: the edges form a complete core; only the spectral test is left.
-        if fq.translatable:
+        if sig.admissible_signs:
             return Decision(translatable=True, reason=REASON_OK_FULLY_QUANTUM,
                             signature=sig, decomposition=decomp,
                             sign_constraint=sig.admissible_signs)

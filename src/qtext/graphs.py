@@ -23,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .texts import Text, ZERO_TOL
+from .texts import Text, _orthogonal
 
 
 class GraphError(ValueError):
@@ -91,11 +91,8 @@ def make_graph(n: int, edges) -> SimpleGraph:
 
 def graph_of_text(t: Text) -> SimpleGraph:
     """Overlap graph: edge (i, j) iff |z_ij| > 1e-9."""
-    z = t.gram
-    # hypot is the scalar modulus bit for bit; np.abs of a complex array
-    # can differ from it in the last bit, which moves entries at ZERO_TOL.
     # Masking i < j costs less than np.triu_indices at small n.
-    i, j = np.nonzero(np.hypot(z.real, z.imag) > ZERO_TOL)
+    i, j = np.nonzero(~_orthogonal(t.gram))
     upper = i < j
     return SimpleGraph(n=t.n, edges=frozenset(zip(i[upper].tolist(), j[upper].tolist())))
 

@@ -11,9 +11,10 @@ Four construction routes, dispatched by `translate`, all in closed form:
   pendant states one attachment at a time; isolated states join as a free
   classical summand at the end.
 
-`translate` and `realize_graph` verify every witness they return with one
-`check_witness`, which also fills its residuals.  The lower-level builders
-return witnesses with residuals["eq2"] = None until they are checked.
+The builders return bare witnesses: no unitary and no residuals.
+`translate` and `realize_graph` end in one finishing step, `_finish`, which
+synthesizes the unitary, runs the one `check_witness` and stores its r1 and
+r3 as the residuals.
 """
 
 from __future__ import annotations
@@ -49,10 +50,8 @@ from .classify import (
 from .translation import (
     TranslationWitness,
     TranslationError,
-    WitnessReport,
     _embedding_for_tablet,
     check_witness,
-    overlap_residual,
     q_from_Q,
     synthesize_unitary,
     tablet_overlaps,
@@ -232,32 +231,20 @@ def _fully_quantum_overlaps(t: Text, sign: int, start: float = Q_START,
     return SearchOutcome(None, float(best), evaluations)
 
 
-def _verify(t: Text, w: TranslationWitness) -> WitnessReport:
-    """check_witness(t, w); a passing witness takes its r1 and r3 as residuals."""
-    report = check_witness(t, w)
-    if report.passed:
-        w.residuals = {"eq4": report.r1, "eq2": report.r3}
-    return report
-
-
 def search_translation(t: Text, sign: int) -> SearchOutcome:
     """Closed-form witness with the given sign of Q for an efficient text
     without orthogonal pairs.
 
-    The witness is `_fully_quantum_overlaps`'s with its unitary attached
-    but unchecked (residuals["eq2"] is None).  A None witness never claims
-    untranslatability; for a sign the classifier admits it is not
-    expected at all.
+    The witness is `_fully_quantum_overlaps`'s, bare and unchecked.  A
+    None witness never claims untranslatability; for a sign the classifier
+    admits it is not expected at all.
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     props = text_properties(t)
     if not (props.efficient and props.fully_quantum):
         raise SynthError("search needs an efficient text without orthogonal pairs")
-    out = _fully_quantum_overlaps(t, sign)
-    if out.witness is not None:
-        out.witness.unitary = synthesize_unitary(t, out.witness)
-    return out
+    return _fully_quantum_overlaps(t, sign)
 
 
 def clone_classical(t: Text, target_output=None) -> TranslationWitness:
@@ -265,8 +252,8 @@ def clone_classical(t: Text, target_output=None) -> TranslationWitness:
 
     Q = 0, the tablet sits in the fresh padded coordinate, and the output
     Gram is free to be any valid text of the same size (default: the input
-    itself).  The overlap residual is exactly zero.  The unitary is attached
-    but unchecked, so residuals["eq2"] is None until `check_witness` runs.
+    itself).  The overlap residual is exactly zero.  The witness is bare:
+    no unitary, no residuals.
     """
     props = text_properties(t)
     if not props.classical:
@@ -280,7 +267,7 @@ def clone_classical(t: Text, target_output=None) -> TranslationWitness:
     if target.n != t.n:
         raise SizeMismatch(f"target has {target.n} states, text has {t.n}")
     overlaps = np.zeros(t.n, dtype=complex)
-    return witness_from_overlaps(t, 0.0, overlaps, target.gram, with_unitary=True)
+    return witness_from_overlaps(t, 0.0, overlaps, target.gram)
 
 
 def central_translate_uniform(t: Text, eps_overlap: float = 0.25) -> TranslationWitness:
@@ -288,8 +275,7 @@ def central_translate_uniform(t: Text, eps_overlap: float = 0.25) -> Translation
 
     The tablet has the same overlap c with every state, so the output is
     uniform with y = (1 + Q c^2 / z) / (1 + Q c^2), feasible for small |Q|
-    of sign -sign(z).  The unitary is attached but unchecked, so
-    residuals["eq2"] is None until `check_witness` runs.
+    of sign -sign(z).  The witness is bare: no unitary, no residuals.
     """
     props = text_properties(t)
     if t.n < 2 or props.classical or not (props.uniform and props.real_text
@@ -312,7 +298,7 @@ def central_translate_uniform(t: Text, eps_overlap: float = 0.25) -> Translation
             continue
         Y = np.full((n, n), complex(y))
         np.fill_diagonal(Y, 1.0)
-        return witness_from_overlaps(t, Q, overlaps, Y, with_unitary=True)
+        return witness_from_overlaps(t, Q, overlaps, Y)
     raise SynthError("no feasible Q found for the central translation")
 
 
@@ -373,7 +359,6 @@ def attach_classical(base_witness: TranslationWitness, base_text: Text,
 
     tablet = np.concatenate([alpha * tau_span + beta * v, [alpha * pad_old]])
     tablet = tablet / np.linalg.norm(tablet)
-    o_new = tablet_overlaps(emb_new, tablet)
     B_anchor = 1.0 + Q2 * abs(o_old[anchor]) ** 2
 
     Y2 = np.asarray(base_witness.output_gram, dtype=complex)
@@ -383,17 +368,14 @@ def attach_classical(base_witness: TranslationWitness, base_text: Text,
     Y_new[:n, n] = Y_new[n, :n].conj()
     Y_new[n, n] = 1.0
 
-    return TranslationWitness(
-        Q=float(Q_new), q=q_from_Q(Q_new), tablet=tablet, output_gram=Y_new,
-        unitary=None,
-        residuals={"eq4": overlap_residual(t_new, float(Q_new), o_new, Y_new),
-                   "eq2": None})
+    return TranslationWitness(Q=float(Q_new), q=q_from_Q(Q_new), tablet=tablet,
+                              output_gram=Y_new)
 
 
 def _scatter_witness(t: Text, order: list[int],
                      w_local: TranslationWitness) -> TranslationWitness:
-    """Spread a witness on subtext(t, order) over the full text, with an
-    unchecked unitary.
+    """Spread a witness on subtext(t, order) over the full text, as a bare
+    witness.
 
     States outside `order` must be orthogonal to everything; they keep
     zero tablet overlap and get fresh orthonormal outputs.
@@ -404,7 +386,7 @@ def _scatter_witness(t: Text, order: list[int],
     o_full[order] = o_local
     Y_full = np.eye(t.n, dtype=complex)
     Y_full[np.ix_(order, order)] = w_local.output_gram
-    return witness_from_overlaps(t, w_local.Q, o_full, Y_full, with_unitary=True)
+    return witness_from_overlaps(t, w_local.Q, o_full, Y_full)
 
 
 def _mixed_witness(t: Text, core: list[int], pendants: list[int],
@@ -443,20 +425,26 @@ def translate(t: Text, force_sign: int | None = None,
     does not admit or when the closed-form construction yields no verified
     witness (not expected on a text the classifier accepts).  With q0=True
     only classical texts are accepted and the clone construction is used.
-    Every route ends in one `check_witness`, whose r1 and r3 become the
-    witness's residuals.
+    Every route ends in `_finish`.
     """
-    final = _construct(t, force_sign, q0)
-    report = _verify(t, final)
+    return _finish(t, _construct(t, force_sign, q0))
+
+
+def _finish(t: Text, w: TranslationWitness) -> TranslationWitness:
+    """Give a bare witness its unitary and check it once; the check's r1 and
+    r3 become its residuals.  Raises SearchBudgetExhausted if it fails."""
+    w.unitary = synthesize_unitary(t, w)
+    report = check_witness(t, w)
     if not report.passed:
         raise SearchBudgetExhausted(
             f"constructed witness failed verification: r1={report.r1:.3e}, "
             f"r2_ok={report.r2_ok}, r3={report.r3}")
-    return final
+    w.residuals = {"eq4": report.r1, "eq2": report.r3}
+    return w
 
 
 def _construct(t: Text, force_sign: int | None, q0: bool) -> TranslationWitness:
-    """The witness `translate` returns, with its unitary but not yet checked."""
+    """The bare witness that `translate` finishes."""
     if q0:
         d = decide_zero_translatable(t)
         if not d.translatable:
@@ -473,8 +461,7 @@ def _construct(t: Text, force_sign: int | None, q0: bool) -> TranslationWitness:
         # every state leaves all output overlaps free
         return witness_from_overlaps(t, force_sign * Q_START,
                                      np.zeros(t.n, dtype=complex),
-                                     np.eye(t.n, dtype=complex),
-                                     with_unitary=True)
+                                     np.eye(t.n, dtype=complex))
     signs = decision.sign_constraint
     if force_sign is not None:
         if force_sign not in signs:
@@ -528,10 +515,8 @@ def realize_graph(g: SimpleGraph) -> RealizeResult:
     if not g.edges:
         t = validate_text(np.eye(g.n, dtype=complex))
         w = witness_from_overlaps(t, 1.0, np.zeros(g.n, dtype=complex),
-                                  np.eye(g.n, dtype=complex), with_unitary=True)
-        if not _verify(t, w).passed:
-            raise SynthError("internal: realized witness failed verification")
-        return RealizeResult(text=t, witness=w)
+                                  np.eye(g.n, dtype=complex))
+        return RealizeResult(text=t, witness=_finish(t, w))
     # the component with edges: the core and its pendants, in sorted order
     core, attach = _core_and_pendants(g, rec)
     comp = sorted(core + list(attach))
@@ -594,7 +579,5 @@ def realize_graph(g: SimpleGraph) -> RealizeResult:
     text = validate_text(gram_full)
     if graph_of_text(text) != g:
         raise SynthError("internal: realized text has the wrong overlap graph")
-    witness = witness_from_overlaps(text, 1.0, o_full, Y_full, with_unitary=True)
-    if not _verify(text, witness).passed:
-        raise SynthError("internal: realized witness failed verification")
-    return RealizeResult(text=text, witness=witness)
+    witness = witness_from_overlaps(text, 1.0, o_full, Y_full)
+    return RealizeResult(text=text, witness=_finish(text, witness))

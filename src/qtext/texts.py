@@ -141,13 +141,25 @@ class TextProperties:
     real_text: bool
 
 
+def _orthogonal(z: np.ndarray) -> np.ndarray:
+    """Mask of the entries of z that count as orthogonal, |z_ij| <= 1e-9.
+
+    text_properties, graph_of_text and null_index_set all decide with it.
+    The modulus is hypot(re, im), the scalar abs bit for bit; np.abs of a
+    complex array can differ from it in the last bit, which moves entries
+    at ZERO_TOL.
+    """
+    return np.hypot(z.real, z.imag) <= ZERO_TOL
+
+
 def text_properties(t: Text) -> TextProperties:
     """Compute the structural flags of a validated text."""
     n = t.n
     off = ~np.eye(n, dtype=bool)
     offvals = t.gram[off]
-    classical = bool(n == 1 or np.max(np.abs(offvals)) <= ZERO_TOL)
-    fully_quantum = bool(n == 1 or np.min(np.abs(offvals)) > ZERO_TOL)
+    orthogonal = _orthogonal(offvals)
+    classical = bool(np.all(orthogonal))
+    fully_quantum = not np.any(orthogonal)
     evals = np.linalg.eigvalsh(t.gram)
     efficient = bool(evals[0] > pd_tol(n))
     uniform = bool(n == 1 or np.max(np.abs(offvals - offvals[0])) <= UNIFORM_TOL)
@@ -163,9 +175,7 @@ def text_properties(t: Text) -> TextProperties:
 
 def null_index_set(t: Text) -> frozenset[tuple[int, int]]:
     """Pairs (i, j), i < j, whose inner product is orthogonal at 1e-9."""
-    z = t.gram
-    # hypot is the scalar modulus bit for bit (see graphs.graph_of_text)
-    i, j = np.nonzero(np.hypot(z.real, z.imag) <= ZERO_TOL)
+    i, j = np.nonzero(_orthogonal(t.gram))
     upper = i < j
     return frozenset(zip(i[upper].tolist(), j[upper].tolist()))
 

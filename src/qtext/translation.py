@@ -130,7 +130,9 @@ class TranslationWitness:
     tablet        : unit tablet in embedding coordinates (optionally padded)
     output_gram   : Gram matrix of the output text
     unitary       : optional unitary on the doubled padded space
-    residuals     : {'eq4': overlap residual, 'eq2': mapping residual}
+    residuals     : {'eq4': overlap residual, 'eq2': mapping residual}, as
+                    the one check of a finished witness found them; empty
+                    on a bare witness
     """
 
     Q: float
@@ -180,15 +182,13 @@ def overlap_residual(t: Text, Q: float, overlaps: np.ndarray,
 
 
 def witness_from_overlaps(t: Text, Q: float, overlaps: np.ndarray,
-                          output: np.ndarray, with_unitary: bool = False) -> TranslationWitness:
-    """Assemble a witness from the overlap vector it must induce.
+                          output: np.ndarray) -> TranslationWitness:
+    """Assemble a bare witness from the overlap vector it must induce.
 
     The tablet is reconstructed inside the span of the states (minimal
-    norm), with the remaining weight on one fresh padded coordinate.  With
-    `with_unitary` the unitary is synthesized and attached, but not
-    checked: residuals["eq4"] holds the overlap residual and
-    residuals["eq2"] stays None until `check_witness` has run on the
-    witness (as `translate` and `realize_graph` do once before returning).
+    norm), with the remaining weight on one fresh padded coordinate.  The
+    witness has no unitary and no residuals; `translate` and
+    `realize_graph` attach both when they check it.
     """
     if not -1.0 <= float(Q) <= 1.0:
         raise QOutOfRange(f"Q = {Q} outside [-1, 1]")
@@ -214,15 +214,8 @@ def witness_from_overlaps(t: Text, Q: float, overlaps: np.ndarray,
     B = 1.0 + Q * np.abs(a) ** 2
     if np.min(B) <= B_FLOOR:
         raise DegenerateB(f"min B_i = {np.min(B):.3e}")
-    out = validate_text(output).gram
-    w = TranslationWitness(
-        Q=float(Q), q=q_from_Q(Q), tablet=tablet, output_gram=out,
-        unitary=None,
-        residuals={"eq4": overlap_residual(t, float(Q), a, out), "eq2": None},
-    )
-    if with_unitary:
-        w.unitary = synthesize_unitary(t, w)
-    return w
+    return TranslationWitness(Q=float(Q), q=q_from_Q(Q), tablet=tablet,
+                              output_gram=validate_text(output).gram)
 
 
 @dataclass(frozen=True)
@@ -344,11 +337,12 @@ def restrict_witness(t: Text, w: TranslationWitness, indices) -> TranslationWitn
     """Witness for the subtext on `indices`, inherited from a parent witness.
 
     Keeps Q, restricts the overlaps and the output Gram, and rebuilds the
-    tablet inside the subtext's own embedding.  No unitary is attached.
+    tablet inside the subtext's own embedding.  The witness is bare, as
+    `witness_from_overlaps` returns it.
     """
     idx = list(indices)
     emb = _embedding_for_tablet(t, len(w.tablet))
     a = tablet_overlaps(emb, np.asarray(w.tablet, dtype=complex))
     sub = subtext(t, idx)
     out_sub = np.asarray(w.output_gram, dtype=complex)[np.ix_(idx, idx)]
-    return witness_from_overlaps(sub, w.Q, a[idx], out_sub, with_unitary=False)
+    return witness_from_overlaps(sub, w.Q, a[idx], out_sub)

@@ -32,6 +32,7 @@ from qtext import (
     restrict_witness,
     search_translation,
     subtext,
+    synthesize_unitary,
     tablet_overlaps,
     text_properties,
     translate,
@@ -281,8 +282,10 @@ def test_06_zero_entanglement_accepts_exactly_classical():
             mistakes += 1
         if classical:
             n_classical += 1
-            rep = check_witness(t, clone_classical(t))
-            assert rep.passed and rep.r1 == 0.0
+            w = clone_classical(t)
+            w.unitary = synthesize_unitary(t, w)
+            rep = check_witness(t, w)
+            assert rep.passed and rep.r1 == 0.0 and rep.r3 is not None
     assert mistakes == 0
     rng = np.random.default_rng(2024)
     for k in range(50):
@@ -290,8 +293,9 @@ def test_06_zero_entanglement_accepts_exactly_classical():
         target = gen_text(GenSpec(mode="random_efficient", n=n, seed=1000 + k))
         base = validate_text(np.eye(n))
         w = clone_classical(base, target_output=target.gram)
+        w.unitary = synthesize_unitary(base, w)
         rep = check_witness(base, w)
-        assert rep.passed and rep.r1 == 0.0
+        assert rep.passed and rep.r1 == 0.0 and rep.r3 is not None
         np.testing.assert_array_equal(w.output_gram, target.gram)
     print(f"zero-entanglement gate: PASS (500 texts, {n_classical} classical, "
           "0 mistakes, 50 arbitrary targets)")
@@ -348,8 +352,10 @@ def test_08_uniform_central_translation_grid():
             t = validate_text(uniform_gram(n, float(z)))
             w = central_translate_uniform(t)
             assert np.sign(w.Q) == -np.sign(z), (n, z, w.Q)
+            w.unitary = synthesize_unitary(t, w)
             rep = check_witness(t, w)
             assert rep.passed, (n, z, rep)
+            assert rep.r3 is not None, (n, z, rep)
             assert rep.r1 <= R1_TOL and rep.r3 <= R1_TOL, (n, z, rep)
             checked += 1
     print(f"uniform central grid: PASS ({checked} (n, z) points)")

@@ -8,7 +8,6 @@ from qtext import (
     BorderlineSignature,
     GraphClass,
     HasOrthogonalPair,
-    decide_fully_quantum,
     decide_translatable,
     decide_zero_translatable,
     gen_text,
@@ -87,21 +86,23 @@ class TestSignature:
 
 
 class TestDecideFullyQuantum:
+    """A text without orthogonal pairs is translatable exactly when its
+    signature admits a sign of Q; det_nonzero says whether the output can
+    be efficient."""
+
     def test_uniform3_needs_negative(self):
         sig = hadamard_inverse_signature(validate_text(uniform_gram(3, 0.5)))
-        d = decide_fully_quantum(sig)
-        assert d.translatable and d.admissible_signs == {-1}
-        assert d.efficient_output_possible
+        assert sig.admissible_signs == {-1}
+        assert sig.det_nonzero
 
     def test_uniform4_negative_needs_positive(self):
         sig = hadamard_inverse_signature(validate_text(uniform_gram(4, -0.2)))
-        d = decide_fully_quantum(sig)
-        assert d.translatable and d.admissible_signs == {+1}
+        assert sig.admissible_signs == {+1}
 
     def test_untranslatable4(self):
         t = gen_text(GenSpec(mode="untranslatable4", seed=0))
-        d = decide_fully_quantum(hadamard_inverse_signature(t))
-        assert not d.translatable and d.admissible_signs == frozenset()
+        assert hadamard_inverse_signature(t).admissible_signs == frozenset()
+        assert not decide_translatable(t).translatable
 
 
 class TestDecide:

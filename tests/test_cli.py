@@ -99,6 +99,29 @@ class TestClassify:
         assert code == 0
 
 
+class TestOrthogonalityEdge:
+    def test_entry_at_zero_tol_is_orthogonal_in_every_command(self, capsys,
+                                                              tmp_path):
+        # |z01| is 1e-9 by the scalar modulus but one ulp above it by np.abs
+        # of the complex array; every command must call the pair orthogonal
+        g = np.eye(2, dtype=complex)
+        g[0, 1] = 9.99143457665871e-10 + 4.138056311226185e-11j
+        g[1, 0] = np.conj(g[0, 1])
+        text = str(tmp_path / "edge.json")
+        qio.save_text(validate_text(g), text)
+        code, out, _ = run(capsys, "validate", "-i", text)
+        assert code == 0
+        d = json.loads(out)
+        assert d["classical"] and not d["fully_quantum"]
+        code, out, _ = run(capsys, "classify", "-i", text)
+        assert code == 0 and json.loads(out)["reason"] == "OK_CLASSICAL"
+        wit = str(tmp_path / "w.json")
+        code, _, _ = run(capsys, "translate", "-i", text, "-o", wit)
+        assert code == 0
+        code, out, _ = run(capsys, "verify", "-i", text, "-w", wit)
+        assert code == 0 and json.loads(out)["passed"]
+
+
 class TestBorderline:
     @pytest.mark.parametrize("z02", [2e-9, 1e-8])
     def test_valid_but_undecided_exits_5(self, capsys, tmp_path, z02):

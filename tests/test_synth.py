@@ -31,8 +31,10 @@ from qtext import (
     search_translation,
     shape_to_graph,
     subtext,
+    synthesize_unitary,
     translate,
     validate_text,
+    witness_from_overlaps,
 )
 import qtext.texts
 from qtext import synth, translation
@@ -44,17 +46,20 @@ class TestCloneClassical:
         t = validate_text(np.eye(3))
         w = clone_classical(t)
         assert w.Q == 0.0 and w.q == 0.0
-        assert w.residuals["eq4"] == 0.0
         np.testing.assert_array_equal(w.output_gram, np.eye(3))
-        assert check_witness(t, w).passed
+        w.unitary = synthesize_unitary(t, w)
+        rep = check_witness(t, w)
+        assert rep.passed and rep.r1 == 0.0 and rep.r3 is not None
 
     def test_explicit_target(self):
         t = validate_text(np.eye(3))
         target = validate_text(uniform_gram(3, 0.4))
         w = clone_classical(t, target_output=target)
         np.testing.assert_array_equal(w.output_gram, target.gram)
+        w.unitary = synthesize_unitary(t, w)
         rep = check_witness(t, w)
-        assert rep.passed and rep.r1 == 0.0 and rep.r3 <= 1e-10
+        assert rep.passed and rep.r1 == 0.0
+        assert rep.r3 is not None and rep.r3 <= 1e-10
 
     def test_rejects_quantum_text(self, uniform3):
         with pytest.raises(NotClassical):
@@ -70,14 +75,17 @@ class TestCentralUniform:
     def test_positive_overlap_needs_negative_Q(self, uniform3):
         w = central_translate_uniform(uniform3)
         assert w.Q < 0
+        w.unitary = synthesize_unitary(uniform3, w)
         rep = check_witness(uniform3, w)
-        assert rep.passed and rep.r1 <= 1e-8
+        assert rep.passed and rep.r1 <= 1e-8 and rep.r3 is not None
 
     def test_negative_overlap_needs_positive_Q(self):
         t = validate_text(uniform_gram(4, -0.2))
         w = central_translate_uniform(t)
         assert w.Q > 0
-        assert check_witness(t, w).passed
+        w.unitary = synthesize_unitary(t, w)
+        rep = check_witness(t, w)
+        assert rep.passed and rep.r3 is not None
 
     def test_output_is_uniform(self, uniform3):
         w = central_translate_uniform(uniform3)
@@ -112,7 +120,9 @@ class TestSearch:
         out = search_translation(uniform3, sign=-1)
         assert out.witness is not None
         assert out.witness.Q < 0
-        assert check_witness(uniform3, out.witness).passed
+        out.witness.unitary = synthesize_unitary(uniform3, out.witness)
+        rep = check_witness(uniform3, out.witness)
+        assert rep.passed and rep.r3 is not None
 
     def test_inadmissible_sign_comes_back_empty(self, uniform3):
         # the signature admits only -1 here; the +1 route must fail after
@@ -448,12 +458,22 @@ class TestOneCheckPerWitness:
         assert rep.passed and rep.r3 is not None
         assert w.residuals == {"eq4": rep.r1, "eq2": rep.r3}
 
-    def test_builders_leave_eq2_unset(self):
-        t = validate_text(np.eye(3))
-        w = clone_classical(t)
-        assert w.unitary is not None and w.residuals["eq2"] is None
-        w = central_translate_uniform(validate_text(uniform_gram(4, 0.3)))
-        assert w.unitary is not None and w.residuals["eq2"] is None
+    def test_builders_return_bare_witnesses(self):
+        # the unitary and the residuals come only from synth._finish
+        eye3 = validate_text(np.eye(3))
+        base = validate_text(uniform_gram(2, -0.3))
+        core = search_translation(base, sign=+1).witness
+        isolated = validate_text(with_pendant(base.gram, 0, 0.0))
+        witnesses = [
+            clone_classical(eye3),
+            central_translate_uniform(validate_text(uniform_gram(4, 0.3))),
+            core,
+            attach_classical(core, base, np.array([0.4, 0.0]), anchor=0),
+            witness_from_overlaps(eye3, 0.5, np.zeros(3), np.eye(3)),
+            synth._scatter_witness(isolated, [0, 1], core),
+        ]
+        for w in witnesses:
+            assert w.unitary is None and w.residuals == {}
 
     def test_edgeless_realization_is_checked(self, count_calls):
         calls = count_calls(check_witness)
@@ -476,8 +496,8 @@ class TestOneEmbeddingPerLookup:
     @pytest.mark.parametrize("gram,expected", [
         (uniform_gram(8, 0.4), 5),
         (RANDOM3, 5),
-        # the isolated states add a scatter and a second unitary
-        (with_pendant(with_pendant(RANDOM3, 0, 0.0), 0, 0.0), 9),
+        # the isolated states add the scatter's lookup and its assembly
+        (with_pendant(with_pendant(RANDOM3, 0, 0.0), 0, 0.0), 7),
         # core, attachment, chain check, scatter, unitary, final check
         (with_pendant(RANDOM3, 0, 0.1), 10),
     ], ids=["uniform8", "random3", "core_two_isolated", "core_pendant"])
@@ -500,6 +520,39 @@ class TestOneEmbeddingPerLookup:
         np.testing.assert_array_equal(emb.vectors, ref.vectors)
         with pytest.raises(qtext.DimensionMismatch):
             translation._embedding_for_tablet(t, ref.dim + 1)
+
+
+class TestOneUnitaryPerWitness:
+    """synthesize_unitary runs once per translate and per realize_graph, in
+    synth._finish, on the witness that is returned."""
+
+    @pytest.fixture
+    def unitary_calls(self, count_calls):
+        calls = count_calls(translation.synthesize_unitary)
+        # the counter replaces the function under both module names
+        assert synth.synthesize_unitary is translation.synthesize_unitary
+        return calls
+
+    @pytest.mark.parametrize("gram,kwargs", [
+        (uniform_gram(8, 0.4), {}),
+        (RANDOM3, {}),
+        (with_pendant(with_pendant(RANDOM3, 0, 0.0), 0, 0.0), {}),
+        (with_pendant(RANDOM3, 0, 0.1), {}),
+        (np.eye(3), {"q0": True}),
+        (np.eye(3), {"force_sign": -1}),
+    ], ids=["uniform8", "random3", "core_two_isolated", "core_pendant",
+            "q0_clone", "classical_forced_sign"])
+    def test_translate(self, gram, kwargs, unitary_calls):
+        w = translate(validate_text(gram), **kwargs)
+        assert len(unitary_calls) == 1 and unitary_calls[0][1] is w
+
+    @pytest.mark.parametrize("g", [
+        make_graph(3, []),
+        shape_to_graph(WellSplitShape(n2=3, ell=2, m=(2, 1))),
+    ], ids=["edgeless", "with_edges"])
+    def test_realize_graph(self, g, unitary_calls):
+        res = realize_graph(g)
+        assert len(unitary_calls) == 1 and unitary_calls[0][1] is res.witness
 
 
 class TestPsdFloor:

@@ -12,6 +12,7 @@ from qtext import (
     SizeMismatch,
     embed_text,
     gram_of,
+    graph_of_text,
     null_index_set,
     subtext,
     text_properties,
@@ -127,6 +128,17 @@ class TestProperties:
                 got = null_index_set(t)
                 assert got == want
                 assert all(type(k) is int for pair in got for k in pair)
+
+    def test_flags_agree_with_graph_and_null_set(self):
+        # one orthogonality test everywhere, also for entries at ZERO_TOL:
+        # classical means an edgeless overlap graph, fully quantum means no
+        # orthogonal pair
+        rng = np.random.default_rng(23)
+        for n in [2] * 200 + [3] * 50 + [5, 8, 13, 32, 64]:
+            t = validate_text(near_zero_gram(n, rng))
+            p = text_properties(t)
+            assert p.classical == (not graph_of_text(t).edges)
+            assert p.fully_quantum == (not null_index_set(t))
 
 
 class TestUniformSpectrum:
