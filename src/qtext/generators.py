@@ -132,82 +132,106 @@ def oracle_feasible(t: Text, samples: int = 100000, seed: int = 0,
     with found=False says nothing beyond "not found in `samples` tries".
     Samples are processed in batches for speed; results are identical for
     identical (text, samples, seed).
+
+    A sample's penalty is the PSD term of its output Gram Y plus the
+    modulus term of its off-diagonal entries plus, on texts with
+    orthogonal pairs, the null-residual term.  The last two, and the
+    acceptance tests on the moduli and the null residuals, need no Y, so
+    each batch computes them first for every sample.  Y and its eigvalsh
+    are then skipped for a sample that has B <= 1e-12 somewhere, or that
+    already fails one of those acceptance tests while its modulus and null
+    terms alone are at least the best penalty from before the batch.  Such
+    a sample can neither be accepted nor lower the best: the PSD term is
+    non-negative and rounded addition is monotone, so its full penalty is
+    never below that partial sum.  The prune is exact: the report is the
+    one the unpruned evaluation gives, bit for bit, with the same draws.
     """
     rng = np.random.default_rng([seed, 1618])
     emb = embed_text(t, pad_extra_dim=True)
     E = emb.vectors
     n = t.n
     free = sorted(null_index_set(t))
+    free_i = np.array([i for i, _ in free], dtype=int)
+    free_j = np.array([j for _, j in free], dtype=int)
     nonnull = ~np.eye(n, dtype=bool)
-    for (i, j) in free:
-        nonnull[i, j] = nonnull[j, i] = False
+    nonnull[free_i, free_j] = nonnull[free_j, free_i] = False
     z = t.gram
+    zden = np.where(nonnull, z, 1.0)
     iu = np.triu_indices(n, 1)
+    diag = np.arange(n)
     best = np.inf
     used = 0
     accepted_Q: list[float] = []
     witness = None
-
-    free_i = np.array([i for i, _ in free], dtype=int)
-    free_j = np.array([j for _, j in free], dtype=int)
+    # column of each free pair among the upper-triangle pairs iu
+    upper_pos = np.zeros((n, n), dtype=int)
+    upper_pos[iu] = np.arange(iu[0].size)
+    free_pos = upper_pos[free_i, free_j]
 
     def evaluate(Q: np.ndarray, tablets: np.ndarray, free_vals: np.ndarray):
-        """Batched acceptance test; returns per-sample (ok, Y, A)."""
+        """Batched acceptance test; returns the indices of the accepted
+        samples, their output Grams, and every sample's A."""
         nonlocal best
-        m = len(Q)
         A = tablets @ E.conj()
         B = 1.0 + Q[:, None] * np.abs(A) ** 2
-        Y = np.broadcast_to(np.eye(n, dtype=complex), (m, n, n)).copy()
         okB = B.min(axis=1) > 1e-12
         safeB = np.where(B > 1e-12, B, 1.0)
         num = z[None, :, :] + Q[:, None, None] * (A[:, :, None] * A.conj()[:, None, :])
         den = np.sqrt(safeB[:, :, None] * safeB[:, None, :])
         with np.errstate(divide="ignore", invalid="ignore"):
-            forced = num / (den * np.where(nonnull, z, 1.0)[None, :, :])
-        Y[:, nonnull] = forced[:, nonnull]
-        for idx, (i, j) in enumerate(free):
-            Y[:, i, j] = free_vals[:, idx]
-            Y[:, j, i] = free_vals[:, idx].conj()
-        lam = np.linalg.eigvalsh(Y)
-        offmod = np.abs(Y[:, iu[0], iu[1]]) if n > 1 else np.zeros((m, 0))
-        pen = np.maximum(0.0, -lam[:, 0]) ** 2
-        if offmod.shape[1]:
-            pen = pen + np.sum(np.maximum(0.0, offmod - MODULUS_CAP) ** 2, axis=1)
+            forced = num / (den * zden[None, :, :])
+        # the cheap terms, for every sample: Y's upper triangle is the
+        # forced entries with the free values in place
+        upper = forced[:, iu[0], iu[1]]
+        upper[:, free_pos] = free_vals
+        offmod = np.abs(upper)
+        modpen = np.sum(np.maximum(0.0, offmod - MODULUS_CAP) ** 2, axis=1)
+        partial = modpen
+        passes = offmod.max(axis=1, initial=0.0) < 1.0 - 1e-12
         if free_i.size:
             # orthogonal input pairs still constrain the tablet:
             # |Q a_i conj(a_j)| must vanish there (output entry stays free)
             nullres = np.abs(Q[:, None] * A[:, free_i] * A.conj()[:, free_j])
-            pen = pen + np.sum(np.maximum(0.0, nullres - 1e-8) ** 2, axis=1)
-        pen = np.where(okB, pen, np.inf)
+            nullpen = np.sum(np.maximum(0.0, nullres - 1e-8) ** 2, axis=1)
+            partial = modpen + nullpen
+            passes &= nullres.max(axis=1) <= 1e-8
+        # a NaN partial sum keeps its sample
+        kept = np.flatnonzero(okB & (passes | ~(partial >= best)))
+        # Y and eigvalsh for the kept samples only; eigvalsh reads the
+        # lower triangle, which stays the forced formula's own entries
+        Y = forced if kept.size == len(Q) else forced[kept]
+        Y[:, diag, diag] = 1.0
+        Y[:, free_i, free_j] = free_vals[kept]
+        Y[:, free_j, free_i] = free_vals[kept].conj()
+        lam_min = np.linalg.eigvalsh(Y)[:, 0]
+        pen = np.maximum(0.0, -lam_min) ** 2 + modpen[kept]
+        if free_i.size:
+            pen = pen + nullpen[kept]
         finite = pen[np.isfinite(pen)]
         if finite.size:
             best = min(best, float(finite.min()))
-        ok = okB & (lam[:, 0] >= -psd_tol(n))
-        if offmod.shape[1]:
-            ok &= offmod.max(axis=1) < 1.0 - 1e-12
-        if free_i.size:
-            ok &= nullres.max(axis=1) <= 1e-8
-        return ok, Y, A
+        ok = passes[kept] & (lam_min >= -psd_tol(n))
+        return kept[ok], Y[ok], A
 
     def record(Q, tablet, Y, A) -> bool:
         nonlocal witness
-        if overlap_residual(t, float(Q), A, Y) > 1e-8:
+        r1 = overlap_residual(t, float(Q), A, Y)
+        if r1 > 1e-8:
             return False
         accepted_Q.append(float(Q))
         if witness is None:
             witness = TranslationWitness(
                 Q=float(Q), q=q_from_Q(float(Q)), tablet=np.array(tablet),
                 output_gram=np.array(Y), unitary=None,
-                residuals={"eq4": overlap_residual(t, float(Q), A, Y),
-                           "eq2": None})
+                residuals={"eq4": r1, "eq2": None})
         return True
 
     # deterministic classical probe
     probe = np.zeros((1, emb.dim), dtype=complex)
     probe[0, -1] = 1.0
     used += 1
-    ok, Y, A = evaluate(np.zeros(1), probe, np.zeros((1, len(free)), dtype=complex))
-    if ok[0]:
+    acc, Y, A = evaluate(np.zeros(1), probe, np.zeros((1, len(free)), dtype=complex))
+    if acc.size:
         record(0.0, probe[0], Y[0], A[0])
         if not keep_all:
             return OracleReport(found=True, best_penalty=float(best),
@@ -223,11 +247,11 @@ def oracle_feasible(t: Text, samples: int = 100000, seed: int = 0,
         radii = np.sqrt(rng.uniform(0.0, 1.0, size=(m, len(free))))
         phases = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, size=(m, len(free))))
         free_vals = radii * phases
-        ok, Y, A = evaluate(Q, tablets, free_vals)
+        acc, Y, A = evaluate(Q, tablets, free_vals)
         used += m
         hit = False
-        for s in np.flatnonzero(ok):
-            hit = record(Q[s], tablets[s], Y[s], A[s]) or hit
+        for s, Ys in zip(acc, Y):
+            hit = record(Q[s], tablets[s], Ys, A[s]) or hit
             if hit and not keep_all:
                 break
         if hit and not keep_all:

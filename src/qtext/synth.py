@@ -31,6 +31,7 @@ from .texts import (
     psd_tol,
     subtext,
     text_properties,
+    uniform_real_flags,
     validate_text,
 )
 from .graphs import (
@@ -41,6 +42,7 @@ from .graphs import (
     NotWellSplit,
 )
 from .classify import (
+    REASON_OK_CLASSICAL,
     SIGNATURE_SCALE,
     Decision,
     _core_and_pendants,
@@ -453,8 +455,8 @@ def _construct(t: Text, force_sign: int | None, q0: bool) -> TranslationWitness:
     decision = decide_translatable(t)
     if not decision.translatable:
         raise Untranslatable(decision)
-    props = text_properties(t)
-    if props.classical:
+    # on a translatable text OK_CLASSICAL is exactly props.classical
+    if decision.reason == REASON_OK_CLASSICAL:
         if force_sign is None:
             return clone_classical(t)
         # any sign works on an orthogonal family: a tablet orthogonal to
@@ -476,8 +478,9 @@ def _construct(t: Text, force_sign: int | None, q0: bool) -> TranslationWitness:
 
     if not pendants:
         t_core = subtext(t, core)
-        props_core = text_properties(t_core)
-        if props_core.uniform and props_core.real_text and force_sign is None:
+        # the decision found the core efficient: only its shape is new
+        uniform, real_text = uniform_real_flags(t_core)
+        if uniform and real_text and force_sign is None:
             w_core = central_translate_uniform(t_core)
         else:
             for sign in sorted(signs, reverse=True):

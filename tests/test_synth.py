@@ -522,6 +522,39 @@ class TestOneEmbeddingPerLookup:
             translation._embedding_for_tablet(t, ref.dim + 1)
 
 
+class TestTextPropertiesPerTranslate:
+    """decide_translatable computes the text's flags once.  _construct takes
+    classicality from the decision and the core's uniform and real flags
+    from uniform_real_flags, so only the route's own input check
+    (search_translation, central_translate_uniform or clone_classical)
+    computes them again."""
+
+    @pytest.mark.parametrize("gram", [
+        RANDOM3,
+        gen_text(GenSpec(mode="random_efficient", n=4, seed=1)).gram,
+        ZERO_ENTRY_TEXTS["core_z0.01"],
+    ], ids=["random3", "random4_seed1", "core_z0.01"])
+    def test_eigen_route(self, gram, count_calls):
+        calls = count_calls(qtext.texts.text_properties)
+        translate(validate_text(gram))
+        assert len(calls) <= 2
+
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_central_route(self, n, count_calls):
+        calls = count_calls(qtext.texts.text_properties)
+        translate(validate_text(uniform_gram(n, 0.4)))
+        assert len(calls) <= 2
+
+    @pytest.mark.parametrize("kwargs", [{}, {"force_sign": +1}, {"force_sign": -1}])
+    def test_classical_from_decision(self, kwargs, count_calls):
+        calls = count_calls(qtext.texts.text_properties)
+        t = validate_text(np.eye(3))
+        w = translate(t, **kwargs)
+        assert len(calls) <= 2
+        assert check_witness(t, w).passed
+        assert w.Q == (0.0 if not kwargs else kwargs["force_sign"] * synth.Q_START)
+
+
 class TestOneUnitaryPerWitness:
     """synthesize_unitary runs once per translate and per realize_graph, in
     synth._finish, on the witness that is returned."""
