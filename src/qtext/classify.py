@@ -18,10 +18,8 @@ import numpy as np
 from .texts import Text, null_index_set, subtext, text_properties
 from .graphs import (
     ForbiddenWitness,
-    GraphClass,
-    RecognitionResult,
-    SimpleGraph,
     graph_of_text,
+    read_well_split,
     recognize,
 )
 
@@ -129,27 +127,6 @@ class Decision:
     forbidden_witness: ForbiddenWitness | None = None
 
 
-def _core_and_pendants(g: SimpleGraph,
-                       rec: RecognitionResult) -> tuple[list[int], dict[int, int]]:
-    """Clique core and pendant->anchor map of a well-split graph with edges.
-
-    v1 of the splitting holds the pendants (degree 1) and the isolated
-    vertices (degree 0, left out of the map).  Restricted to the one
-    component with edges, the splitting is the one `recognize` would give
-    that component alone: isolated vertices never enter v2, and neither the
-    hub nor the lexicographic order of the candidate cliques changes.
-    """
-    core = sorted(rec.splitting.v2)
-    attach = {}
-    for v in sorted(rec.splitting.v1):
-        nb = g.neighbors(v)
-        if len(nb) > 1:
-            raise RuntimeError("internal: pendant without a unique anchor")
-        if nb:
-            attach[v] = next(iter(nb))
-    return core, attach
-
-
 def decide_translatable(t: Text) -> Decision:
     """Full decision procedure for a text.
 
@@ -169,16 +146,16 @@ def decide_translatable(t: Text) -> Decision:
                 quantum_part=frozenset(), attachment={}),
             sign_constraint=None)
     rec = recognize(g)
-    if rec.klass in (GraphClass.NOT_SPLIT, GraphClass.SPLIT_NOT_WELL_SPLIT):
+    if rec.witness is not None:  # not split, or split but not well-split
         return Decision(translatable=False, reason=REASON_NOT_WELL_SPLIT,
                         forbidden_witness=rec.witness)
-    core, attach = _core_and_pendants(g, rec)
-    sig = hadamard_inverse_signature(subtext(t, core))
+    parts = read_well_split(g, rec)
+    sig = hadamard_inverse_signature(subtext(t, parts.core))
     decomp = Decomposition(
         classical_part=rec.splitting.v1,
-        quantum_part=frozenset(core),
-        attachment=attach)
-    if not attach:
+        quantum_part=frozenset(parts.core),
+        attachment=parts.anchors)
+    if not parts.anchors:
         # No pendants: the edges form a complete core; only the spectral test is left.
         if sig.admissible_signs:
             return Decision(translatable=True, reason=REASON_OK_FULLY_QUANTUM,

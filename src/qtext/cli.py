@@ -17,7 +17,7 @@ import numpy as np
 
 from . import io as qio
 from .texts import TextError, text_properties
-from .graphs import GraphError, graph_of_text, parameterize, recognize, GraphClass
+from .graphs import GraphClass, GraphError, graph_of_text, read_well_split, recognize
 from .classify import (
     BorderlineSignature,
     decide_translatable,
@@ -83,13 +83,13 @@ def _cmd_analyze(args) -> int:
     except (GraphError, ValueError, OSError, KeyError) as exc:
         return _fail(args, exc)
     shape = None
-    if rec.klass == GraphClass.WELL_SPLIT and g.n >= 2:
-        try:
-            s = parameterize(g)
+    if rec.klass == GraphClass.WELL_SPLIT:
+        parts = read_well_split(g, rec)
+        # a well-split graph is connected iff it has no isolated vertex
+        if not parts.isolated:
+            s = parts.shape()
             shape = {"n2": s.n2, "ell": s.ell, "m": list(s.m),
                      "labels": {str(v): s.labels[v] for v in sorted(s.labels)}}
-        except GraphError:
-            shape = None
     report = {
         "class": rec.klass.value,
         "splitting": None if rec.splitting is None else {

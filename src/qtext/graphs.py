@@ -12,7 +12,9 @@ diamond (K4 minus an edge), and the 5-cycle.
 `recognize` decides splitness from the degree sequence (Hammer & Simeone,
 *The splittance of a graph*, 1981) and well-splitness from one splitting.
 Only a refusal searches for a forbidden induced subgraph, and it reports
-the first one in lexicographic subset order.
+the first one in lexicographic subset order.  `read_well_split` is the one
+read-off of an accepted graph's recognition: its clique core, pendant
+anchors and isolated vertices.
 """
 
 from __future__ import annotations
@@ -128,45 +130,9 @@ def induced_subgraph(g: SimpleGraph, vertices) -> tuple[SimpleGraph, list[int]]:
 
 # --- forbidden induced subgraphs ------------------------------------------
 
-# Edge slot order for 4-vertex masks: (0,1),(0,2),(0,3),(1,2),(1,3),(2,3).
-_PAIRS = {k: list(itertools.combinations(range(k), 2)) for k in (4, 5)}
-
-
-def _mask_of(edges, pairs) -> int:
-    slot = {p: k for k, p in enumerate(pairs)}
-    m = 0
-    for (i, j) in edges:
-        m |= 1 << slot[(min(i, j), max(i, j))]
-    return m
-
-
-def _orbit(edges, nverts, pairs) -> set[int]:
-    out = set()
-    for perm in itertools.permutations(range(nverts)):
-        out.add(_mask_of([(perm[i], perm[j]) for (i, j) in edges], pairs))
-    return out
-
-
-_PATTERNS = {
-    "TwoK2": [(0, 1), (2, 3)],
-    "C4": [(0, 1), (1, 2), (2, 3), (0, 3)],
-    "Diamond": [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)],
-    "C5": [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)],
-}
-_SIZE = {kind: 1 + max(map(max, edges)) for kind, edges in _PATTERNS.items()}
-
-
-def _build_tables() -> dict[int, dict[int, str]]:
-    """Edge mask -> kind of forbidden subgraph, per subset size."""
-    tables = {4: {}, 5: {}}
-    for kind, edges in _PATTERNS.items():
-        size = _SIZE[kind]
-        for m in _orbit(edges, size, _PAIRS[size]):
-            tables[size][m] = kind
-    return tables
-
-
-_KINDS = _build_tables()
+# (size, edge count, maximum degree) of each forbidden induced subgraph; no
+# other graph on four or five vertices has the same triple.
+_SIGNATURES = {"TwoK2": (4, 2, 1), "C4": (4, 4, 2), "Diamond": (4, 5, 3), "C5": (5, 5, 2)}
 
 
 @dataclass(frozen=True)
@@ -202,19 +168,22 @@ def _first_forbidden(g: SimpleGraph, kinds: tuple[str, ...],
     lexicographic subset order.
 
     Only vertices of degree >= `min_degree` can lie on such a subgraph, so
-    only they are combined; dropping vertices keeps the subset order.
+    only they are combined; dropping vertices keeps the subset order.  A
+    subset is named by its size, edge count and maximum degree.
     """
-    size = _SIZE[kinds[0]]
-    pairs, table = _PAIRS[size], _KINDS[size]
+    size = _SIGNATURES[kinds[0]][0]
+    wanted = {_SIGNATURES[kind][1:]: kind for kind in kinds}
+    pairs = list(itertools.combinations(range(size), 2))
     adj = [g.neighbors(v) for v in range(g.n)]
     candidates = [v for v in range(g.n) if len(adj[v]) >= min_degree]
     for sub in itertools.combinations(candidates, size):
-        mask = 0
-        for k, (a, b) in enumerate(pairs):
+        deg = [0] * size
+        for a, b in pairs:
             if sub[b] in adj[sub[a]]:
-                mask |= 1 << k
-        kind = table.get(mask)
-        if kind in kinds:
+                deg[a] += 1
+                deg[b] += 1
+        kind = wanted.get((sum(deg) // 2, max(deg)))
+        if kind is not None:
             return ForbiddenWitness(kind=kind, vertices=sub)
     return None
 
@@ -341,31 +310,61 @@ class WellSplitShape:
     labels: dict[int, str] = field(compare=False, default_factory=dict)
 
 
+@dataclass(frozen=True)
+class WellSplitParts:
+    """The clique core, the pendant -> anchor map and the isolated vertices
+    of a well-split graph with edges, each in increasing vertex order."""
+
+    core: tuple[int, ...]
+    anchors: dict[int, int]
+    isolated: tuple[int, ...]
+
+    def shape(self) -> WellSplitShape:
+        """The shape of the graph, which must be connected (no isolated
+        vertices): clique vertices ordered by pendant count, then index."""
+        pend_of = {}
+        for v, w in self.anchors.items():
+            pend_of.setdefault(w, []).append(v)
+        order = sorted(self.core, key=lambda w: (-len(pend_of.get(w, [])), w))
+        m = tuple(len(pend_of[w]) for w in order if w in pend_of)
+        labels = {}
+        for i, w in enumerate(order, start=1):
+            labels[w] = f"w{i}"
+            for j, v in enumerate(pend_of.get(w, []), start=1):
+                labels[v] = f"v{i},{j}"
+        return WellSplitShape(n2=len(self.core), ell=len(m), m=m, labels=labels)
+
+
+def read_well_split(g: SimpleGraph, rec: RecognitionResult) -> WellSplitParts:
+    """The one read-off of a well-split graph from its recognition.
+
+    v1 of the splitting holds the pendants (degree 1) and the isolated
+    vertices (degree 0).  Restricted to the one component with edges, the
+    splitting is the one `recognize` would give that component alone:
+    isolated vertices never enter v2, and neither the hub nor the
+    lexicographic order of the candidate cliques changes.  Raises
+    NotWellSplit for any other class.
+    """
+    if rec.klass is not GraphClass.WELL_SPLIT:
+        raise NotWellSplit(f"graph is {rec.klass.value}")
+    anchors = {}
+    isolated = []
+    for v in sorted(rec.splitting.v1):
+        if g.neighbors(v):
+            (anchors[v],) = g.neighbors(v)
+        else:
+            isolated.append(v)
+    return WellSplitParts(core=tuple(sorted(rec.splitting.v2)), anchors=anchors,
+                          isolated=tuple(isolated))
+
+
 def parameterize(g: SimpleGraph) -> WellSplitShape:
     """Extract (n2, ell, m) from a connected well-split graph with n >= 2."""
     if g.n < 2:
         raise InvalidShape("parameterization needs at least two vertices")
     if len(connected_components(g)) != 1:
         raise NotConnected("parameterization needs a connected graph")
-    rec = recognize(g)
-    if rec.klass not in (GraphClass.WELL_SPLIT, GraphClass.INDEPENDENT):
-        raise NotWellSplit(f"graph is {rec.klass.value}")
-    split = rec.splitting
-    pend_of = {}
-    for v in sorted(split.v1):
-        nb = g.neighbors(v)
-        if len(nb) != 1:
-            raise NotWellSplit(f"vertex {v} outside the clique has degree {len(nb)}")
-        pend_of.setdefault(next(iter(nb)), []).append(v)
-    clique = sorted(split.v2)
-    order = sorted(clique, key=lambda w: (-len(pend_of.get(w, [])), w))
-    m = tuple(len(pend_of[w]) for w in order if w in pend_of)
-    labels = {}
-    for i, w in enumerate(order, start=1):
-        labels[w] = f"w{i}"
-        for j, v in enumerate(sorted(pend_of.get(w, [])), start=1):
-            labels[v] = f"v{i},{j}"
-    return WellSplitShape(n2=len(clique), ell=len(m), m=m, labels=labels)
+    return read_well_split(g, recognize(g)).shape()
 
 
 def shape_to_graph(shape: WellSplitShape) -> SimpleGraph:

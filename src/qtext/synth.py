@@ -34,18 +34,11 @@ from .texts import (
     uniform_real_flags,
     validate_text,
 )
-from .graphs import (
-    GraphClass,
-    SimpleGraph,
-    graph_of_text,
-    recognize,
-    NotWellSplit,
-)
+from .graphs import SimpleGraph, graph_of_text, read_well_split, recognize
 from .classify import (
     REASON_OK_CLASSICAL,
     SIGNATURE_SCALE,
     Decision,
-    _core_and_pendants,
     decide_translatable,
     decide_zero_translatable,
 )
@@ -64,6 +57,8 @@ from .translation import (
 Q_START = 0.05
 PENALTY_SUCCESS = 1e-16
 MODULUS_CAP = 1.0 - 1e-6
+# largest tablet overlap of the central translation
+CENTRAL_OVERLAP = 0.25
 
 
 class SynthError(ValueError):
@@ -272,7 +267,7 @@ def clone_classical(t: Text, target_output=None) -> TranslationWitness:
     return witness_from_overlaps(t, 0.0, overlaps, target.gram)
 
 
-def central_translate_uniform(t: Text, eps_overlap: float = 0.25) -> TranslationWitness:
+def central_translate_uniform(t: Text) -> TranslationWitness:
     """Closed-form translation of a uniform real efficient text.
 
     The tablet has the same overlap c with every state, so the output is
@@ -287,7 +282,7 @@ def central_translate_uniform(t: Text, eps_overlap: float = 0.25) -> Translation
     n = t.n
     z = float(t.gram[0, 1].real)
     sigma = 1.0 + (n - 1) * z
-    c = min(float(eps_overlap), 0.8 * np.sqrt(sigma / n))
+    c = min(CENTRAL_OVERLAP, 0.8 * np.sqrt(sigma / n))
     overlaps = np.full(n, c, dtype=complex)
     sign = -1.0 if z > 0 else 1.0
     for delta in _delta_schedule(Q_START, 1.0):
@@ -440,7 +435,7 @@ def _finish(t: Text, w: TranslationWitness) -> TranslationWitness:
     if not report.passed:
         raise SearchBudgetExhausted(
             f"constructed witness failed verification: r1={report.r1:.3e}, "
-            f"r2_ok={report.r2_ok}, r3={report.r3}")
+            f"r2_ok={report.r2_ok}, r3={report.r3}, unitarity={report.unitarity}")
     w.residuals = {"eq4": report.r1, "eq2": report.r3}
     return w
 
@@ -513,49 +508,37 @@ def realize_graph(g: SimpleGraph) -> RealizeResult:
     construction is deterministic.
     """
     rec = recognize(g)
-    if rec.klass not in (GraphClass.INDEPENDENT, GraphClass.WELL_SPLIT):
-        raise NotWellSplit(f"graph is {rec.klass.value}")
     if not g.edges:
         t = validate_text(np.eye(g.n, dtype=complex))
         w = witness_from_overlaps(t, 1.0, np.zeros(g.n, dtype=complex),
                                   np.eye(g.n, dtype=complex))
         return RealizeResult(text=t, witness=_finish(t, w))
-    # the component with edges: the core and its pendants, in sorted order
-    core, attach = _core_and_pendants(g, rec)
-    comp = sorted(core + list(attach))
-    pos = {v: i for i, v in enumerate(comp)}
-    clique_local = [pos[v] for v in core]
-    pends_local: dict[int, list[int]] = {}
-    for v, anchor in attach.items():
-        pends_local.setdefault(pos[anchor], []).append(pos[v])
-    n2 = len(core)
-    k = len(comp)
+    parts = read_well_split(g, rec)
+    core = list(parts.core)
+    pend, anch = list(parts.anchors), list(parts.anchors.values())
+    # the component with edges, in sorted order: eigenvalues and the tablet
+    # norm are taken on its block alone
+    comp = sorted(core + pend)
+    block = np.ix_(comp, comp)
 
-    z = -min(0.1, 0.5 / max(1, n2 - 1))
+    z = -min(0.1, 0.5 / max(1, len(core) - 1))
     for _ in range(60):
         zi = 0.3
-        gram_local = None
         for _ in range(60):
-            cand = np.eye(k, dtype=complex)
-            for a in range(n2):
-                for b in range(a + 1, n2):
-                    cand[clique_local[a], clique_local[b]] = z
-                    cand[clique_local[b], clique_local[a]] = z
-            for w_i, vs in pends_local.items():
-                for v in vs:
-                    cand[v, w_i] = zi
-                    cand[w_i, v] = zi
-            if np.linalg.eigvalsh(cand)[0] > 1e-4:
-                gram_local = cand
+            gram = np.eye(g.n, dtype=complex)
+            gram[np.ix_(core, core)] = z
+            gram[core, core] = 1.0
+            gram[pend, anch] = gram[anch, pend] = zi
+            if np.linalg.eigvalsh(gram[block])[0] > 1e-4:
                 break
             zi *= 0.5
-        if gram_local is None:
+        else:
             z *= 0.5
             continue
-        tval = np.sqrt(-z)
-        o_local = np.zeros(k, dtype=complex)
-        o_local[clique_local] = tval
-        s2 = float(np.real(np.vdot(o_local, np.linalg.solve(gram_local, o_local))))
+        o_full = np.zeros(g.n, dtype=complex)
+        o_full[core] = np.sqrt(-z)
+        o_local = o_full[comp]
+        s2 = float(np.real(np.vdot(o_local, np.linalg.solve(gram[block], o_local))))
         if s2 > 0.81:
             z *= 0.5
             continue
@@ -563,23 +546,15 @@ def realize_graph(g: SimpleGraph) -> RealizeResult:
     else:
         raise SynthError("could not realize the graph with a feasible overlap scale")
 
-    Y_local = np.eye(k, dtype=complex)
-    inv_b = 1.0 / (1.0 - z)  # B at every anchor is 1 + Q * t^2 = 1 - z
-    for w_i, vs in pends_local.items():
-        for v in vs:
-            Y_local[v, w_i] = Y_local[w_i, v] = np.sqrt(inv_b)
-        for a in range(len(vs)):
-            for b in range(a + 1, len(vs)):
-                Y_local[vs[a], vs[b]] = Y_local[vs[b], vs[a]] = inv_b
-
-    gram_full = np.eye(g.n, dtype=complex)
-    gram_full[np.ix_(comp, comp)] = gram_local
-    o_full = np.zeros(g.n, dtype=complex)
-    o_full[comp] = o_local
+    # B at every anchor is 1 + Q * t^2 = 1 - z; pendants of one anchor
+    # overlap by 1 / B, a pendant and its anchor by 1 / sqrt(B)
+    inv_b = 1.0 / (1.0 - z)
     Y_full = np.eye(g.n, dtype=complex)
-    Y_full[np.ix_(comp, comp)] = Y_local
+    Y_full[np.ix_(pend, pend)] = np.where(np.equal.outer(anch, anch), inv_b, 0.0)
+    Y_full[pend, pend] = 1.0
+    Y_full[pend, anch] = Y_full[anch, pend] = np.sqrt(inv_b)
 
-    text = validate_text(gram_full)
+    text = validate_text(gram)
     if graph_of_text(text) != g:
         raise SynthError("internal: realized text has the wrong overlap graph")
     witness = witness_from_overlaps(text, 1.0, o_full, Y_full)

@@ -235,8 +235,9 @@ def check_witness(t: Text, w: TranslationWitness) -> WitnessReport:
     """Verify a witness against its text.
 
     Pass requires r1 <= 1e-8, a valid output Gram, and, when a unitary is
-    attached, mapping residual r3 <= 1e-8.  Internal consistency (unit
-    tablet, q vs Q) is enforced with hard errors.
+    attached, mapping residual r3 <= 1e-8 and unitarity defect
+    max |U^H U - I| <= 1e-10.  Internal consistency (unit tablet, q vs Q)
+    is enforced with hard errors.
     """
     if abs(Q_from_q(w.q) - w.Q) > Q_CONSISTENCY_TOL:
         raise QOutOfRange(f"q = {w.q} does not represent Q = {w.Q}")
@@ -266,7 +267,8 @@ def check_witness(t: Text, w: TranslationWitness) -> WitnessReport:
         omegas = build_omega(emb, tablet, w.q)
         targets = _product_targets(out, emb)
         r3 = float(np.max(np.linalg.norm(U @ omegas - targets, axis=0)))
-    passed = bool(r1 <= EQ4_TOL and r2_ok and (r3 is None or r3 <= EQ2_TOL))
+    passed = bool(r1 <= EQ4_TOL and r2_ok and (
+        r3 is None or (r3 <= EQ2_TOL and unitarity <= UNITARITY_TOL)))
     return WitnessReport(r1=r1, r2_ok=r2_ok, r2_error=r2_error,
                          r3=r3, unitarity=unitarity, passed=passed)
 

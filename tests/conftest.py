@@ -7,7 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from qtext import validate_text
+from qtext import TranslationWitness, build_omega, validate_text
+from qtext.translation import _embedding_for_tablet
 
 
 def uniform_gram(n, z):
@@ -33,6 +34,18 @@ def near_zero_gram(n, rng):
     g[iu] = vals
     g[iu[1], iu[0]] = vals.conj()
     return g
+
+
+def off_frame_stretch(t, w):
+    """Copy of a finished witness with unitary U' = U + 0.5 U (I - P P^H),
+    P an orthonormal basis of the frame span: U' maps every frame state as
+    U does, but is not unitary (max |U'^H U' - I| = 1.25)."""
+    omega = build_omega(_embedding_for_tablet(t, len(w.tablet)), w.tablet, w.q)
+    P = np.linalg.svd(omega, full_matrices=False)[0]
+    U = np.asarray(w.unitary)
+    stretched = U + 0.5 * U @ (np.eye(len(U)) - P @ P.conj().T)
+    return TranslationWitness(Q=w.Q, q=w.q, tablet=w.tablet,
+                              output_gram=w.output_gram, unitary=stretched)
 
 
 @pytest.fixture

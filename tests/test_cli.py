@@ -12,7 +12,7 @@ import qtext
 from qtext import io as qio
 from qtext import validate_text
 from qtext.cli import main
-from tests.conftest import uniform_gram
+from tests.conftest import off_frame_stretch, uniform_gram
 
 
 @pytest.fixture
@@ -81,6 +81,19 @@ class TestGraphAnalyze:
         d = json.loads(out)
         assert d["class"] == "NotSplit"
         assert d["forbidden_witness"]["kind"] == "C4"
+
+
+    def test_analyze_recognizes_once(self, capsys, tmp_path, count_calls):
+        # a triangle with two pendants: the report's splitting and its shape
+        # come from one recognition
+        g = str(tmp_path / "g.json")
+        qio.save_graph(qtext.make_graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4)]), g)
+        calls = count_calls(qtext.recognize)
+        code, out, _ = run(capsys, "analyze", "-g", g, "--json")
+        assert code == 0 and len(calls) == 1
+        d = json.loads(out)
+        assert d["shape"] == {"n2": 3, "ell": 2, "m": [1, 1], "labels": {
+            "0": "w1", "1": "w2", "2": "w3", "3": "v1,1", "4": "v2,1"}}
 
 
 class TestClassify:
@@ -177,11 +190,40 @@ class TestTranslateVerify:
         code, _, _ = run(capsys, "verify", "-i", text_file, "-w", w)
         assert code == 3
 
-    def test_forced_sign_failure_exits_4(self, capsys, text_file):
-        # z = 1/2 admits only Q < 0, so a forced Q > 0 is refused up front
-        code, _, err = run(capsys, "translate", "-i", text_file, "--sign", "+")
-        assert code == 4
-        assert "not admissible" in err
+    def test_forced_sign_failure_exits_4(self, capsys, text_file, tmp_path):
+        # z = 1/2 admits only Q < 0 and z = -1/4 only Q > 0, so the other
+        # forced sign is refused up front
+        negative = str(tmp_path / "negative.json")
+        qio.save_text(validate_text(uniform_gram(3, -0.25)), negative)
+        for path, sign in ((text_file, "+"), (negative, "-")):
+            code, _, err = run(capsys, "translate", "-i", path, "--sign", sign)
+            assert code == 4, sign
+            assert "not admissible" in err
+
+    def test_non_unitary_witness_exits_3(self, capsys, text_file, tmp_path):
+        t = qio.load_text(text_file)
+        w = str(tmp_path / "w.json")
+        qio.save_witness(off_frame_stretch(t, qtext.translate(t)), w)
+        code, out, _ = run(capsys, "verify", "-i", text_file, "-w", w, "--json")
+        assert code == 3
+        d = json.loads(out)
+        assert d["r3"] <= 1e-8 and d["unitarity"] > 1e-10 and not d["passed"]
+
+    def test_unpadded_tablet_verifies(self, capsys, tmp_path):
+        # this witness's tablet lies in the span of the states (zero pad
+        # entry), so it can live in the text's own r-dimensional embedding
+        t = qtext.gen_text(qtext.GenSpec(mode="random_efficient", n=3, seed=2))
+        w = qtext.translate(t)
+        assert w.tablet[-1] == 0.0
+        short = qtext.TranslationWitness(Q=w.Q, q=w.q, tablet=w.tablet[:-1],
+                                         output_gram=w.output_gram)
+        short.unitary = qtext.synthesize_unitary(t, short)
+        assert short.unitary.shape == (9, 9)
+        text, wit = str(tmp_path / "t.json"), str(tmp_path / "w.json")
+        qio.save_text(t, text)
+        qio.save_witness(short, wit)
+        code, out, _ = run(capsys, "verify", "-i", text, "-w", wit, "--json")
+        assert code == 0 and json.loads(out)["passed"]
 
     def test_q0_translate(self, capsys, classical_file, tmp_path):
         w = str(tmp_path / "w.json")

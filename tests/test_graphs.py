@@ -21,6 +21,7 @@ from qtext import (
     make_graph,
     maximal_cliques,
     parameterize,
+    read_well_split,
     recognize,
     shape_to_graph,
     split_by_definition,
@@ -179,6 +180,28 @@ class TestParameterize:
         sh = parameterize(g)
         clique = [v for v, lab in sh.labels.items() if lab.startswith("w")]
         assert sorted(clique) in [sorted(c) for c in maximal_cliques(g)]
+
+
+class TestReadWellSplit:
+    def test_core_anchors_and_isolated(self):
+        # triangle 1-2-4, pendants 0 and 5 on 2, pendant 6 on 4, isolated 3
+        g = make_graph(7, [(1, 2), (1, 4), (2, 4), (0, 2), (2, 5), (4, 6)])
+        parts = read_well_split(g, recognize(g))
+        assert parts.core == (1, 2, 4)
+        assert list(parts.anchors.items()) == [(0, 2), (5, 2), (6, 4)]
+        assert parts.isolated == (3,)
+
+    def test_shape_matches_parameterize(self):
+        g = make_graph(6, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4), (1, 5)])
+        assert read_well_split(g, recognize(g)).shape() == parameterize(g)
+
+    @pytest.mark.parametrize("g", [
+        make_graph(3, []), cycle(4),
+        make_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]),  # diamond
+    ])
+    def test_rejects_other_classes(self, g):
+        with pytest.raises(NotWellSplit):
+            read_well_split(g, recognize(g))
 
 
 class TestShapeToGraph:

@@ -226,6 +226,32 @@ class TestTranslate:
         np.testing.assert_allclose(np.abs(w.output_gram[3, :3]), 0, atol=1e-12)
 
 
+    def test_mixed_chain_retries_after_q_overflow(self, monkeypatch):
+        # a uniform 3-core with z = -0.35 and pendants of 0.625 on states 0
+        # and 1: the chain overflows Q = 1 from the first core witness and
+        # lands at Q ~ 0.636 from a core witness of half the start
+        g = np.eye(5, dtype=complex)
+        g[:3, :3] = uniform_gram(3, -0.35)
+        g[0, 3] = g[3, 0] = g[1, 4] = g[4, 1] = 0.625
+        t = validate_text(g)
+        overflows = []
+        attach = synth.attach_classical
+
+        def spy(*args):
+            try:
+                return attach(*args)
+            except QTooLarge:
+                overflows.append(args[3])
+                raise
+
+        monkeypatch.setattr(synth, "attach_classical", spy)
+        w = translate(t)
+        assert len(overflows) >= 1
+        assert w.Q == pytest.approx(0.636, abs=1e-3)
+        rep = check_witness(t, w)
+        assert rep.passed and rep.r3 <= 1e-8 and rep.unitarity <= 1e-10
+
+
 class TestAttachClassical:
     def _base(self):
         base = validate_text(uniform_gram(2, -0.3))
@@ -298,6 +324,22 @@ class TestRealizeGraph:
     def test_rejects_not_well_split(self):
         with pytest.raises(GraphError):
             realize_graph(make_graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]))
+
+    @pytest.mark.parametrize("leaves, z, zi", [
+        (11, -0.05, 0.3),   # the tablet norm exceeds 0.9 once: z halves
+        (12, -0.1, 0.15),   # the first candidate Gram is singular: zi halves
+    ])
+    def test_star_halves_overlap_scale(self, leaves, z, zi):
+        # the splitting puts hub 0 and leaf 1 in the clique; leaves 2.. are
+        # pendants of the hub
+        g = make_graph(leaves + 1, [(0, v) for v in range(1, leaves + 1)])
+        res = realize_graph(g)
+        assert graph_of_text(res.text) == g
+        assert res.text.gram[0, 1] == z
+        np.testing.assert_array_equal(res.text.gram[0, 2:], zi)
+        assert res.witness.Q == 1.0
+        rep = check_witness(res.text, res.witness)
+        assert rep.passed and rep.unitarity <= 1e-10
 
     def test_deterministic(self):
         g = make_graph(4, [(0, 1), (0, 2), (0, 3)])

@@ -28,7 +28,7 @@ from qtext import (
 from qtext import translation
 from qtext.synth import _forced_output
 from qtext.translation import _null_space
-from tests.conftest import uniform_gram
+from tests.conftest import off_frame_stretch, uniform_gram
 
 
 class TestQParameter:
@@ -191,6 +191,12 @@ class TestCheckWitness:
         rep = check_witness(uniform3, bad)
         assert not rep.passed
         assert rep.unitarity > 1e-10
+        # a unitary defect alone fails the check: the stretched unitary maps
+        # every frame state exactly, so r1 and r3 stay at rounding level
+        rep = check_witness(uniform3, off_frame_stretch(uniform3, w))
+        assert rep.r1 <= 1e-8 and rep.r2_ok and rep.r3 <= 1e-8
+        assert rep.unitarity == pytest.approx(1.25)
+        assert not rep.passed
 
     def test_witness_without_unitary_passes(self, uniform3):
         w = translate(uniform3)
