@@ -53,8 +53,8 @@ gram[0, 1] = gram[1, 0] = 0.5
 gram[1, 2] = gram[2, 1] = 0.2
 t = validate_text(gram)
 d = decide_translatable(t)
-print(f"decision: {d.reason}; core={sorted(d.decomposition.quantum_part)} "
-      f"pendants={dict(d.decomposition.attachment)}")
+print(f"decision: {d.reason}; core={list(d.decomposition.core)} "
+      f"pendants={d.decomposition.anchors}")
 w = translate(t)
 rep = check_witness(t, w)
 print(f"witness Q = {w.Q:+.4f} (pendants force Q > 0), "

@@ -18,6 +18,7 @@ import numpy as np
 from .texts import Text, null_index_set, subtext, text_properties
 from .graphs import (
     ForbiddenWitness,
+    WellSplitParts,
     graph_of_text,
     read_well_split,
     recognize,
@@ -103,26 +104,14 @@ def hadamard_inverse_signature(t: Text) -> EigenSignature:
 
 
 @dataclass(frozen=True)
-class Decomposition:
-    """How the state set splits for synthesis.
-
-    classical_part : states orthogonal to the rest of their surroundings
-                     (isolated states plus pendants)
-    quantum_part   : the complete core
-    attachment     : pendant index -> its unique non-orthogonal core index
-    """
-
-    classical_part: frozenset[int]
-    quantum_part: frozenset[int]
-    attachment: dict[int, int]
-
-
-@dataclass(frozen=True)
 class Decision:
+    """The answer for one text; `decomposition` is the well-split read-off
+    of its overlap graph (every state isolated for a classical text)."""
+
     translatable: bool
     reason: str
     signature: EigenSignature | None = None
-    decomposition: Decomposition | None = None
+    decomposition: WellSplitParts | None = None
     sign_constraint: frozenset[int] | None = None
     forbidden_witness: ForbiddenWitness | None = None
 
@@ -139,38 +128,30 @@ def decide_translatable(t: Text) -> Decision:
         return Decision(translatable=False, reason=REASON_NOT_EFFICIENT)
     g = graph_of_text(t)
     if not g.edges:
-        return Decision(
-            translatable=True, reason=REASON_OK_CLASSICAL,
-            decomposition=Decomposition(
-                classical_part=frozenset(range(t.n)),
-                quantum_part=frozenset(), attachment={}),
-            sign_constraint=None)
+        return Decision(translatable=True, reason=REASON_OK_CLASSICAL,
+                        decomposition=_all_isolated(t.n), sign_constraint=None)
     rec = recognize(g)
     if rec.witness is not None:  # not split, or split but not well-split
         return Decision(translatable=False, reason=REASON_NOT_WELL_SPLIT,
                         forbidden_witness=rec.witness)
     parts = read_well_split(g, rec)
     sig = hadamard_inverse_signature(subtext(t, parts.core))
-    decomp = Decomposition(
-        classical_part=rec.splitting.v1,
-        quantum_part=frozenset(parts.core),
-        attachment=parts.anchors)
     if not parts.anchors:
         # No pendants: the edges form a complete core; only the spectral test is left.
         if sig.admissible_signs:
             return Decision(translatable=True, reason=REASON_OK_FULLY_QUANTUM,
-                            signature=sig, decomposition=decomp,
+                            signature=sig, decomposition=parts,
                             sign_constraint=sig.admissible_signs)
         return Decision(translatable=False, reason=REASON_SIGNATURE_FAIL,
-                        signature=sig, decomposition=decomp,
+                        signature=sig, decomposition=parts,
                         sign_constraint=sig.admissible_signs)
     # pendants force Q > 0 whether or not the core signature allows it
     if +1 in sig.admissible_signs:
         return Decision(translatable=True, reason=REASON_OK_MIXED,
-                        signature=sig, decomposition=decomp,
+                        signature=sig, decomposition=parts,
                         sign_constraint=frozenset({+1}))
     return Decision(translatable=False, reason=REASON_CORE_SIGN_FAIL,
-                    signature=sig, decomposition=decomp,
+                    signature=sig, decomposition=parts,
                     sign_constraint=frozenset({+1}))
 
 
@@ -182,10 +163,12 @@ def decide_zero_translatable(t: Text) -> Decision:
     """
     props = text_properties(t)
     if props.classical:
-        return Decision(
-            translatable=True, reason=REASON_OK_CLASSICAL,
-            decomposition=Decomposition(
-                classical_part=frozenset(range(t.n)),
-                quantum_part=frozenset(), attachment={}),
-            sign_constraint=frozenset({0}))
+        return Decision(translatable=True, reason=REASON_OK_CLASSICAL,
+                        decomposition=_all_isolated(t.n),
+                        sign_constraint=frozenset({0}))
     return Decision(translatable=False, reason=REASON_Q0_NOT_CLASSICAL)
+
+
+def _all_isolated(n: int) -> WellSplitParts:
+    """The read-off of an edgeless graph on n vertices."""
+    return WellSplitParts(core=(), anchors={}, isolated=tuple(range(n)))

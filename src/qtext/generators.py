@@ -73,6 +73,8 @@ def gen_text(spec: GenSpec) -> Text:
         return validate_text(_row_dominant(spec.n, rng))
     if spec.mode == "uniform":
         n = spec.n
+        if n < 2:
+            raise InfeasibleSpec(f"uniform mode needs n >= 2, got {n}")
         if spec.z is None:
             # keep away from the PSD boundary and from zero
             lo = -1.0 / (n - 1) + 0.02
@@ -81,7 +83,7 @@ def gen_text(spec: GenSpec) -> Text:
                 z = float(rng.uniform(lo, 0.95))
         else:
             z = float(spec.z)
-        if n < 2 or not (-1.0 / (n - 1) < z < 1.0) or z == 0.0:
+        if not (-1.0 / (n - 1) < z < 1.0) or z == 0.0:
             raise InfeasibleSpec(
                 f"uniform overlap must lie in (-1/{n - 1}, 1) minus 0, got {z}")
         gram = np.full((n, n), complex(z))

@@ -9,12 +9,15 @@ division each V1 vertex has at most one neighbour.  Equivalently, the
 graph avoids four induced subgraphs: two disjoint edges, the 4-cycle, the
 diamond (K4 minus an edge), and the 5-cycle.
 
-`recognize` decides splitness from the degree sequence (Hammer & Simeone,
-*The splittance of a graph*, 1981) and well-splitness from one splitting.
-Only a refusal searches for a forbidden induced subgraph, and it reports
-the first one in lexicographic subset order.  `read_well_split` is the one
-read-off of an accepted graph's recognition: its clique core, pendant
-anchors and isolated vertices.
+`recognize` reads splitness and one splitting off the degree order
+(Hammer & Simeone, *The splittance of a graph*, 1981) and decides
+well-splitness from that splitting.  Only a refusal searches for a
+forbidden induced subgraph, and it reports the first one in lexicographic
+subset order.  `read_well_split` is the one read-off of an accepted
+graph's recognition: its clique core, pendant anchors and isolated
+vertices.  `maximal_cliques`, `all_splittings` and `split_by_definition`
+enumerate from the definitions; they are referees for tests and demos,
+and no request path calls them.
 """
 
 from __future__ import annotations
@@ -188,15 +191,23 @@ def _first_forbidden(g: SimpleGraph, kinds: tuple[str, ...],
     return None
 
 
-def _is_split(g: SimpleGraph) -> bool:
-    """Hammer-Simeone degree-sequence test.
+def _splitting(g: SimpleGraph) -> Splitting | None:
+    """The splitting read off the degree order, or None when g is not split.
 
-    With degrees d_1 >= ... >= d_n and m = max{i : d_i >= i - 1}, the
-    graph is split iff sum_{i<=m} d_i = m(m - 1) + sum_{i>m} d_i.
+    With the vertices ordered by (-degree, index), degrees d_0 >= d_1 >= ...
+    and m = #{i : d_i >= i}, g is split iff sum_{i<m} d_i = m(m - 1) +
+    sum_{i>=m} d_i (Hammer-Simeone), and then the first m vertices K are a
+    maximal clique with an independent complement.  Any other such
+    splitting is K - u + v with u in K and v outside, both of degree m - 1,
+    so u precedes v in the order and u < v.  K thus holds the hub (the
+    first vertex) and is the lexicographically smallest v2 that does.
     """
-    d = sorted((g.degree(v) for v in range(g.n)), reverse=True)
+    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    d = [g.degree(v) for v in order]
     m = sum(1 for i, di in enumerate(d) if di >= i)
-    return sum(d[:m]) == m * (m - 1) + sum(d[m:])
+    if sum(d[:m]) != m * (m - 1) + sum(d[m:]):
+        return None
+    return Splitting(v1=frozenset(order[m:]), v2=frozenset(order[:m]))
 
 
 def maximal_cliques(g: SimpleGraph) -> list[frozenset[int]]:
@@ -228,17 +239,6 @@ def all_splittings(g: SimpleGraph) -> list[Splitting]:
     return out
 
 
-def _deterministic_splitting(g: SimpleGraph) -> Splitting | None:
-    """Splitting whose v2 contains the highest-degree vertex, ties by index,
-    then by lexicographically smallest v2."""
-    cands = all_splittings(g)
-    if not cands:
-        return None
-    hub = min(range(g.n), key=lambda v: (-g.degree(v), v))
-    cands.sort(key=lambda s: (hub not in s.v2, sorted(s.v2)))
-    return cands[0]
-
-
 def split_by_definition(g: SimpleGraph) -> tuple[bool, bool]:
     """(is_split, is_well_split) straight from the definitions.
 
@@ -264,23 +264,21 @@ def recognize(g: SimpleGraph) -> RecognitionResult:
     """Classify a graph as Independent (no edges), WellSplit,
     SplitNotWellSplit or NotSplit.
 
-    Splitness comes from the Hammer-Simeone degree-sequence test.  A split
-    graph gets the deterministic Splitting, whose v2 is a maximal clique;
-    it is well-split iff every v1 vertex has degree <= 1.  (A v1 vertex a
-    with neighbours c, d and a clique vertex b outside N(a), which exists
+    Splitness and the Splitting come from one degree order (Hammer-Simeone,
+    see `_splitting`).  v2 is a maximal clique, and a split graph is
+    well-split iff every v1 vertex has degree <= 1.  (A v1 vertex a with
+    neighbours c, d and a clique vertex b outside N(a), which exists
     because v2 is maximal, induce a diamond; conversely every diamond puts
     a vertex of degree >= 2 into v1 of every splitting.)  Only a graph that
     is not well-split is searched for its ForbiddenWitness: the first
     induced 2K2 or C4, else the first C5, when not split; the first
     diamond when split.  "First" is in lexicographic subset order.
     """
-    if not _is_split(g):
+    splitting = _splitting(g)
+    if splitting is None:
         witness = (_first_forbidden(g, ("TwoK2", "C4"), 1)
                    or _first_forbidden(g, ("C5",), 2))
         return RecognitionResult(GraphClass.NOT_SPLIT, None, _certified(witness))
-    splitting = _deterministic_splitting(g)
-    if splitting is None:
-        raise GraphError("internal: degree test says split but no splitting exists")
     if any(g.degree(v) > 1 for v in splitting.v1):
         witness = _first_forbidden(g, ("Diamond",), 2)
         return RecognitionResult(GraphClass.SPLIT_NOT_WELL_SPLIT, splitting,
@@ -313,7 +311,9 @@ class WellSplitShape:
 @dataclass(frozen=True)
 class WellSplitParts:
     """The clique core, the pendant -> anchor map and the isolated vertices
-    of a well-split graph with edges, each in increasing vertex order."""
+    of a well-split graph, each in increasing vertex order.  An edgeless
+    graph (a classical text) has an empty core, no anchors and every
+    vertex isolated."""
 
     core: tuple[int, ...]
     anchors: dict[int, int]
@@ -341,9 +341,9 @@ def read_well_split(g: SimpleGraph, rec: RecognitionResult) -> WellSplitParts:
     v1 of the splitting holds the pendants (degree 1) and the isolated
     vertices (degree 0).  Restricted to the one component with edges, the
     splitting is the one `recognize` would give that component alone:
-    isolated vertices never enter v2, and neither the hub nor the
-    lexicographic order of the candidate cliques changes.  Raises
-    NotWellSplit for any other class.
+    isolated vertices come last in the degree order with degree 0, so they
+    change neither m nor the first m vertices.  Raises NotWellSplit for any
+    other class, the edgeless Independent one included.
     """
     if rec.klass is not GraphClass.WELL_SPLIT:
         raise NotWellSplit(f"graph is {rec.klass.value}")

@@ -54,9 +54,18 @@ def text_to_dict(t: Text) -> dict:
     return {"n": t.n, "gram": matrix_to_json(t.gram)}
 
 
+def _checked(x, types: tuple, what: str):
+    """`x` if its type is one of `types` (a JSON boolean is no int), else
+    ValueError."""
+    if type(x) not in types:
+        raise ValueError(f"{what} must be {'/'.join(t.__name__ for t in types)}, "
+                         f"got {x!r}")
+    return x
+
+
 def text_from_dict(d: dict) -> Text:
     t = validate_text(matrix_from_json(d["gram"]))
-    if "n" in d and int(d["n"]) != t.n:
+    if "n" in d and _checked(d["n"], (int,), "n") != t.n:
         raise ValueError(f"declared n = {d['n']} but gram is {t.n} x {t.n}")
     return t
 
@@ -66,7 +75,9 @@ def graph_to_dict(g: SimpleGraph) -> dict:
 
 
 def graph_from_dict(d: dict) -> SimpleGraph:
-    return make_graph(int(d["n"]), [tuple(e) for e in d["edges"]])
+    edges = [[_checked(v, (int,), "an edge label") for v in _checked(e, (list,), "edge")]
+             for e in _checked(d["edges"], (list,), "edges")]
+    return make_graph(_checked(d["n"], (int,), "n"), edges)
 
 
 def witness_to_dict(w: TranslationWitness) -> dict:
@@ -86,16 +97,14 @@ def witness_to_dict(w: TranslationWitness) -> dict:
 
 def witness_from_dict(d: dict) -> TranslationWitness:
     tablet = vector_from_json(d["tablet"])
-    if len(tablet) != int(d["embedding_dim"]):
+    if len(tablet) != _checked(d["embedding_dim"], (int,), "embedding_dim"):
         raise ValueError("embedding_dim does not match the tablet length")
-    Q = float(d["Q"])
-    q = complex(d["q"][0], d["q"][1]) if d.get("q") is not None else q_from_Q(Q)
+    Q = float(_checked(d["Q"], (int, float), "Q"))
+    q = q_from_Q(Q) if d.get("q") is None else complex(_complex_from_json(d["q"], 0))
     output = matrix_from_json(d["output_gram"])
     unitary = None if d.get("unitary") is None else matrix_from_json(d["unitary"])
-    residuals = {
-        "eq4": d.get("residuals", {}).get("eq4"),
-        "eq2": d.get("residuals", {}).get("eq2"),
-    }
+    stored = _checked(d.get("residuals", {}), (dict,), "residuals")
+    residuals = {"eq4": stored.get("eq4"), "eq2": stored.get("eq2")}
     return TranslationWitness(Q=Q, q=q, tablet=tablet, output_gram=output,
                               unitary=unitary, residuals=residuals)
 
@@ -111,11 +120,12 @@ def decision_to_dict(d: Decision) -> dict:
             "det_nonzero": d.signature.det_nonzero,
         }
     decomp = None
-    if d.decomposition is not None:
+    parts = d.decomposition
+    if parts is not None:
         decomp = {
-            "classical_part": sorted(d.decomposition.classical_part),
-            "quantum_part": sorted(d.decomposition.quantum_part),
-            "attachment": {str(k): v for k, v in sorted(d.decomposition.attachment.items())},
+            "classical_part": sorted([*parts.anchors, *parts.isolated]),
+            "quantum_part": list(parts.core),
+            "attachment": {str(k): v for k, v in parts.anchors.items()},
         }
     witness = None
     if d.forbidden_witness is not None:
@@ -142,8 +152,10 @@ def dump_json(obj, path: str | None) -> None:
 
 
 def load_json(path: str) -> dict:
+    """The JSON object in a file; ValueError for malformed JSON or any other
+    top-level value."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return _checked(json.load(fh), (dict,), "the top-level JSON value")
 
 
 def load_text(path: str) -> Text:

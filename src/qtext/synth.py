@@ -386,9 +386,11 @@ def _scatter_witness(t: Text, order: list[int],
     return witness_from_overlaps(t, w_local.Q, o_full, Y_full)
 
 
-def _mixed_witness(t: Text, core: list[int], pendants: list[int],
-                   attachment: dict[int, int]) -> tuple[list[int], TranslationWitness]:
-    """Chain of attachments over the core witness, shrinking Q on overflow."""
+def _mixed_witness(t: Text, core: list[int],
+                   anchors: dict[int, int]) -> tuple[list[int], TranslationWitness]:
+    """Chain of attachments over the core witness, one pendant at a time in
+    the order of `anchors` (pendant -> core anchor), shrinking Q on
+    overflow."""
     t_core = subtext(t, core)
     start = Q_START
     for _ in range(60):
@@ -399,8 +401,8 @@ def _mixed_witness(t: Text, core: list[int], pendants: list[int],
         order = list(core)
         t_cur = t_core
         try:
-            for p in pendants:
-                anchor_pos = order.index(attachment[p])
+            for p, anchor in anchors.items():
+                anchor_pos = order.index(anchor)
                 w_cur = attach_classical(w_cur, t_cur, t.gram[p, order], anchor_pos)
                 order.append(p)
                 t_cur = subtext(t, order)
@@ -466,12 +468,9 @@ def _construct(t: Text, force_sign: int | None, q0: bool) -> TranslationWitness:
                 f"sign(Q) = {force_sign} is not admissible for this text; "
                 f"admissible: {sorted(signs)}")
         signs = frozenset({force_sign})
-    decomp = decision.decomposition
-    pendants = sorted(decomp.attachment)
-    core = sorted(decomp.quantum_part)
-    isolated = decomp.classical_part - set(decomp.attachment)
-
-    if not pendants:
+    parts = decision.decomposition
+    core = list(parts.core)
+    if not parts.anchors:
         t_core = subtext(t, core)
         # the decision found the core efficient: only its shape is new
         uniform, real_text = uniform_real_flags(t_core)
@@ -487,9 +486,9 @@ def _construct(t: Text, force_sign: int | None, q0: bool) -> TranslationWitness:
                     f"construction failed; best penalty {out.best_penalty:.3e} "
                     f"after {out.evaluations} evaluations")
             w_core = out.witness
-        return _scatter_witness(t, core, w_core) if isolated else w_core
-    # the chain's order: core first, then pendants in attachment order
-    order, w_chain = _mixed_witness(t, core, pendants, decomp.attachment)
+        return _scatter_witness(t, core, w_core) if parts.isolated else w_core
+    # the chain's order: core first, then the pendants in increasing order
+    order, w_chain = _mixed_witness(t, core, parts.anchors)
     return _scatter_witness(t, order, w_chain)
 
 

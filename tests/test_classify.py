@@ -111,7 +111,8 @@ class TestDecide:
         assert d.translatable and d.reason == "OK_CLASSICAL"
         # no constraint at all: any Q clones an orthogonal family
         assert d.sign_constraint is None
-        assert d.decomposition.classical_part == {0, 1, 2, 3}
+        assert d.decomposition.core == ()
+        assert d.decomposition.isolated == (0, 1, 2, 3)
 
     def test_not_efficient(self):
         # uniform z = -1/2 on three states is singular
@@ -128,8 +129,8 @@ class TestDecide:
         d = decide_translatable(validate_text(uniform_gram(3, 0.5)))
         assert d.translatable and d.reason == "OK_FULLY_QUANTUM"
         assert d.sign_constraint == {-1}
-        assert d.decomposition.quantum_part == {0, 1, 2}
-        assert d.decomposition.classical_part == frozenset()
+        assert d.decomposition.core == (0, 1, 2)
+        assert d.decomposition.anchors == {} and d.decomposition.isolated == ()
 
     def test_signature_fail(self):
         t = gen_text(GenSpec(mode="untranslatable4", seed=0))
@@ -143,8 +144,8 @@ class TestDecide:
         assert d.translatable and d.reason == "OK_MIXED"
         assert d.sign_constraint == {+1}
         # chain 0-1-2: vertex 1 is the hub, one end becomes the pendant
-        assert d.decomposition.attachment == {2: 1}
-        assert d.decomposition.quantum_part == {0, 1}
+        assert d.decomposition.anchors == {2: 1}
+        assert d.decomposition.core == (0, 1)
 
     def test_core_sign_fail(self):
         # pendant on a uniform-(1/2) triangle: the core admits only -1,
@@ -161,7 +162,7 @@ class TestDecide:
         g[:3, :3] = path3.gram
         d = decide_translatable(validate_text(g))
         assert d.translatable and d.reason == "OK_MIXED"
-        assert 3 in d.decomposition.classical_part
+        assert d.decomposition.isolated == (3,)
 
     def test_permutation_invariance(self):
         t = gen_text(GenSpec(mode="untranslatable4", seed=1))

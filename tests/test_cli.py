@@ -272,6 +272,13 @@ class TestRealizeGen:
             assert code == 0, mode
             qio.load_text(p)  # parses and validates
 
+    @pytest.mark.parametrize("n", ["0", "1"])
+    def test_gen_uniform_needs_two_states(self, capsys, tmp_path, n):
+        code, _, err = run(capsys, "gen", "--mode", "uniform", "--n", n,
+                           "-o", str(tmp_path / "t.json"), "--json")
+        assert code == 2
+        assert json.loads(err)["error"] == "InfeasibleSpec"
+
     def test_gen_from_graph(self, capsys, tmp_path):
         g = str(tmp_path / "g.json")
         p = str(tmp_path / "t.json")
@@ -282,6 +289,50 @@ class TestRealizeGen:
         assert code == 0
         t = qio.load_text(p)
         assert abs(t.gram[0, 1]) > 1e-9 and abs(t.gram[0, 2]) <= 1e-9
+
+
+GRAM3 = qio.text_to_dict(validate_text(uniform_gram(3, 0.5)))["gram"]
+
+
+class TestMalformedJson:
+    """Well-formed JSON of the wrong shape is invalid input (exit 2), never
+    a traceback.  BAD is the malformed file, TEXT a valid text."""
+
+    @pytest.mark.parametrize("argv, payload", [
+        (["validate", "-i", "BAD"], [1, 2]),
+        (["validate", "-i", "BAD"], None),
+        (["classify", "-i", "BAD"], [1, 2]),
+        (["translate", "-i", "BAD"], [1, 2]),
+        (["classify", "-i", "BAD"], {"n": "3", "gram": GRAM3}),
+        (["classify", "-i", "BAD"], {"n": 3.0, "gram": GRAM3}),
+        (["analyze", "-g", "BAD"], [1, 2]),
+        (["analyze", "-g", "BAD"], {"n": 2, "edges": [[0, 0.5]]}),
+        (["analyze", "-g", "BAD"], {"n": 2, "edges": [1]}),
+        (["analyze", "-g", "BAD"], {"n": 2.7, "edges": [[0, 1]]}),
+        (["analyze", "-g", "BAD"], {"n": True, "edges": []}),
+        (["realize", "-g", "BAD"], {"n": 2, "edges": [["0", "1"]]}),
+        (["gen", "--mode", "from_graph", "-g", "BAD"], {"n": 2, "edges": [[0, 0.5]]}),
+        (["verify", "-i", "TEXT", "-w", "BAD"], [1, 2]),
+        # a valid witness with one field replaced
+        (["verify", "-i", "TEXT", "-w", "BAD"], lambda w: {**w, "q": 5}),
+        (["verify", "-i", "TEXT", "-w", "BAD"], lambda w: {**w, "q": ["0.1", 0]}),
+        (["verify", "-i", "TEXT", "-w", "BAD"], lambda w: {**w, "Q": None}),
+        (["verify", "-i", "TEXT", "-w", "BAD"],
+         lambda w: {**w, "embedding_dim": float(w["embedding_dim"])}),
+        (["verify", "-i", "TEXT", "-w", "BAD"], lambda w: {**w, "residuals": [0, 0]}),
+    ])
+    def test_exits_2_with_json_error(self, capsys, tmp_path, text_file, argv, payload):
+        if callable(payload):
+            w = str(tmp_path / "w.json")
+            assert run(capsys, "translate", "-i", text_file, "-o", w)[0] == 0
+            payload = payload(qio.load_json(w))
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        files = {"BAD": str(bad), "TEXT": text_file}
+        code, _, err = run(capsys, *[files.get(a, a) for a in argv],
+                           "-o", str(tmp_path / "out.json"), "--json")
+        assert code == 2, err
+        assert json.loads(err)["error"] == "ValueError"
 
 
 class TestParsing:

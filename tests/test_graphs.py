@@ -8,9 +8,11 @@ import pytest
 from qtext import (
     ForbiddenWitness,
     GraphClass,
+    GraphError,
     InvalidShape,
     NotConnected,
     NotWellSplit,
+    Splitting,
     WellSplitShape,
     all_splittings,
     connected_components,
@@ -22,11 +24,14 @@ from qtext import (
     maximal_cliques,
     parameterize,
     read_well_split,
+    realize_graph,
     recognize,
     shape_to_graph,
     split_by_definition,
     validate_text,
 )
+from qtext import io as qio
+from qtext.cli import main
 from tests.conftest import near_zero_gram
 
 
@@ -40,6 +45,21 @@ def cycle(n):
 
 def complete(n):
     return make_graph(n, itertools.combinations(range(n), 2))
+
+
+def all_graphs(n):
+    pairs = list(itertools.combinations(range(n), 2))
+    for bits in range(1 << len(pairs)):
+        yield make_graph(n, [p for k, p in enumerate(pairs) if bits >> k & 1])
+
+
+def referee_splitting(g):
+    """The splitting `recognize` must return, straight from its rule: of
+    all splittings, the one whose v2 holds the hub (highest degree, then
+    lowest index), then the lexicographically smallest v2; None if none."""
+    hub = min(range(g.n), key=lambda v: (-g.degree(v), v))
+    return min(all_splittings(g), key=lambda s: (hub not in s.v2, sorted(s.v2)),
+               default=None)
 
 
 class TestGraphOfText:
@@ -148,6 +168,17 @@ class TestSplittings:
         g = make_graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
         cl = sorted(sorted(c) for c in maximal_cliques(g))
         assert cl == [[0, 1, 2], [1, 2, 3]]
+
+    def test_diamond_takes_the_first_clique_holding_the_hub(self):
+        # K4 minus {0, 3}: both cliques hold the hub 1; {0, 1, 2} comes first
+        g = make_graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
+        assert recognize(g).splitting == Splitting(v1=frozenset({3}),
+                                                   v2=frozenset({0, 1, 2}))
+
+    def test_recognize_splitting_matches_referee_to_n6(self):
+        for n in range(1, 7):
+            for g in all_graphs(n):
+                assert recognize(g).splitting == referee_splitting(g), g.edges
 
 
 class TestParameterize:
@@ -325,6 +356,7 @@ class TestRecognizeAgainstReferees:
             for g in seeded_graphs(n, rng):
                 rec = recognize(g)
                 seen.add(rec.klass)
+                assert rec.splitting == referee_splitting(g), g.edges
                 is_split, is_well = split_by_definition(g)
                 assert (rec.klass is not GraphClass.NOT_SPLIT) == is_split, g.edges
                 assert (rec.klass in (GraphClass.WELL_SPLIT,
@@ -393,12 +425,39 @@ class TestDecideRecognizesOnce:
         assert len(calls) == len(texts)
 
 
+class TestRequestPathsRunNoReferee:
+    def test_no_clique_enumeration(self, count_calls, tmp_path):
+        graphs = [
+            complete(5),
+            # a 4-clique with pendants on 0 and 1, plus an isolated vertex
+            make_graph(8, list(itertools.combinations(range(4), 2))
+                       + [(0, 4), (0, 5), (1, 6)]),
+            make_graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]),
+            cycle(4),
+        ]
+        texts = [text_of_graph(g, -0.1) for g in graphs]
+        cliques = count_calls(maximal_cliques)
+        splittings = count_calls(all_splittings)
+        out = str(tmp_path / "report.json")
+        for g, t in zip(graphs, texts):
+            decide_translatable(t)
+            for request in (realize_graph, parameterize):
+                try:
+                    request(g)
+                except GraphError:  # not well-split, or not connected
+                    pass
+            path = str(tmp_path / "g.json")
+            qio.save_graph(g, path)
+            assert main(["analyze", "-g", path, "-o", out]) == 0
+        assert cliques == [] and splittings == []
+
+
 class TestDecideAt64:
     def test_uniform(self):
         t = validate_text(np.full((64, 64), 0.3) + 0.7 * np.eye(64))
         d = decide_translatable(t)
         assert d.reason == "OK_FULLY_QUANTUM"
-        assert d.decomposition.quantum_part == frozenset(range(64))
+        assert d.decomposition.core == tuple(range(64))
 
     def test_mixed_well_split(self):
         # 36-clique, four pendants on each of w0..w5, four isolated states,
@@ -409,7 +468,7 @@ class TestDecideAt64:
         g = relabeled(make_graph(64, edges), perm)
         d = decide_translatable(text_of_graph(g, -0.01))
         assert d.reason == "OK_MIXED"
-        assert d.decomposition.quantum_part == {perm[v] for v in range(36)}
-        assert d.decomposition.attachment == {
+        assert d.decomposition.core == tuple(sorted(perm[v] for v in range(36)))
+        assert d.decomposition.anchors == {
             perm[36 + k]: perm[k // 4] for k in range(24)}
-        assert d.decomposition.classical_part == {perm[v] for v in range(36, 64)}
+        assert d.decomposition.isolated == tuple(sorted(perm[v] for v in range(60, 64)))
