@@ -233,9 +233,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("translate", help="construct and verify a witness")
     add_common(p, inp=True)
-    p.add_argument("--q0", action="store_true", help="clone classical texts only")
-    p.add_argument("--sign", choices=["+", "-"], default=None,
-                   help="force the sign of Q (exit 4 if it is not admissible)")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--q0", action="store_true", help="clone classical texts only")
+    mode.add_argument("--sign", choices=["+", "-"], default=None,
+                      help="force the sign of Q (exit 4 if it is not admissible)")
     p.set_defaults(func=_cmd_translate)
 
     p = sub.add_parser("realize", help="build a text realizing a graph")

@@ -13,12 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .texts import Text, embed_text, null_index_set, psd_tol, validate_text
+from .texts import DISTINCT_TOL, Text, embed_text, null_index_set, psd_tol, validate_text
 from .graphs import SimpleGraph, graph_of_text
-from .translation import TranslationWitness, overlap_residual, q_from_Q
+from .translation import (B_FLOOR, EQ4_TOL, MODULUS_CAP, TranslationWitness,
+                          overlap_residual, q_from_Q)
 from .classify import hadamard_inverse_signature
-
-MODULUS_CAP = 1.0 - 1e-6
 
 
 class InfeasibleSpec(ValueError):
@@ -176,8 +175,8 @@ def oracle_feasible(t: Text, samples: int = 100000, seed: int = 0,
         nonlocal best
         A = tablets @ E.conj()
         B = 1.0 + Q[:, None] * np.abs(A) ** 2
-        okB = B.min(axis=1) > 1e-12
-        safeB = np.where(B > 1e-12, B, 1.0)
+        okB = B.min(axis=1) > B_FLOOR
+        safeB = np.where(B > B_FLOOR, B, 1.0)
         num = z[None, :, :] + Q[:, None, None] * (A[:, :, None] * A.conj()[:, None, :])
         den = np.sqrt(safeB[:, :, None] * safeB[:, None, :])
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -189,14 +188,14 @@ def oracle_feasible(t: Text, samples: int = 100000, seed: int = 0,
         offmod = np.abs(upper)
         modpen = np.sum(np.maximum(0.0, offmod - MODULUS_CAP) ** 2, axis=1)
         partial = modpen
-        passes = offmod.max(axis=1, initial=0.0) < 1.0 - 1e-12
+        passes = offmod.max(axis=1, initial=0.0) < 1.0 - DISTINCT_TOL
         if free_i.size:
             # orthogonal input pairs still constrain the tablet:
             # |Q a_i conj(a_j)| must vanish there (output entry stays free)
             nullres = np.abs(Q[:, None] * A[:, free_i] * A.conj()[:, free_j])
-            nullpen = np.sum(np.maximum(0.0, nullres - 1e-8) ** 2, axis=1)
+            nullpen = np.sum(np.maximum(0.0, nullres - EQ4_TOL) ** 2, axis=1)
             partial = modpen + nullpen
-            passes &= nullres.max(axis=1) <= 1e-8
+            passes &= nullres.max(axis=1) <= EQ4_TOL
         # a NaN partial sum keeps its sample
         kept = np.flatnonzero(okB & (passes | ~(partial >= best)))
         # Y and eigvalsh for the kept samples only; eigvalsh reads the
@@ -218,7 +217,7 @@ def oracle_feasible(t: Text, samples: int = 100000, seed: int = 0,
     def record(Q, tablet, Y, A) -> bool:
         nonlocal witness
         r1 = overlap_residual(t, float(Q), A, Y)
-        if r1 > 1e-8:
+        if r1 > EQ4_TOL:
             return False
         accepted_Q.append(float(Q))
         if witness is None:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -26,8 +27,14 @@ def _complex_to_json(a) -> list:
 def _complex_from_json(pairs, ndim: int) -> np.ndarray:
     """Inverse of `_complex_to_json` for an array of `ndim` dimensions."""
     a = np.asarray(pairs)
-    if a.dtype.kind not in "biuf" or a.ndim != ndim + 1 or a.shape[-1] != 2:
+    if a.dtype.kind not in "iuf" or a.ndim != ndim + 1 or a.shape[-1] != 2:
         raise ValueError(f"expected a {ndim}-d array of [re, im] number pairs")
+    # np.asarray reads a JSON boolean among numbers as 0 or 1
+    numbers = pairs
+    for _ in range(ndim):
+        numbers = chain.from_iterable(numbers)
+    if bool in map(type, numbers):
+        raise ValueError("a JSON boolean is not a number")
     out = np.empty(a.shape[:-1], dtype=complex)
     out.real = a[..., 0]
     out.imag = a[..., 1]

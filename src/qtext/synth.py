@@ -8,8 +8,8 @@ Four construction routes, dispatched by `translate`, all in closed form:
   exceptional eigenvector of the reciprocal Gram matrix (stepped into the
   cone of valid directions when that eigenvector has a zero entry);
 * mixed texts translate their complete core with Q > 0 and then absorb the
-  pendant states one attachment at a time; isolated states join as a free
-  classical summand at the end.
+  pendant states one attachment at a time, each on a subtext of the input;
+  isolated states join as a free classical summand at the end.
 
 The builders return bare witnesses: no unitary and no residuals.
 `translate` and `realize_graph` end in one finishing step, `_finish`, which
@@ -27,6 +27,7 @@ import scipy  # unused here; perfbench/tracing.py patches synth.scipy.optimize
 from .texts import (
     Text,
     SizeMismatch,
+    _orthogonal,
     embed_text,
     psd_tol,
     subtext,
@@ -52,11 +53,11 @@ from .translation import (
     tablet_overlaps,
     witness_from_overlaps,
     B_FLOOR,
+    MODULUS_CAP,
 )
 
 Q_START = 0.05
 PENALTY_SUCCESS = 1e-16
-MODULUS_CAP = 1.0 - 1e-6
 # largest tablet overlap of the central translation
 CENTRAL_OVERLAP = 0.25
 
@@ -299,37 +300,25 @@ def central_translate_uniform(t: Text) -> TranslationWitness:
     raise SynthError("no feasible Q found for the central translation")
 
 
-def attach_classical(base_witness: TranslationWitness, base_text: Text,
-                     phi_overlaps, anchor: int) -> TranslationWitness:
-    """Extend a witness by one state orthogonal to all but one current state.
+def attach_classical(base_witness: TranslationWitness, t_new: Text) -> TranslationWitness:
+    """Extend a witness on t_new without its last state to t_new; that state
+    phi must overlap exactly one earlier state, the anchor.
 
-    phi_overlaps[k] = <phi|psi_k> must vanish except at `anchor`.  The new
-    tablet is alpha * psi_0 + beta * (phi - P phi), with alpha fixed by
-    unit norm and beta by <phi|psi_0'> = 0; the parameter grows to
+    The new tablet is alpha * psi_0 + beta * (phi - P phi), with alpha fixed
+    by unit norm and beta by <phi|psi_0'> = 0; the parameter grows to
     Q' = Q / alpha^2, so Q must have been small enough to keep Q' <= 1.
-    The enlarged text is the base text with phi appended last.
     """
-    n = base_text.n
-    row = np.asarray(phi_overlaps, dtype=complex)
-    if row.shape != (n,):
-        raise BadOverlapPattern(f"expected {n} overlaps, got {row.shape}")
-    if not (0 <= anchor < n):
-        raise BadOverlapPattern(f"anchor {anchor} out of range")
-    nz = [k for k in range(n) if abs(row[k]) > 1e-9]
-    if nz != [anchor]:
+    n = t_new.n - 1
+    nz = np.flatnonzero(~_orthogonal(t_new.gram[n, :n])).tolist()
+    if len(nz) != 1:
         raise BadOverlapPattern(
-            f"new state must overlap exactly the anchor; nonzero at {nz}")
+            f"new state must overlap exactly one state; nonzero at {nz}")
+    anchor = nz[0]
     Q2 = base_witness.Q
     if not Q2 > 0:
         raise SynthError("attachment requires a base witness with Q > 0")
 
-    gram_new = np.zeros((n + 1, n + 1), dtype=complex)
-    gram_new[:n, :n] = base_text.gram
-    gram_new[n, :n] = row
-    gram_new[:n, n] = row.conj()
-    gram_new[n, n] = 1.0
-    t_new = validate_text(gram_new)
-
+    base_text = subtext(t_new, range(n))
     emb_base = _embedding_for_tablet(base_text, len(base_witness.tablet))
     o_old = tablet_overlaps(emb_base, np.asarray(base_witness.tablet, dtype=complex))
 
@@ -342,7 +331,7 @@ def attach_classical(base_witness: TranslationWitness, base_text: Text,
     tau_span = E_old @ coeff
     s2_old = float(np.real(np.vdot(o_old, coeff)))
     pad_old = np.sqrt(max(0.0, 1.0 - s2_old))
-    v = phi - E_old @ np.linalg.solve(G2, gram_new[:n, n])
+    v = phi - E_old @ np.linalg.solve(G2, t_new.gram[:n, n])
     rho2 = float(np.real(np.vdot(v, v)))
     if rho2 <= 1e-12:
         raise TranslationError("new state lies in the span of the base text")
@@ -387,31 +376,25 @@ def _scatter_witness(t: Text, order: list[int],
 
 
 def _mixed_witness(t: Text, core: list[int],
-                   anchors: dict[int, int]) -> tuple[list[int], TranslationWitness]:
+                   pendants: list[int]) -> tuple[list[int], TranslationWitness]:
     """Chain of attachments over the core witness, one pendant at a time in
-    the order of `anchors` (pendant -> core anchor), shrinking Q on
-    overflow."""
+    the given order, each onto the input's own subtext; on overflow the core
+    restarts at half its Q."""
     t_core = subtext(t, core)
     start = Q_START
     for _ in range(60):
-        w_cur = _fully_quantum_overlaps(t_core, +1, start=start, max_q=start).witness
-        if w_cur is None:
+        w_core = _fully_quantum_overlaps(t_core, +1, start=start, max_q=start).witness
+        if w_core is None:
             raise SearchBudgetExhausted(
                 "no positive-Q witness found for the complete core")
-        order = list(core)
-        t_cur = t_core
+        order, w_cur = list(core), w_core
         try:
-            for p, anchor in anchors.items():
-                anchor_pos = order.index(anchor)
-                w_cur = attach_classical(w_cur, t_cur, t.gram[p, order], anchor_pos)
+            for p in pendants:
                 order.append(p)
-                t_cur = subtext(t, order)
-            rep = check_witness(t_cur, w_cur)
-            if rep.passed:
-                return order, w_cur
+                w_cur = attach_classical(w_cur, subtext(t, order))
+            return order, w_cur
         except QTooLarge:
-            pass
-        start /= 2.0
+            start = w_core.Q / 2.0
     raise SearchBudgetExhausted("attachment chain kept overflowing Q = 1")
 
 
@@ -423,9 +406,11 @@ def translate(t: Text, force_sign: int | None = None,
     SearchBudgetExhausted when `force_sign` is a sign of Q the classifier
     does not admit or when the closed-form construction yields no verified
     witness (not expected on a text the classifier accepts).  With q0=True
-    only classical texts are accepted and the clone construction is used.
-    Every route ends in `_finish`.
+    only classical texts are accepted and the clone construction is used;
+    it excludes `force_sign` (ValueError).  Every route ends in `_finish`.
     """
+    if q0 and force_sign is not None:
+        raise ValueError("q0 and force_sign exclude each other")
     return _finish(t, _construct(t, force_sign, q0))
 
 
@@ -488,7 +473,7 @@ def _construct(t: Text, force_sign: int | None, q0: bool) -> TranslationWitness:
             w_core = out.witness
         return _scatter_witness(t, core, w_core) if parts.isolated else w_core
     # the chain's order: core first, then the pendants in increasing order
-    order, w_chain = _mixed_witness(t, core, parts.anchors)
+    order, w_chain = _mixed_witness(t, core, list(parts.anchors))
     return _scatter_witness(t, order, w_chain)
 
 

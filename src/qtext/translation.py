@@ -42,6 +42,8 @@ UNITARITY_TOL = 1e-10
 TABLET_NORM_TOL = 1e-10
 Q_CONSISTENCY_TOL = 1e-12
 B_FLOOR = 1e-12
+# output overlaps of larger modulus are penalized
+MODULUS_CAP = 1.0 - 1e-6
 NORMALIZER_FLOOR = 1e-12
 FRAME_RANK_TOL = 1e-12
 

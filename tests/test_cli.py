@@ -234,6 +234,29 @@ class TestTranslateVerify:
         assert d["Q"] == 0.0
         assert d["residuals"]["eq4"] == 0.0
 
+    @pytest.mark.parametrize("sign", ["+", "-"])
+    def test_q0_excludes_sign(self, capsys, classical_file, sign):
+        code, _, _ = run(capsys, "translate", "-i", classical_file, "--q0",
+                         "--sign", sign)
+        assert code == 2
+
+    def test_mixed_text_one_ulp_off_the_unit_diagonal(self, capsys, tmp_path):
+        # clique {0,1,2,3} at -0.1 with pendants 4 -> 0 and 5 -> 1 at 0.3;
+        # z_44 = 1 - 2^-53 is within validate_text's 1e-12 of one
+        g = np.eye(6, dtype=complex)
+        g[:4, :4] = uniform_gram(4, -0.1)
+        g[0, 4] = g[4, 0] = g[1, 5] = g[5, 1] = 0.3
+        g[4, 4] = 1.0 - 2.0 ** -53
+        text, w = str(tmp_path / "t.json"), str(tmp_path / "w.json")
+        qio.save_text(validate_text(g), text)
+        assert qio.load_text(text).gram[4, 4] == 1.0 - 2.0 ** -53
+        assert run(capsys, "classify", "-i", text)[0] == 0
+        assert run(capsys, "translate", "-i", text, "-o", w)[0] == 0
+        code, out, _ = run(capsys, "verify", "-i", text, "-w", w, "--json")
+        assert code == 0
+        d = json.loads(out)
+        assert d["r1"] <= 1e-8 and d["r3"] <= 1e-8 and d["unitarity"] <= 1e-10
+
     def test_deterministic_bytes(self, capsys, text_file, tmp_path):
         w1 = str(tmp_path / "w1.json")
         w2 = str(tmp_path / "w2.json")
@@ -320,6 +343,13 @@ class TestMalformedJson:
         (["verify", "-i", "TEXT", "-w", "BAD"],
          lambda w: {**w, "embedding_dim": float(w["embedding_dim"])}),
         (["verify", "-i", "TEXT", "-w", "BAD"], lambda w: {**w, "residuals": [0, 0]}),
+        # a JSON boolean is no number, alone or among floats
+        (["validate", "-i", "BAD"],
+         {"n": 2, "gram": [[[True, False], [False, False]], [[False, False], [True, False]]]}),
+        (["validate", "-i", "BAD"],
+         {"n": 2, "gram": [[[1.0, False], [0.0, 0.0]], [[0.0, 0.0], [True, 0.0]]]}),
+        (["verify", "-i", "TEXT", "-w", "BAD"],
+         lambda w: {**w, "tablet": [[True, 0.0]] + w["tablet"][1:]}),
     ])
     def test_exits_2_with_json_error(self, capsys, tmp_path, text_file, argv, payload):
         if callable(payload):

@@ -202,6 +202,11 @@ class TestTranslate:
         assert w.Q == 0.0
         assert w.residuals["eq4"] == 0.0
 
+    @pytest.mark.parametrize("sign", [+1, -1])
+    def test_q0_excludes_forced_sign(self, sign):
+        with pytest.raises(ValueError, match="exclude"):
+            translate(validate_text(np.eye(3)), force_sign=sign, q0=True)
+
     def test_q0_on_quantum_raises(self, uniform3):
         with pytest.raises(Untranslatable) as exc_info:
             translate(uniform3, q0=True)
@@ -241,7 +246,7 @@ class TestTranslate:
             try:
                 return attach(*args)
             except QTooLarge:
-                overflows.append(args[3])
+                overflows.append(args[1].n)
                 raise
 
         monkeypatch.setattr(synth, "attach_classical", spy)
@@ -253,40 +258,44 @@ class TestTranslate:
 
 
 class TestAttachClassical:
-    def _base(self):
-        base = validate_text(uniform_gram(2, -0.3))
-        out = search_translation(base, sign=+1)
-        return base, out.witness
+    """attach_classical(w, t_new) extends a witness on t_new without its last
+    state; the anchor is the one earlier state the last state overlaps."""
+
+    BASE = uniform_gram(2, -0.3)
+
+    def _grown(self, row):
+        g = np.eye(3, dtype=complex)
+        g[:2, :2] = self.BASE
+        g[2, :2] = row
+        g[:2, 2] = np.conj(row)
+        return validate_text(g)
+
+    def _witness(self):
+        return search_translation(validate_text(self.BASE), sign=+1).witness
 
     def test_attach_grows_text(self):
-        base, w = self._base()
-        w_plus = attach_classical(w, base, np.array([0.4, 0.0]), anchor=0)
-        g = np.eye(3, dtype=complex)
-        g[:2, :2] = base.gram
-        g[2, 0] = 0.4
-        g[0, 2] = 0.4
-        t_plus = validate_text(g)
+        w = self._witness()
+        t_plus = self._grown([0.4, 0.0])
+        w_plus = attach_classical(w, t_plus)
         rep = check_witness(t_plus, w_plus)
         assert rep.passed
         assert w_plus.Q > w.Q  # attaching always raises Q
 
+    def test_anchor_is_read_from_the_text(self):
+        w = self._witness()
+        t_plus = self._grown([0.0, 0.4])
+        assert check_witness(t_plus, attach_classical(w, t_plus)).passed
+
     def test_bad_overlap_pattern(self):
-        base, w = self._base()
+        w = self._witness()
         with pytest.raises(BadOverlapPattern):
-            attach_classical(w, base, np.array([0.3, 0.4]), anchor=0)
+            attach_classical(w, self._grown([0.3, 0.4]))
         with pytest.raises(BadOverlapPattern):
-            attach_classical(w, base, np.array([0.0, 0.0]), anchor=0)
+            attach_classical(w, self._grown([0.0, 0.0]))
 
     def test_q_too_large(self):
-        base, w = self._base()
         with pytest.raises(QTooLarge):
-            attach_classical(w, base, np.array([0.95, 0.0]), anchor=0)
-
-    def test_infeasible_overlap_is_invalid_text(self):
-        # overlaps that break positive semidefiniteness never form a text
-        base, w = self._base()
-        with pytest.raises(TextError):
-            attach_classical(w, base, np.array([0.99, 0.0]), anchor=0)
+            attach_classical(self._witness(), self._grown([0.95, 0.0]))
 
 
 class TestRealizeGraph:
@@ -489,6 +498,16 @@ class TestOneCheckPerWitness:
         w = translate(validate_text(gram))
         assert len(calls) == 1 and calls[0][1] is w
 
+    @pytest.mark.parametrize("pendants", [[0], [0, 1]])
+    def test_mixed_translate_checks_once(self, pendants, count_calls):
+        # the attachment chain runs no check of its own
+        g = gen_text(GenSpec(mode="random_efficient", n=3, seed=0)).gram
+        for anchor in pendants:
+            g = with_pendant(g, anchor, 0.1)
+        calls = count_calls(check_witness)
+        w = translate(validate_text(g))
+        assert len(calls) == 1 and calls[0][1] is w
+
     @pytest.mark.parametrize("kwargs", [{}, {"q0": True}, {"force_sign": +1},
                                         {"force_sign": -1}])
     def test_clone_routes_carry_final_check(self, kwargs, count_calls):
@@ -510,7 +529,7 @@ class TestOneCheckPerWitness:
             clone_classical(eye3),
             central_translate_uniform(validate_text(uniform_gram(4, 0.3))),
             core,
-            attach_classical(core, base, np.array([0.4, 0.0]), anchor=0),
+            attach_classical(core, validate_text(with_pendant(base.gram, 0, 0.4))),
             witness_from_overlaps(eye3, 0.5, np.zeros(3), np.eye(3)),
             synth._scatter_witness(isolated, [0, 1], core),
         ]
@@ -540,8 +559,8 @@ class TestOneEmbeddingPerLookup:
         (RANDOM3, 5),
         # the isolated states add the scatter's lookup and its assembly
         (with_pendant(with_pendant(RANDOM3, 0, 0.0), 0, 0.0), 7),
-        # core, attachment, chain check, scatter, unitary, final check
-        (with_pendant(RANDOM3, 0, 0.1), 10),
+        # core, attachment, scatter, unitary, final check
+        (with_pendant(RANDOM3, 0, 0.1), 9),
     ], ids=["uniform8", "random3", "core_two_isolated", "core_pendant"])
     def test_translate(self, gram, expected, count_calls):
         calls = count_calls(qtext.texts.embed_text)
@@ -658,11 +677,21 @@ class TestPsdFloor:
         assert_gates(t, w)
 
 
+def from_vectors(gram):
+    """V^H V of the text's own normalized embedding vectors: the Gram a
+    holder of the states would write, Hermitian and unit-diagonal only to
+    rounding."""
+    V = qtext.texts.embed_text(validate_text(gram)).vectors
+    V = V / np.linalg.norm(V, axis=0)
+    return V.conj().T @ V
+
+
 def closed_form_corpus():
     """Seeded texts over every construction route, each alone, with a
-    pendant of overlap 0.1 on state 0 and with an isolated state: random
-    real n = 2..5, random complex n = 3..4, uniform of both signs, the
-    zero-entry and the singular cores."""
+    pendant of overlap 0.1 on state 0, with pendants of 0.1 on states 0
+    and 1, and with an isolated state: random real n = 2..5, random complex
+    n = 3..4, uniform of both signs, the zero-entry and the singular cores.
+    Each pendant text comes once more as `from_vectors` of itself."""
     base = []
     for n in range(2, 6):
         for seed in range(10):
@@ -680,8 +709,12 @@ def closed_form_corpus():
     out = []
     for label, g in base:
         out.append((label, g))
-        out.append((label + "_pendant", with_pendant(g, 0, 0.1)))
-        out.append((label + "_isolated", with_pendant(g, 0, 0.0)))
+        one = with_pendant(g, 0, 0.1)
+        two = with_pendant(one, 1, 0.1)
+        out += [(label + "_pendant", one), (label + "_two_pendants", two),
+                (label + "_pendant_vectors", from_vectors(one)),
+                (label + "_two_pendants_vectors", from_vectors(two)),
+                (label + "_isolated", with_pendant(g, 0, 0.0))]
     return out
 
 
@@ -704,5 +737,5 @@ class TestClosedFormCorpus:
                 assert_gates(t, w)
                 assert int(np.sign(w.Q)) == sign, label
                 forced += 1
-        # 142 yes-texts and 170 admissible signs at the time of writing
-        assert yes >= 140 and forced > yes
+        # 244 yes-texts and 272 admissible signs at the time of writing
+        assert yes >= 240 and forced > yes
