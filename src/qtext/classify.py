@@ -35,12 +35,6 @@ REASON_SIGNATURE_FAIL = "THEOREM_F_FAIL"
 REASON_CORE_SIGN_FAIL = "THEOREM_I_FAIL"
 REASON_Q0_NOT_CLASSICAL = "Q0_NOT_CLASSICAL"
 
-ALL_REASONS = frozenset({
-    REASON_OK_CLASSICAL, REASON_OK_FULLY_QUANTUM, REASON_OK_MIXED,
-    REASON_NOT_EFFICIENT, REASON_NOT_WELL_SPLIT,
-    REASON_SIGNATURE_FAIL, REASON_CORE_SIGN_FAIL, REASON_Q0_NOT_CLASSICAL,
-})
-
 
 class HasOrthogonalPair(ValueError):
     """The reciprocal-Gram signature needs a text without orthogonal pairs."""

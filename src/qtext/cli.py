@@ -5,15 +5,21 @@ verify, gen.  Exit codes: 0 success/translatable, 1 untranslatable,
 2 invalid input, 3 verification failed, 4 construction failed (including
 a forced sign of Q the classifier does not admit), 5 undecided (a valid
 text whose spectral test sits on the zero band).
+
+Each subcommand declares, beside its parser, the files it reads (in load
+order, with their loaders) and the exit code of each error its work can
+raise.  `main` loads every declared input first, so any unreadable or
+malformed input exits 2 before any work starts; it then runs the handler
+on the loaded objects and maps a raised error through the subcommand's
+table, first matching class first.  Any other error propagates.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
-
-import numpy as np
 
 from . import io as qio
 from .texts import TextError, text_properties
@@ -42,18 +48,14 @@ EXIT_UNDECIDED = 5
 
 def _fail(args, exc, code=EXIT_INVALID) -> int:
     payload = {"error": type(exc).__name__, "message": str(exc)}
-    if getattr(args, "json", False):
+    if args.json:
         sys.stderr.write(json.dumps(payload, sort_keys=True) + "\n")
     else:
         sys.stderr.write(f"error: {payload['error']}: {payload['message']}\n")
     return code
 
 
-def _cmd_validate(args) -> int:
-    try:
-        t = qio.load_text(args.input)
-    except (TextError, ValueError, OSError, KeyError) as exc:
-        return _fail(args, exc)
+def _cmd_validate(args, t) -> int:
     props = text_properties(t)
     qio.dump_json({
         "valid": True,
@@ -67,21 +69,13 @@ def _cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _cmd_graph(args) -> int:
-    try:
-        t = qio.load_text(args.input)
-    except (TextError, ValueError, OSError, KeyError) as exc:
-        return _fail(args, exc)
+def _cmd_graph(args, t) -> int:
     qio.save_graph(graph_of_text(t), args.output)
     return EXIT_OK
 
 
-def _cmd_analyze(args) -> int:
-    try:
-        g = qio.load_graph(args.graph)
-        rec = recognize(g)
-    except (GraphError, ValueError, OSError, KeyError) as exc:
-        return _fail(args, exc)
+def _cmd_analyze(args, g) -> int:
+    rec = recognize(g)
     shape = None
     if rec.klass == GraphClass.WELL_SPLIT:
         parts = read_well_split(g, rec)
@@ -102,96 +96,41 @@ def _cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _cmd_classify(args) -> int:
-    try:
-        t = qio.load_text(args.input)
-    except (TextError, ValueError, OSError, KeyError) as exc:
-        return _fail(args, exc)
-    try:
-        decision = decide_zero_translatable(t) if args.q0 else decide_translatable(t)
-    except BorderlineSignature as exc:
-        return _fail(args, exc, code=EXIT_UNDECIDED)
+def _cmd_classify(args, t) -> int:
+    decision = decide_zero_translatable(t) if args.q0 else decide_translatable(t)
     qio.dump_json(qio.decision_to_dict(decision), args.output)
     return EXIT_OK if decision.translatable else EXIT_UNTRANSLATABLE
 
 
-def _cmd_translate(args) -> int:
-    try:
-        t = qio.load_text(args.input)
-    except (TextError, ValueError, OSError, KeyError) as exc:
-        return _fail(args, exc)
-    sign = None
-    if args.sign == "+":
-        sign = +1
-    elif args.sign == "-":
-        sign = -1
+def _cmd_translate(args, t) -> int:
+    sign = {"+": +1, "-": -1}.get(args.sign)
     try:
         w = translate(t, force_sign=sign, q0=args.q0)
     except Untranslatable as exc:
+        # a refusal is a result: the decision is the output
         qio.dump_json(qio.decision_to_dict(exc.decision), args.output)
         return EXIT_UNTRANSLATABLE
-    except BorderlineSignature as exc:
-        return _fail(args, exc, code=EXIT_UNDECIDED)
-    except (SynthError, TranslationError) as exc:
-        return _fail(args, exc, code=EXIT_CONSTRUCTION_FAILED)
     qio.save_witness(w, args.output)
     return EXIT_OK
 
 
-def _cmd_realize(args) -> int:
-    try:
-        g = qio.load_graph(args.graph)
-    except (GraphError, ValueError, OSError, KeyError) as exc:
-        return _fail(args, exc)
-    try:
-        result = realize_graph(g)
-    except GraphError as exc:
-        return _fail(args, exc, code=EXIT_UNTRANSLATABLE)
-    except SynthError as exc:
-        return _fail(args, exc, code=EXIT_CONSTRUCTION_FAILED)
+def _cmd_realize(args, g) -> int:
+    result = realize_graph(g)
     qio.save_text(result.text, args.output)
     if args.witness:
         qio.save_witness(result.witness, args.witness)
     return EXIT_OK
 
 
-def _cmd_verify(args) -> int:
-    try:
-        t = qio.load_text(args.input)
-        w = qio.load_witness(args.witness)
-    except (TextError, ValueError, OSError, KeyError) as exc:
-        return _fail(args, exc)
-    try:
-        report = check_witness(t, w)
-    except (TranslationError, ValueError) as exc:
-        # inconsistent witness data counts as a failed verification, not
-        # malformed input
-        return _fail(args, exc, code=EXIT_VERIFY_FAILED)
-    qio.dump_json({
-        "r1": report.r1,
-        "r2_ok": report.r2_ok,
-        "r2_error": report.r2_error,
-        "r3": report.r3,
-        "unitarity": report.unitarity,
-        "passed": report.passed,
-    }, args.output)
+def _cmd_verify(args, t, w) -> int:
+    report = check_witness(t, w)
+    qio.dump_json(dataclasses.asdict(report), args.output)
     return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
 
 
-def _cmd_gen(args) -> int:
-    graph = None
-    if args.graph:
-        try:
-            graph = qio.load_graph(args.graph)
-        except (GraphError, ValueError, OSError, KeyError) as exc:
-            return _fail(args, exc)
-    spec = GenSpec(mode=args.mode, n=args.n, seed=args.seed,
-                   z=args.z, graph=graph)
-    try:
-        t = gen_text(spec)
-    except (InfeasibleSpec, TextError) as exc:
-        return _fail(args, exc)
-    qio.save_text(t, args.output)
+def _cmd_gen(args, graph) -> int:
+    spec = GenSpec(mode=args.mode, n=args.n, seed=args.seed, z=args.z, graph=graph)
+    qio.save_text(gen_text(spec), args.output)
     return EXIT_OK
 
 
@@ -201,66 +140,71 @@ def build_parser() -> argparse.ArgumentParser:
         description="Translatability analysis of state families given by Gram matrices")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, inp=False, graph=False, witness=False, out=True):
-        if inp:
-            p.add_argument("--input", "-i", required=True, help="text JSON file")
-        if graph:
-            p.add_argument("--graph", "-g", required=True, help="graph JSON file")
-        if witness:
-            p.add_argument("--witness", "-w", required=True, help="witness JSON file")
-        if out:
-            p.add_argument("--output", "-o", default=None,
-                           help="output file (default stdout)")
-        p.add_argument("--json", action="store_true",
-                       help="machine-readable errors on stderr")
+    def arg(*flags, load=None, **kwargs):
+        """One argument; `load` makes it an input file that `main` loads."""
+        return flags, kwargs, load
 
-    p = sub.add_parser("validate", help="validate a text and report its properties")
-    add_common(p, inp=True)
-    p.set_defaults(func=_cmd_validate)
+    # the loaders are looked up here, when `main` runs, so that a caller
+    # who rebinds them in `qtext.io` (a tracer, say) is seen
+    text = arg("--input", "-i", required=True, help="text JSON file", load=qio.load_text)
+    graph = arg("--graph", "-g", required=True, help="graph JSON file",
+                load=qio.load_graph)
+    witness = arg("--witness", "-w", required=True, help="witness JSON file",
+                  load=qio.load_witness)
+    out = arg("--output", "-o", default=None, help="output file (default stdout)")
+    json_errors = arg("--json", action="store_true",
+                      help="machine-readable errors on stderr")
 
-    p = sub.add_parser("graph", help="overlap graph of a text")
-    add_common(p, inp=True)
-    p.set_defaults(func=_cmd_graph)
+    def command(name, help, func, arguments, errors=()):
+        """Subcommand `name` with its arguments in order.  `errors` holds
+        (exception classes, exit code) pairs for the errors of `func`."""
+        p = sub.add_parser(name, help=help)
+        inputs = []
+        for flags, kwargs, load in arguments:
+            action = p.add_argument(*flags, **kwargs)
+            if load:
+                inputs.append((action, load))
+        p.set_defaults(func=func, inputs=inputs, errors=errors)
+        return p
 
-    p = sub.add_parser("analyze", help="recognize a graph and report its shape")
-    add_common(p, graph=True)
-    p.set_defaults(func=_cmd_analyze)
+    command("validate", "validate a text and report its properties", _cmd_validate,
+            [text, out, json_errors])
+    command("graph", "overlap graph of a text", _cmd_graph, [text, out, json_errors])
+    command("analyze", "recognize a graph and report its shape", _cmd_analyze,
+            [graph, out, json_errors], [(GraphError, EXIT_INVALID)])
 
-    p = sub.add_parser("classify", help="decide translatability")
-    add_common(p, inp=True)
+    p = command("classify", "decide translatability", _cmd_classify,
+                [text, out, json_errors], [(BorderlineSignature, EXIT_UNDECIDED)])
     p.add_argument("--q0", action="store_true", help="decide for Q = 0 only")
-    p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("translate", help="construct and verify a witness")
-    add_common(p, inp=True)
+    p = command("translate", "construct and verify a witness", _cmd_translate,
+                [text, out, json_errors],
+                [(BorderlineSignature, EXIT_UNDECIDED),
+                 ((SynthError, TranslationError), EXIT_CONSTRUCTION_FAILED)])
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--q0", action="store_true", help="clone classical texts only")
     mode.add_argument("--sign", choices=["+", "-"], default=None,
                       help="force the sign of Q (exit 4 if it is not admissible)")
-    p.set_defaults(func=_cmd_translate)
 
-    p = sub.add_parser("realize", help="build a text realizing a graph")
-    p.add_argument("--graph", "-g", required=True, help="graph JSON file")
-    p.add_argument("--output", "-o", default=None, help="text output file")
-    p.add_argument("--witness", "-w", default=None, help="optional witness output")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_realize)
-
-    p = sub.add_parser("verify", help="check a witness against a text")
-    add_common(p, inp=True, witness=True)
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("gen", help="generate a text")
-    add_common(p)
-    p.add_argument("--mode", required=True,
-                   choices=["random_efficient", "uniform", "from_graph",
-                            "untranslatable4"])
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--z", type=float, default=None)
-    p.add_argument("--graph", "-g", default=None, help="graph JSON for from_graph")
-    p.set_defaults(func=_cmd_gen)
-
+    command("realize", "build a text realizing a graph", _cmd_realize,
+            [graph, arg("--output", "-o", default=None, help="text output file"),
+             arg("--witness", "-w", default=None, help="optional witness output"),
+             arg("--json", action="store_true")],
+            [(GraphError, EXIT_UNTRANSLATABLE), (SynthError, EXIT_CONSTRUCTION_FAILED)])
+    # inconsistent witness data counts as a failed verification, not
+    # malformed input
+    command("verify", "check a witness against a text", _cmd_verify,
+            [text, witness, out, json_errors], [(ValueError, EXIT_VERIFY_FAILED)])
+    command("gen", "generate a text", _cmd_gen,
+            [out, json_errors,
+             arg("--mode", required=True, choices=["random_efficient", "uniform",
+                                                   "from_graph", "untranslatable4"]),
+             arg("--n", type=int, default=3),
+             arg("--seed", type=int, default=0),
+             arg("--z", type=float, default=None),
+             arg("--graph", "-g", default=None, help="graph JSON for from_graph",
+                 load=qio.load_graph)],
+            [((InfeasibleSpec, TextError), EXIT_INVALID)])
     return parser
 
 
@@ -270,8 +214,21 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INVALID if exc.code not in (0, None) else EXIT_OK
-    np.set_printoptions(precision=12)
-    return args.func(args)
+    loaded = []
+    try:
+        for action, load in args.inputs:
+            path = getattr(args, action.dest)
+            # an optional input left empty is not read
+            loaded.append(load(path) if path or action.required else None)
+    except (ValueError, OSError, KeyError) as exc:
+        return _fail(args, exc)
+    try:
+        return args.func(args, *loaded)
+    except Exception as exc:
+        for classes, code in args.errors:
+            if isinstance(exc, classes):
+                return _fail(args, exc, code)
+        raise
 
 
 if __name__ == "__main__":

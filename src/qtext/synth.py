@@ -459,9 +459,13 @@ def _construct(t: Text, force_sign: int | None, q0: bool) -> TranslationWitness:
         t_core = subtext(t, core)
         # the decision found the core efficient: only its shape is new
         uniform, real_text = uniform_real_flags(t_core)
+        w_core = None
         if uniform and real_text and force_sign is None:
-            w_core = central_translate_uniform(t_core)
-        else:
+            try:
+                w_core = central_translate_uniform(t_core)
+            except SynthError:
+                pass  # near z = 1 no Q of the schedule clears MODULUS_CAP
+        if w_core is None:
             for sign in sorted(signs, reverse=True):
                 out = search_translation(t_core, sign)
                 if out.witness is not None:

@@ -257,6 +257,15 @@ class TestTranslateVerify:
         d = json.loads(out)
         assert d["r1"] <= 1e-8 and d["r3"] <= 1e-8 and d["unitarity"] <= 1e-10
 
+    def test_near_one_uniform_translates(self, capsys, tmp_path):
+        # the central route finds no Q below MODULUS_CAP at z = 1 - 1e-5;
+        # translate falls back to the eigenvector route (exit 4 before)
+        text, w = str(tmp_path / "t.json"), str(tmp_path / "w.json")
+        qio.save_text(validate_text(uniform_gram(4, 0.99999)), text)
+        assert run(capsys, "translate", "-i", text, "-o", w)[0] == 0
+        code, out, _ = run(capsys, "verify", "-i", text, "-w", w, "--json")
+        assert code == 0 and json.loads(out)["passed"]
+
     def test_deterministic_bytes(self, capsys, text_file, tmp_path):
         w1 = str(tmp_path / "w1.json")
         w2 = str(tmp_path / "w2.json")
@@ -277,6 +286,19 @@ class TestRealizeGen:
         code, out, _ = run(capsys, "verify", "-i", t, "-w", w, "--json")
         assert code == 0
         assert json.loads(out)["passed"]
+
+    def test_realize_construction_failure_exits_4(self, capsys, tmp_path,
+                                                  monkeypatch):
+        def fail(g):
+            raise qtext.SearchBudgetExhausted("no feasible overlap scale")
+
+        monkeypatch.setattr("qtext.cli.realize_graph", fail)
+        g = str(tmp_path / "g.json")
+        qio.save_graph(qtext.make_graph(2, [(0, 1)]), g)
+        code, out, err = run(capsys, "realize", "-g", g, "--json")
+        assert code == 4 and out == ""
+        assert json.loads(err) == {"error": "SearchBudgetExhausted",
+                                   "message": "no feasible overlap scale"}
 
     def test_realize_rejects_c4(self, capsys, tmp_path):
         g = str(tmp_path / "g.json")
@@ -317,40 +339,46 @@ class TestRealizeGen:
 GRAM3 = qio.text_to_dict(validate_text(uniform_gram(3, 0.5)))["gram"]
 
 
+# (argv, payload) pairs of TestMalformedJson; a callable payload maps a
+# valid witness to the malformed one.  tests/test_cli_bytes.py runs each
+# payload under every command that reads its kind of file.
+MALFORMED = [
+    (["validate", "-i", "BAD"], [1, 2]),
+    (["validate", "-i", "BAD"], None),
+    (["classify", "-i", "BAD"], [1, 2]),
+    (["translate", "-i", "BAD"], [1, 2]),
+    (["classify", "-i", "BAD"], {"n": "3", "gram": GRAM3}),
+    (["classify", "-i", "BAD"], {"n": 3.0, "gram": GRAM3}),
+    (["analyze", "-g", "BAD"], [1, 2]),
+    (["analyze", "-g", "BAD"], {"n": 2, "edges": [[0, 0.5]]}),
+    (["analyze", "-g", "BAD"], {"n": 2, "edges": [1]}),
+    (["analyze", "-g", "BAD"], {"n": 2.7, "edges": [[0, 1]]}),
+    (["analyze", "-g", "BAD"], {"n": True, "edges": []}),
+    (["realize", "-g", "BAD"], {"n": 2, "edges": [["0", "1"]]}),
+    (["gen", "--mode", "from_graph", "-g", "BAD"], {"n": 2, "edges": [[0, 0.5]]}),
+    (["verify", "-i", "TEXT", "-w", "BAD"], [1, 2]),
+    # a valid witness with one field replaced
+    (["verify", "-i", "TEXT", "-w", "BAD"], lambda w: {**w, "q": 5}),
+    (["verify", "-i", "TEXT", "-w", "BAD"], lambda w: {**w, "q": ["0.1", 0]}),
+    (["verify", "-i", "TEXT", "-w", "BAD"], lambda w: {**w, "Q": None}),
+    (["verify", "-i", "TEXT", "-w", "BAD"],
+     lambda w: {**w, "embedding_dim": float(w["embedding_dim"])}),
+    (["verify", "-i", "TEXT", "-w", "BAD"], lambda w: {**w, "residuals": [0, 0]}),
+    # a JSON boolean is no number, alone or among floats
+    (["validate", "-i", "BAD"],
+     {"n": 2, "gram": [[[True, False], [False, False]], [[False, False], [True, False]]]}),
+    (["validate", "-i", "BAD"],
+     {"n": 2, "gram": [[[1.0, False], [0.0, 0.0]], [[0.0, 0.0], [True, 0.0]]]}),
+    (["verify", "-i", "TEXT", "-w", "BAD"],
+     lambda w: {**w, "tablet": [[True, 0.0]] + w["tablet"][1:]}),
+]
+
+
 class TestMalformedJson:
     """Well-formed JSON of the wrong shape is invalid input (exit 2), never
     a traceback.  BAD is the malformed file, TEXT a valid text."""
 
-    @pytest.mark.parametrize("argv, payload", [
-        (["validate", "-i", "BAD"], [1, 2]),
-        (["validate", "-i", "BAD"], None),
-        (["classify", "-i", "BAD"], [1, 2]),
-        (["translate", "-i", "BAD"], [1, 2]),
-        (["classify", "-i", "BAD"], {"n": "3", "gram": GRAM3}),
-        (["classify", "-i", "BAD"], {"n": 3.0, "gram": GRAM3}),
-        (["analyze", "-g", "BAD"], [1, 2]),
-        (["analyze", "-g", "BAD"], {"n": 2, "edges": [[0, 0.5]]}),
-        (["analyze", "-g", "BAD"], {"n": 2, "edges": [1]}),
-        (["analyze", "-g", "BAD"], {"n": 2.7, "edges": [[0, 1]]}),
-        (["analyze", "-g", "BAD"], {"n": True, "edges": []}),
-        (["realize", "-g", "BAD"], {"n": 2, "edges": [["0", "1"]]}),
-        (["gen", "--mode", "from_graph", "-g", "BAD"], {"n": 2, "edges": [[0, 0.5]]}),
-        (["verify", "-i", "TEXT", "-w", "BAD"], [1, 2]),
-        # a valid witness with one field replaced
-        (["verify", "-i", "TEXT", "-w", "BAD"], lambda w: {**w, "q": 5}),
-        (["verify", "-i", "TEXT", "-w", "BAD"], lambda w: {**w, "q": ["0.1", 0]}),
-        (["verify", "-i", "TEXT", "-w", "BAD"], lambda w: {**w, "Q": None}),
-        (["verify", "-i", "TEXT", "-w", "BAD"],
-         lambda w: {**w, "embedding_dim": float(w["embedding_dim"])}),
-        (["verify", "-i", "TEXT", "-w", "BAD"], lambda w: {**w, "residuals": [0, 0]}),
-        # a JSON boolean is no number, alone or among floats
-        (["validate", "-i", "BAD"],
-         {"n": 2, "gram": [[[True, False], [False, False]], [[False, False], [True, False]]]}),
-        (["validate", "-i", "BAD"],
-         {"n": 2, "gram": [[[1.0, False], [0.0, 0.0]], [[0.0, 0.0], [True, 0.0]]]}),
-        (["verify", "-i", "TEXT", "-w", "BAD"],
-         lambda w: {**w, "tablet": [[True, 0.0]] + w["tablet"][1:]}),
-    ])
+    @pytest.mark.parametrize("argv, payload", MALFORMED)
     def test_exits_2_with_json_error(self, capsys, tmp_path, text_file, argv, payload):
         if callable(payload):
             w = str(tmp_path / "w.json")

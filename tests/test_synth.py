@@ -14,6 +14,7 @@ from qtext import (
     TextError,
     Untranslatable,
     SearchBudgetExhausted,
+    SynthError,
     WellSplitShape,
     attach_classical,
     central_translate_uniform,
@@ -113,6 +114,27 @@ class TestCentralUniform:
                     g[j, i] = np.conj(z)
         with pytest.raises(NotUniformRealEfficient):
             central_translate_uniform(validate_text(g))
+
+    @pytest.mark.parametrize("z, Q", [(-1e-3, 0.0125), (0.9999, -0.2)])
+    def test_schedule_steps_past_infeasible_q(self, z, Q):
+        # Q = 0.05 * 2^-k on the k-th shrink step and 0.05 * 2^j on the
+        # j-th growth step after 41 shrinks: z = -1e-3 settles on its 3rd
+        # value, z = 0.9999 on its 43rd
+        t = validate_text(uniform_gram(3, z))
+        w = translate(t)
+        assert w.Q == central_translate_uniform(t).Q == Q
+        assert_gates(t, w)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 8, 16])
+    @pytest.mark.parametrize("z", [0.99999, 0.999999])
+    def test_near_one_falls_back_to_the_eigenvector_route(self, n, z):
+        # every Q of the schedule leaves the output overlap above
+        # MODULUS_CAP, so translate takes the eigenvector route instead
+        t = validate_text(uniform_gram(n, z))
+        assert decide_translatable(t).reason == "OK_FULLY_QUANTUM"
+        with pytest.raises(SynthError, match="no feasible Q"):
+            central_translate_uniform(t)
+        assert_gates(t, translate(t))
 
 
 class TestSearch:
