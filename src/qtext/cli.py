@@ -11,7 +11,10 @@ order, with their loaders) and the exit code of each error its work can
 raise.  `main` loads every declared input first, so any unreadable or
 malformed input exits 2 before any work starts; it then runs the handler
 on the loaded objects and maps a raised error through the subcommand's
-table, first matching class first.  Any other error propagates.
+table, first matching class first.  An output that cannot be written
+(an `OSError` of the work) exits 2 as well; any other error propagates.
+Every file is written as `json.dumps(obj, indent=2, sort_keys=True)` and
+a newline, rendered before the file is opened.
 """
 
 from __future__ import annotations
@@ -225,7 +228,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args, *loaded)
     except Exception as exc:
-        for classes, code in args.errors:
+        # an output that cannot be written is invalid input as well
+        for classes, code in (*args.errors, (OSError, EXIT_INVALID)):
             if isinstance(exc, classes):
                 return _fail(args, exc, code)
         raise

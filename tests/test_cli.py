@@ -393,6 +393,58 @@ class TestMalformedJson:
         assert json.loads(err)["error"] == "ValueError"
 
 
+class TestUnwritableOutput:
+    """An output file that cannot be opened is invalid input (exit 2), never
+    a traceback, and no file is left behind."""
+
+    @pytest.mark.parametrize("json_errors", [[], ["--json"]])
+    @pytest.mark.parametrize("command", ["validate", "translate"])
+    def test_exits_2(self, capsys, tmp_path, text_file, command, json_errors):
+        out = tmp_path / "nodir" / "x.json"
+        code, stdout, err = run(capsys, command, "-i", text_file, "-o", str(out),
+                                *json_errors)
+        assert code == 2 and stdout == "" and not out.parent.exists()
+        if json_errors:
+            assert json.loads(err)["error"] == "FileNotFoundError"
+        else:
+            assert err.startswith("error: FileNotFoundError: ")
+
+    def test_realize_witness_path(self, capsys, tmp_path):
+        g = str(tmp_path / "g.json")
+        qio.save_graph(qtext.make_graph(3, [(0, 1), (1, 2)]), g)
+        ok = tmp_path / "ok.json"
+        code, _, err = run(capsys, "realize", "-g", g, "-o", str(ok),
+                           "-w", str(tmp_path / "nodir" / "w.json"))
+        assert code == 2
+        assert err.startswith("error: FileNotFoundError: ")
+        # the text was written before the witness failed
+        assert qio.load_text(str(ok)).n == 3
+
+
+class TestMissingKey:
+    """A JSON object without a required key is invalid input (exit 2, the
+    key in the message), not a failed verification and never a traceback."""
+
+    def test_graph_file_as_text(self, capsys, tmp_path):
+        g = str(tmp_path / "g.json")
+        qio.save_graph(qtext.make_graph(2, [(0, 1)]), g)
+        code, _, err = run(capsys, "validate", "-i", g)
+        assert code == 2 and "'gram'" in err
+
+    def test_text_file_as_graph(self, capsys, text_file):
+        code, _, err = run(capsys, "analyze", "-g", text_file, "--json")
+        assert code == 2 and "'edges'" in json.loads(err)["message"]
+
+    def test_witness_without_tablet(self, capsys, tmp_path, text_file):
+        w = str(tmp_path / "w.json")
+        assert run(capsys, "translate", "-i", text_file, "-o", w)[0] == 0
+        d = qio.load_json(w)
+        del d["tablet"]
+        qio.dump_json(d, w)
+        code, _, err = run(capsys, "verify", "-i", text_file, "-w", w)
+        assert code == 2 and "'tablet'" in err
+
+
 class TestParsing:
     def test_unknown_flag_exits_2(self, capsys, text_file):
         code, _, _ = run(capsys, "validate", "-i", text_file, "--bogus")

@@ -4,16 +4,21 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtext import (
+    GenSpec,
     TextError,
     check_witness,
     decide_translatable,
+    gen_text,
     make_graph,
     translate,
     validate_text,
 )
 from qtext import io as qio
+from qtext.cli import main
 from tests.conftest import uniform_gram
 
 
@@ -151,3 +156,124 @@ class TestFiles:
         assert raw.endswith("\n")
         keys = list(json.loads(raw))
         assert keys == sorted(keys)
+
+
+# floats json writes in a form of its own, or at the edges of repr
+EDGE_FLOATS = [float("nan"), float("inf"), float("-inf"), -0.0, 1e-5, 1e16, 5e-324]
+FLOATS = st.floats() | st.sampled_from(EDGE_FLOATS)
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS[3:])
+
+
+def _nested(flat, shape):
+    """`flat` as a list nested to `shape`."""
+    for size in reversed(shape[1:]):
+        flat = [flat[i:i + size] for i in range(0, len(flat), size)]
+    return flat
+
+
+@st.composite
+def regular_arrays(draw):
+    """Equal-length nested lists of floats, all finite (the template path)
+    or possibly not (json's own path)."""
+    shape = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    size = int(np.prod(shape))
+    leaf = draw(st.sampled_from([FINITE, FLOATS]))
+    return _nested(draw(st.lists(leaf, min_size=size, max_size=size)), shape)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | FLOATS | st.text() | regular_arrays(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12)
+
+
+def _json_bytes(obj) -> bytes:
+    return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
+
+
+class TestDumpJsonBytes:
+    """`dump_json` writes exactly `json.dumps(obj, indent=2, sort_keys=True)`
+    and a newline, though it fills float arrays from a template."""
+
+    @pytest.fixture(scope="class")
+    def dump_path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("dump") / "v.json"
+
+    @given(JSON_VALUES)
+    @settings(max_examples=300, deadline=None)
+    def test_any_json_value(self, dump_path, value):
+        qio.dump_json(value, str(dump_path))
+        assert dump_path.read_bytes() == _json_bytes(value)
+
+    def test_edge_values(self, tmp_path):
+        p = tmp_path / "v.json"
+        for value in [[], {}, [[]], [[], []], [[1.0, 2.0], [3.0]], [[1.0], 2.0],
+                      EDGE_FLOATS, [EDGE_FLOATS[3:]] * 2, [[[0.5]]], (0.5, 1.5),
+                      {"é": "ünï ", "": [1, True, None]}, {2: 2.0, 0.5: [], False: 3}, {None: 1},
+                      [{1: [(1.0, "c\nd")], 2.5: {"a\nb": {}}}],
+                      [1.0, 2], [np.float64(0.1), 0.2], [True, 1.0]]:
+            qio.dump_json(value, str(p))
+            assert p.read_bytes() == _json_bytes(value), value
+
+    def test_cycle_raises(self):
+        # an error, as from json, not an endless walk down the array
+        a = []
+        a.append(a)
+        with pytest.raises(RecursionError):
+            qio.dump_json({"a": a}, None)
+
+    @pytest.mark.parametrize("gram", [
+        np.eye(3),                                               # classical
+        uniform_gram(16, 0.3),                                   # central, sign -
+        uniform_gram(16, -0.5 / 15),                             # central, sign +
+        gen_text(GenSpec(mode="random_efficient", n=3, seed=0)).gram,  # eigen
+        [[1.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 1.0]],     # mixed
+        np.block([[uniform_gram(3, 0.5), np.zeros((3, 1))],
+                  [np.zeros((1, 3)), np.eye(1)]]),               # isolated
+    ], ids=["classical", "central-", "central+", "eigen", "mixed", "isolated"])
+    def test_witness_of_every_route(self, tmp_path, gram):
+        t = validate_text(np.asarray(gram, dtype=complex))
+        w = translate(t)
+        p = tmp_path / "out.json"
+        qio.save_witness(w, str(p))
+        assert p.read_bytes() == _json_bytes(qio.witness_to_dict(w))
+        qio.save_text(t, str(p))
+        assert p.read_bytes() == _json_bytes(qio.text_to_dict(t))
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--mode", "uniform", "--n", "4", "--z", "0.3"],
+        ["validate", "-i", "TEXT"],
+        ["graph", "-i", "TEXT"],
+        ["analyze", "-g", "GRAPH"],
+        ["classify", "-i", "TEXT"],
+        ["classify", "-i", "REFUSED"],
+        ["translate", "-i", "TEXT"],
+        ["translate", "-i", "TEXT", "--sign", "-"],
+        ["translate", "-i", "REFUSED"],
+        ["realize", "-g", "GRAPH", "-w", "OUT2"],
+        ["verify", "-i", "TEXT", "-w", "WITNESS"],
+    ])
+    def test_every_cli_output(self, tmp_path, monkeypatch, capsys, argv):
+        files = {name: str(tmp_path / f"{name}.json")
+                 for name in ("TEXT", "REFUSED", "GRAPH", "WITNESS", "OUT", "OUT2")}
+        t = validate_text(uniform_gram(8, 0.3))
+        qio.save_text(t, files["TEXT"])
+        qio.save_text(gen_text(GenSpec(mode="untranslatable4", seed=0)), files["REFUSED"])
+        qio.save_graph(make_graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)]), files["GRAPH"])
+        qio.save_witness(translate(t), files["WITNESS"])
+        written = []
+        dump = qio.dump_json
+
+        def recording(obj, path):
+            written.append((obj, path))
+            dump(obj, path)
+
+        monkeypatch.setattr(qio, "dump_json", recording)
+        for out in (files["OUT"], "-"):
+            written.clear()
+            main([files.get(a, a) for a in argv] + ["-o", out])
+            assert written
+            for obj, path in written:
+                got = capsys.readouterr().out.encode() if path == "-" else open(path, "rb").read()
+                assert got == _json_bytes(obj)
