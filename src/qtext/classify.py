@@ -130,23 +130,18 @@ def decide_translatable(t: Text) -> Decision:
                         forbidden_witness=rec.witness)
     parts = read_well_split(g, rec)
     sig = hadamard_inverse_signature(subtext(t, parts.core))
-    if not parts.anchors:
+    if parts.anchors:
+        # pendants force Q > 0 whether or not the core signature allows it
+        signs = frozenset({+1})
+        ok = +1 in sig.admissible_signs
+        reason = REASON_OK_MIXED if ok else REASON_CORE_SIGN_FAIL
+    else:
         # No pendants: the edges form a complete core; only the spectral test is left.
-        if sig.admissible_signs:
-            return Decision(translatable=True, reason=REASON_OK_FULLY_QUANTUM,
-                            signature=sig, decomposition=parts,
-                            sign_constraint=sig.admissible_signs)
-        return Decision(translatable=False, reason=REASON_SIGNATURE_FAIL,
-                        signature=sig, decomposition=parts,
-                        sign_constraint=sig.admissible_signs)
-    # pendants force Q > 0 whether or not the core signature allows it
-    if +1 in sig.admissible_signs:
-        return Decision(translatable=True, reason=REASON_OK_MIXED,
-                        signature=sig, decomposition=parts,
-                        sign_constraint=frozenset({+1}))
-    return Decision(translatable=False, reason=REASON_CORE_SIGN_FAIL,
-                    signature=sig, decomposition=parts,
-                    sign_constraint=frozenset({+1}))
+        signs = sig.admissible_signs
+        ok = bool(signs)
+        reason = REASON_OK_FULLY_QUANTUM if ok else REASON_SIGNATURE_FAIL
+    return Decision(translatable=ok, reason=reason, signature=sig,
+                    decomposition=parts, sign_constraint=signs)
 
 
 def decide_zero_translatable(t: Text) -> Decision:

@@ -128,21 +128,23 @@ def oracle_feasible(t: Text, samples: int = 100000, seed: int = 0,
     Draws Q uniformly in [-1, 1], tablets uniformly on the padded sphere,
     and free output overlaps in the unit disc; a sample is accepted when
     the assembled output Gram validates and the overlap conditions hold at
-    1e-8.  The first probe is deterministic (Q = 0, bare padded tablet,
-    free entries 0) so classical texts are found immediately.  A report
-    with found=False says nothing beyond "not found in `samples` tries".
-    Samples are processed in batches for speed; results are identical for
-    identical (text, samples, seed).
+    1e-8.  Samples run in batches of 512, and the first batch is the one
+    deterministic probe (Q = 0, bare padded tablet, free entries 0), so
+    classical texts are found immediately and at least one sample is
+    always taken.  A report with found=False says nothing beyond "not
+    found in `samples` tries".  Results are identical for identical
+    (text, samples, seed).
 
-    A sample's penalty is the PSD term of its output Gram Y plus the
-    modulus term of its off-diagonal entries plus, on texts with
-    orthogonal pairs, the null-residual term.  The last two, and the
-    acceptance tests on the moduli and the null residuals, need no Y, so
-    each batch computes them first for every sample.  Y and its eigvalsh
-    are then skipped for a sample that has B <= 1e-12 somewhere, or that
-    already fails one of those acceptance tests while its modulus and null
-    terms alone are at least the best penalty from before the batch.  Such
-    a sample can neither be accepted nor lower the best: the PSD term is
+    Each batch fills the output Gram Y of every sample: the forced entries,
+    the unit diagonal and the free values.  A sample's penalty is the PSD
+    term of Y plus the modulus term of its off-diagonal entries plus, on
+    texts with orthogonal pairs, the null-residual term, summed in that
+    order.  The last two, and the acceptance tests on the moduli and the
+    null residuals, need no eigenvalues.  So the row copy and eigvalsh are
+    skipped for a sample that has B <= 1e-12 somewhere, or that already
+    fails one of those acceptance tests while its modulus and null terms
+    alone are at least the best penalty from before the batch.  Such a
+    sample can neither be accepted nor lower the best: the PSD term is
     non-negative and rounded addition is monotone, so its full penalty is
     never below that partial sum.  The prune is exact: the report is the
     one the unpruned evaluation gives, bit for bit, with the same draws.
@@ -164,28 +166,33 @@ def oracle_feasible(t: Text, samples: int = 100000, seed: int = 0,
     used = 0
     accepted_Q: list[float] = []
     witness = None
-    # column of each free pair among the upper-triangle pairs iu
-    upper_pos = np.zeros((n, n), dtype=int)
-    upper_pos[iu] = np.arange(iu[0].size)
-    free_pos = upper_pos[free_i, free_j]
-
-    def evaluate(Q: np.ndarray, tablets: np.ndarray, free_vals: np.ndarray):
-        """Batched acceptance test; returns the indices of the accepted
-        samples, their output Grams, and every sample's A."""
-        nonlocal best
+    while True:
+        if used == 0:  # the deterministic Q = 0 probe
+            Q = np.zeros(1)
+            tablets = np.zeros((1, emb.dim), dtype=complex)
+            tablets[0, -1] = 1.0
+            free_vals = np.zeros((1, len(free)), dtype=complex)
+        else:
+            m = int(min(512, samples - used))
+            Q = rng.uniform(-1.0, 1.0, size=m)
+            raw = rng.standard_normal((m, emb.dim)) + 1j * rng.standard_normal((m, emb.dim))
+            tablets = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+            radii = np.sqrt(rng.uniform(0.0, 1.0, size=(m, len(free))))
+            phases = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, size=(m, len(free))))
+            free_vals = radii * phases
+        used += len(Q)
         A = tablets @ E.conj()
         B = 1.0 + Q[:, None] * np.abs(A) ** 2
         okB = B.min(axis=1) > B_FLOOR
         safeB = np.where(B > B_FLOOR, B, 1.0)
-        num = z[None, :, :] + Q[:, None, None] * (A[:, :, None] * A.conj()[:, None, :])
+        Y = z[None, :, :] + Q[:, None, None] * (A[:, :, None] * A.conj()[:, None, :])
         den = np.sqrt(safeB[:, :, None] * safeB[:, None, :])
         with np.errstate(divide="ignore", invalid="ignore"):
-            forced = num / (den * zden[None, :, :])
-        # the cheap terms, for every sample: Y's upper triangle is the
-        # forced entries with the free values in place
-        upper = forced[:, iu[0], iu[1]]
-        upper[:, free_pos] = free_vals
-        offmod = np.abs(upper)
+            Y /= den * zden[None, :, :]
+        Y[:, diag, diag] = 1.0
+        Y[:, free_i, free_j] = free_vals
+        Y[:, free_j, free_i] = free_vals.conj()
+        offmod = np.abs(Y[:, iu[0], iu[1]])
         modpen = np.sum(np.maximum(0.0, offmod - MODULUS_CAP) ** 2, axis=1)
         partial = modpen
         passes = offmod.max(axis=1, initial=0.0) < 1.0 - DISTINCT_TOL
@@ -198,64 +205,26 @@ def oracle_feasible(t: Text, samples: int = 100000, seed: int = 0,
             passes &= nullres.max(axis=1) <= EQ4_TOL
         # a NaN partial sum keeps its sample
         kept = np.flatnonzero(okB & (passes | ~(partial >= best)))
-        # Y and eigvalsh for the kept samples only; eigvalsh reads the
-        # lower triangle, which stays the forced formula's own entries
-        Y = forced if kept.size == len(Q) else forced[kept]
-        Y[:, diag, diag] = 1.0
-        Y[:, free_i, free_j] = free_vals[kept]
-        Y[:, free_j, free_i] = free_vals[kept].conj()
-        lam_min = np.linalg.eigvalsh(Y)[:, 0]
+        lam_min = np.linalg.eigvalsh(Y if kept.size == len(Q) else Y[kept])[:, 0]
         pen = np.maximum(0.0, -lam_min) ** 2 + modpen[kept]
         if free_i.size:
             pen = pen + nullpen[kept]
         finite = pen[np.isfinite(pen)]
         if finite.size:
             best = min(best, float(finite.min()))
-        ok = passes[kept] & (lam_min >= -psd_tol(n))
-        return kept[ok], Y[ok], A
-
-    def record(Q, tablet, Y, A) -> bool:
-        nonlocal witness
-        r1 = overlap_residual(t, float(Q), A, Y)
-        if r1 > EQ4_TOL:
-            return False
-        accepted_Q.append(float(Q))
-        if witness is None:
-            witness = TranslationWitness(
-                Q=float(Q), q=q_from_Q(float(Q)), tablet=np.array(tablet),
-                output_gram=np.array(Y), unitary=None,
-                residuals={"eq4": r1, "eq2": None})
-        return True
-
-    # deterministic classical probe
-    probe = np.zeros((1, emb.dim), dtype=complex)
-    probe[0, -1] = 1.0
-    used += 1
-    acc, Y, A = evaluate(np.zeros(1), probe, np.zeros((1, len(free)), dtype=complex))
-    if acc.size:
-        record(0.0, probe[0], Y[0], A[0])
-        if not keep_all:
-            return OracleReport(found=True, best_penalty=float(best),
-                                samples=used, seed=seed, witness=witness,
-                                accepted_Q=accepted_Q)
-
-    batch = 512
-    while used < samples:
-        m = int(min(batch, samples - used))
-        Q = rng.uniform(-1.0, 1.0, size=m)
-        raw = rng.standard_normal((m, emb.dim)) + 1j * rng.standard_normal((m, emb.dim))
-        tablets = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-        radii = np.sqrt(rng.uniform(0.0, 1.0, size=(m, len(free))))
-        phases = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, size=(m, len(free))))
-        free_vals = radii * phases
-        acc, Y, A = evaluate(Q, tablets, free_vals)
-        used += m
-        hit = False
-        for s, Ys in zip(acc, Y):
-            hit = record(Q[s], tablets[s], Ys, A[s]) or hit
-            if hit and not keep_all:
+        for s in kept[passes[kept] & (lam_min >= -psd_tol(n))]:
+            r1 = overlap_residual(t, float(Q[s]), A[s], Y[s])
+            if r1 > EQ4_TOL:
+                continue
+            accepted_Q.append(float(Q[s]))
+            if witness is None:
+                witness = TranslationWitness(
+                    Q=float(Q[s]), q=q_from_Q(float(Q[s])), tablet=np.array(tablets[s]),
+                    output_gram=np.array(Y[s]), unitary=None,
+                    residuals={"eq4": r1, "eq2": None})
+            if not keep_all:
                 break
-        if hit and not keep_all:
+        if used >= samples or (witness is not None and not keep_all):
             break
     return OracleReport(found=witness is not None, best_penalty=float(best),
                         samples=used, seed=seed, witness=witness,

@@ -509,28 +509,23 @@ def realize_graph(g: SimpleGraph) -> RealizeResult:
     comp = sorted(core + pend)
     block = np.ix_(comp, comp)
 
-    z = -min(0.1, 0.5 / max(1, len(core) - 1))
-    for _ in range(60):
-        zi = 0.3
-        for _ in range(60):
+    z0 = -min(0.1, 0.5 / max(1, len(core) - 1))
+    for z in (z0 * 0.5 ** i for i in range(60)):
+        for zi in (0.3 * 0.5 ** j for j in range(60)):
             gram = np.eye(g.n, dtype=complex)
             gram[np.ix_(core, core)] = z
             gram[core, core] = 1.0
             gram[pend, anch] = gram[anch, pend] = zi
             if np.linalg.eigvalsh(gram[block])[0] > 1e-4:
                 break
-            zi *= 0.5
         else:
-            z *= 0.5
             continue
         o_full = np.zeros(g.n, dtype=complex)
         o_full[core] = np.sqrt(-z)
         o_local = o_full[comp]
         s2 = float(np.real(np.vdot(o_local, np.linalg.solve(gram[block], o_local))))
-        if s2 > 0.81:
-            z *= 0.5
-            continue
-        break
+        if s2 <= 0.81:
+            break
     else:
         raise SynthError("could not realize the graph with a feasible overlap scale")
 

@@ -286,6 +286,17 @@ def exactness_corpus():
         ("untranslatable4_short_batch",
          gen_text(GenSpec(mode="untranslatable4", seed=4)), 2777, 9, False),
     ]
+    # the Q = 0 probe is the first batch: it runs even when samples < 1,
+    # and with keep_all an accepted probe is followed by every random batch
+    classical3 = validate_text(np.eye(3))
+    refused = gen_text(GenSpec(mode="untranslatable4", seed=0))
+    out += [
+        ("classical3_samples0", classical3, 0, 0, False),
+        ("classical3_samples1", classical3, 1, 0, False),
+        ("refused_samples0", refused, 0, 7, False),
+        ("refused_samples1", refused, 1, 7, False),
+        ("classical3_keep_all", classical3, 1100, 3, True),
+    ]
     return out
 
 
@@ -315,3 +326,14 @@ class TestOraclePrune:
         assert_reports_identical(got, ref)
         assert got.samples == 20000
         assert sum(rows) < got.samples / 2
+
+
+class TestOracleProbe:
+    @pytest.mark.parametrize("label,t,samples,seed,keep_all", exactness_corpus(),
+                             ids=[c[0] for c in exactness_corpus()])
+    def test_found_iff_witness_and_refusals_use_every_sample(
+            self, label, t, samples, seed, keep_all):
+        rep = oracle_feasible(t, samples=samples, seed=seed, keep_all=keep_all)
+        assert rep.found == (rep.witness is not None)
+        if not rep.found:
+            assert rep.samples == max(samples, 1)
