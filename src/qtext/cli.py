@@ -223,7 +223,7 @@ def main(argv=None) -> int:
             path = getattr(args, action.dest)
             # an optional input left empty is not read
             loaded.append(load(path) if path or action.required else None)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         return _fail(args, exc)
     try:
         return args.func(args, *loaded)

@@ -121,6 +121,82 @@ class OracleReport:
     accepted_Q: list[float] | None = None
 
 
+def _skipped(yt: np.ndarray, Bmin: np.ndarray, zmin: float, best: float,
+             nullok: np.ndarray | None, nullpen: np.ndarray | None,
+             x: np.ndarray | None) -> np.ndarray:
+    """Mask of the samples of a batch that can neither be accepted nor
+    lower `best`, read off the upper triangle alone.
+
+    yt      : (m, T) upper triangles of the output Grams, free values placed,
+              in `np.triu_indices` order; any evaluation of the forced
+              entries, not necessarily the one the full Y gets
+    Bmin    : (m,) smallest B = 1 + Q |a_i|^2 of each sample
+    zmin    : smallest |z_ij| over the text's non-orthogonal pairs
+    nullok, nullpen : the null-residual test and term, None without
+              orthogonal pairs
+    x       : a vector for Rayleigh's bound lambda_min(Y) <= x^H Y x / x^H x,
+              or None
+
+    A sample with B_min <= B_FLOOR is skipped.  Any other one is skipped
+    when it provably fails an acceptance test and a lower bound on its
+    penalty is at least `best`.  Margins, u the unit roundoff:
+
+    - A forced entry y_ij = (z_ij + Q a_i conj(a_j)) / (sqrt(B_i B_j) z_ij)
+      has |Q a_i a_j| <= 1, so |y_ij| and the terms it is made of are at
+      most w = (1 + 1/zmin) / B_min.  One evaluation errs by at most
+      20 u w: 5 u w in the numerator (a multiply with or without FMA, a
+      scaling, an add), 3 u |y| in the denominator and 12 u |y| in Smith's
+      division.  So two evaluations, of (i, j) or of (j, i) conjugated,
+      differ by at most eps = 64 u w.
+    - Each |y| here is then within eta = 2 eps + 4 u (max|y| + 1) of the
+      one the full Y gives, after the rounding of abs and of the shifted
+      thresholds.
+    - `eigvalsh` reads the lower triangle of the full Y: call that
+      Hermitian matrix H, and Y_t the one of `yt`.  Every norm below is at
+      most R = 1 + (n - 1)(max|y| + eps) (row sums).  The computed
+      lambda_min(H) exceeds r = fl(x^H Y_t x) by at most the sum mu of
+        16 n u R                 eigvalsh's backward error p(n) u ||H||;
+                                 LAPACK promises a modest p(n), and 16 n
+                                 is generous for Householder reduction
+        (n - 1) eps              ||H - Y_t|| (Weyl's inequality)
+        R (|1 - x^H x| + 2 n u)  Rayleigh's quotient for x not unit
+        3 (T + n + 4) u R        rounding of r: x^H x, T = n(n - 1)/2
+                                 complex products and their sum
+      and these constants exceed the rounding of mu itself.
+    - Rounding is monotone, so r + mu < -psd_tol(n) in floats proves
+      lambda_min < -psd_tol(n), and max(0, -r - mu)^2 is at most the
+      PSD term.
+    - The penalty sums T + 2 non-negative terms (PSD, T moduli, null),
+      each no smaller than its term in the bound, in another order: the
+      factor 1 - s with s = 8 (T + 1) u covers both sums' rounding.
+
+    A NaN in `yt` or the null term keeps its sample, as every comparison
+    with it is false; a NaN B skips it, as B <= B_FLOOR does.
+    """
+    u = 2.0 ** -53
+    T = yt.shape[1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        eps = 64 * u * (1.0 + 1.0 / zmin) / Bmin
+    mod = np.abs(yt)
+    big = mod.max(axis=1, initial=0.0)
+    eta = 2 * eps + 4 * u * (big + 1.0)
+    bound = np.sum(np.maximum(0.0, mod - (MODULUS_CAP + eta)[:, None]) ** 2, axis=1)
+    rejected = big >= 1.0 - DISTINCT_TOL + eta
+    if nullok is not None:
+        rejected |= ~nullok
+        bound = bound + nullpen
+    if x is not None:
+        n = x.size
+        iu = np.triu_indices(n, 1)
+        xx = float(np.sum(np.abs(x) ** 2))
+        r = xx + 2.0 * (yt @ (x[iu[0]].conj() * x[iu[1]])).real
+        R = 1.0 + (n - 1) * (big + eps)
+        mu = (n - 1) * eps + R * (abs(1.0 - xx) + (16 * n + 2 * n + 3 * (T + n + 4)) * u)
+        rejected |= r + mu < -psd_tol(n)
+        bound = np.maximum(0.0, -r - mu) ** 2 + bound
+    return ~(Bmin > B_FLOOR) | (rejected & (bound * (1.0 - 8 * (T + 1) * u) >= best))
+
+
 def oracle_feasible(t: Text, samples: int = 100000, seed: int = 0,
                     keep_all: bool = False) -> OracleReport:
     """Sampling check for the existence of any translation of a text.
@@ -135,19 +211,27 @@ def oracle_feasible(t: Text, samples: int = 100000, seed: int = 0,
     found in `samples` tries".  Results are identical for identical
     (text, samples, seed).
 
-    Each batch fills the output Gram Y of every sample: the forced entries,
-    the unit diagonal and the free values.  A sample's penalty is the PSD
-    term of Y plus the modulus term of its off-diagonal entries plus, on
-    texts with orthogonal pairs, the null-residual term, summed in that
-    order.  The last two, and the acceptance tests on the moduli and the
-    null residuals, need no eigenvalues.  So the row copy and eigvalsh are
-    skipped for a sample that has B <= 1e-12 somewhere, or that already
-    fails one of those acceptance tests while its modulus and null terms
-    alone are at least the best penalty from before the batch.  Such a
-    sample can neither be accepted nor lower the best: the PSD term is
-    non-negative and rounded addition is monotone, so its full penalty is
-    never below that partial sum.  The prune is exact: the report is the
-    one the unpruned evaluation gives, bit for bit, with the same draws.
+    A sample's penalty is the PSD term max(0, -lambda_min(Y))^2 of its
+    output Gram Y, plus the modulus term of its off-diagonal entries,
+    plus, on texts with orthogonal pairs, the null-residual term.  Each
+    batch runs in two stages.
+
+    Stage 1 takes every sample on the upper triangle of Y alone: the
+    forced entries, the free values, the null term, and lower bounds on
+    the modulus and PSD terms.  The PSD bound is Rayleigh's,
+    lambda_min(Y) <= x^H Y x for a unit x, with x the eigenvector of the
+    probe's smallest eigenvalue when that is negative.  `_skipped` drops
+    every sample that has B <= 1e-12, or that provably fails an acceptance
+    test while its bound is at least the best penalty from before the
+    batch.  The triangle may differ from the full Y in the last bits
+    (another loop, FMA), so its margins eps, eta, mu and s cover that, the
+    rounding of the bound and the backward error of `eigvalsh`.
+
+    Stage 2 builds the full Y of the kept samples alone, then runs the
+    modulus and null tests, `eigvalsh`, the penalty and the acceptance
+    test on them.  A skipped sample could neither be accepted nor lower
+    the best, so the prune is exact: the report is the one the unpruned
+    evaluation gives, bit for bit, with the same draws.
     """
     rng = np.random.default_rng([seed, 1618])
     emb = embed_text(t, pad_extra_dim=True)
@@ -162,6 +246,10 @@ def oracle_feasible(t: Text, samples: int = 100000, seed: int = 0,
     zden = np.where(nonnull, z, 1.0)
     iu = np.triu_indices(n, 1)
     diag = np.arange(n)
+    # sorted, the free pairs come in the triangle's row-by-row order
+    free_u = ~nonnull[iu]
+    zmin = np.abs(z[nonnull]).min(initial=1.0)
+    nullok = nullpen = x = None
     best = np.inf
     used = 0
     accepted_Q: list[float] = []
@@ -181,46 +269,53 @@ def oracle_feasible(t: Text, samples: int = 100000, seed: int = 0,
             phases = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, size=(m, len(free))))
             free_vals = radii * phases
         used += len(Q)
+        # stage 1: every sample, upper triangle
         A = tablets @ E.conj()
         B = 1.0 + Q[:, None] * np.abs(A) ** 2
-        okB = B.min(axis=1) > B_FLOOR
         safeB = np.where(B > B_FLOOR, B, 1.0)
-        Y = z[None, :, :] + Q[:, None, None] * (A[:, :, None] * A.conj()[:, None, :])
-        den = np.sqrt(safeB[:, :, None] * safeB[:, None, :])
+        yt = z[iu] + Q[:, None] * (A[:, iu[0]] * A[:, iu[1]].conj())
         with np.errstate(divide="ignore", invalid="ignore"):
-            Y /= den * zden[None, :, :]
-        Y[:, diag, diag] = 1.0
-        Y[:, free_i, free_j] = free_vals
-        Y[:, free_j, free_i] = free_vals.conj()
-        offmod = np.abs(Y[:, iu[0], iu[1]])
-        modpen = np.sum(np.maximum(0.0, offmod - MODULUS_CAP) ** 2, axis=1)
-        partial = modpen
-        passes = offmod.max(axis=1, initial=0.0) < 1.0 - DISTINCT_TOL
+            yt /= np.sqrt(safeB[:, iu[0]] * safeB[:, iu[1]]) * zden[iu]
+        yt[:, free_u] = free_vals
         if free_i.size:
             # orthogonal input pairs still constrain the tablet:
             # |Q a_i conj(a_j)| must vanish there (output entry stays free)
             nullres = np.abs(Q[:, None] * A[:, free_i] * A.conj()[:, free_j])
             nullpen = np.sum(np.maximum(0.0, nullres - EQ4_TOL) ** 2, axis=1)
-            partial = modpen + nullpen
-            passes &= nullres.max(axis=1) <= EQ4_TOL
-        # a NaN partial sum keeps its sample
-        kept = np.flatnonzero(okB & (passes | ~(partial >= best)))
-        lam_min = np.linalg.eigvalsh(Y if kept.size == len(Q) else Y[kept])[:, 0]
-        pen = np.maximum(0.0, -lam_min) ** 2 + modpen[kept]
+            nullok = nullres.max(axis=1) <= EQ4_TOL
+        kept = np.flatnonzero(~_skipped(yt, B.min(axis=1), zmin, best, nullok, nullpen, x))
+        # stage 2: the kept samples, full Y
+        Qk, Ak, Bk = Q[kept], A[kept], safeB[kept]
+        Y = z[None, :, :] + Qk[:, None, None] * (Ak[:, :, None] * Ak.conj()[:, None, :])
+        den = np.sqrt(Bk[:, :, None] * Bk[:, None, :])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            Y /= den * zden[None, :, :]
+        Y[:, diag, diag] = 1.0
+        Y[:, free_i, free_j] = free_vals[kept]
+        Y[:, free_j, free_i] = free_vals[kept].conj()
+        offmod = np.abs(Y[:, iu[0], iu[1]])
+        modpen = np.sum(np.maximum(0.0, offmod - MODULUS_CAP) ** 2, axis=1)
+        passes = offmod.max(axis=1, initial=0.0) < 1.0 - DISTINCT_TOL
+        lam_min = np.linalg.eigvalsh(Y)[:, 0]
+        pen = np.maximum(0.0, -lam_min) ** 2 + modpen
         if free_i.size:
+            passes &= nullok[kept]
             pen = pen + nullpen[kept]
         finite = pen[np.isfinite(pen)]
         if finite.size:
             best = min(best, float(finite.min()))
-        for s in kept[passes[kept] & (lam_min >= -psd_tol(n))]:
-            r1 = overlap_residual(t, float(Q[s]), A[s], Y[s])
+        if used == 1 and lam_min[0] < 0:  # the probe: x for later batches' bound
+            x = np.linalg.eigh(Y[0])[1][:, 0]
+        for k in np.flatnonzero(passes & (lam_min >= -psd_tol(n))):
+            s = kept[k]
+            r1 = overlap_residual(t, float(Q[s]), A[s], Y[k])
             if r1 > EQ4_TOL:
                 continue
             accepted_Q.append(float(Q[s]))
             if witness is None:
                 witness = TranslationWitness(
                     Q=float(Q[s]), q=q_from_Q(float(Q[s])), tablet=np.array(tablets[s]),
-                    output_gram=np.array(Y[s]), unitary=None,
+                    output_gram=np.array(Y[k]), unitary=None,
                     residuals={"eq4": r1, "eq2": None})
             if not keep_all:
                 break

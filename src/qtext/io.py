@@ -72,8 +72,15 @@ def _checked(x, types: tuple, what: str):
     return x
 
 
+def _required(d: dict, key: str):
+    """`d[key]`, or ValueError naming the key when the object lacks it."""
+    if key not in d:
+        raise ValueError(f"the JSON object has no {key!r} key")
+    return d[key]
+
+
 def text_from_dict(d: dict) -> Text:
-    t = validate_text(matrix_from_json(d["gram"]))
+    t = validate_text(matrix_from_json(_required(d, "gram")))
     if "n" in d and _checked(d["n"], (int,), "n") != t.n:
         raise ValueError(f"declared n = {d['n']} but gram is {t.n} x {t.n}")
     return t
@@ -85,8 +92,8 @@ def graph_to_dict(g: SimpleGraph) -> dict:
 
 def graph_from_dict(d: dict) -> SimpleGraph:
     edges = [[_checked(v, (int,), "an edge label") for v in _checked(e, (list,), "edge")]
-             for e in _checked(d["edges"], (list,), "edges")]
-    return make_graph(_checked(d["n"], (int,), "n"), edges)
+             for e in _checked(_required(d, "edges"), (list,), "edges")]
+    return make_graph(_checked(_required(d, "n"), (int,), "n"), edges)
 
 
 def witness_to_dict(w: TranslationWitness) -> dict:
@@ -105,12 +112,12 @@ def witness_to_dict(w: TranslationWitness) -> dict:
 
 
 def witness_from_dict(d: dict) -> TranslationWitness:
-    tablet = vector_from_json(d["tablet"])
-    if len(tablet) != _checked(d["embedding_dim"], (int,), "embedding_dim"):
+    tablet = vector_from_json(_required(d, "tablet"))
+    if len(tablet) != _checked(_required(d, "embedding_dim"), (int,), "embedding_dim"):
         raise ValueError("embedding_dim does not match the tablet length")
-    Q = float(_checked(d["Q"], (int, float), "Q"))
+    Q = float(_checked(_required(d, "Q"), (int, float), "Q"))
     q = q_from_Q(Q) if d.get("q") is None else complex(_complex_from_json(d["q"], 0))
-    output = matrix_from_json(d["output_gram"])
+    output = matrix_from_json(_required(d, "output_gram"))
     unitary = None if d.get("unitary") is None else matrix_from_json(d["unitary"])
     stored = _checked(d.get("residuals", {}), (dict,), "residuals")
     residuals = {"eq4": stored.get("eq4"), "eq2": stored.get("eq2")}

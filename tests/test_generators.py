@@ -1,5 +1,7 @@
 """Text generators and the random feasibility probe."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from qtext import (
     text_properties,
     validate_text,
 )
-from qtext.generators import MODULUS_CAP, OracleReport
+from qtext.generators import MODULUS_CAP, OracleReport, _skipped
 from qtext.texts import embed_text, null_index_set, psd_tol
 from qtext.translation import TranslationWitness, overlap_residual, q_from_Q
 from tests.conftest import uniform_gram
@@ -275,6 +277,13 @@ def exactness_corpus():
         ("c4_plus_isolated", gen_text(GenSpec(mode="from_graph", seed=2, graph=c4)), 3000, 1, False),
         ("core_pendants5", core_with_pendants(5, 0), 3000, 2, False),
         ("core_pendants6", core_with_pendants(6, 1), 3000, 3, False),
+        # the probe's Y is indefinite on these, so the Rayleigh bound prunes
+        ("core_pendants8", core_with_pendants(8, 0), 3000, 4, False),
+        ("c4_plus_isolated_s7", gen_text(GenSpec(mode="from_graph", seed=2, graph=c4)),
+         4000, 7, False),
+        ("core_pendants6_keep_all", core_with_pendants(6, 1), 3000, 5, True),
+        # the probe's best penalty 0.382 falls to 0.330 within the batches
+        ("core_pendants6_lowered", core_with_pendants(6, 0), 3000, 2, False),
     ]
     out += [(f"classical{n}", validate_text(np.eye(n)), 50, 0, False) for n in (1, 3, 6)]
     uniform3 = validate_text(uniform_gram(3, 0.5))
@@ -326,6 +335,285 @@ class TestOraclePrune:
         assert_reports_identical(got, ref)
         assert got.samples == 20000
         assert sum(rows) < got.samples / 2
+
+
+
+class TestRayleighPrune:
+    """Pendant and C4 texts, where the probe's Y is indefinite and the
+    Rayleigh bound does the pruning."""
+
+    def test_lowered_case_goes_below_the_probe(self):
+        _, t, samples, seed, _ = next(c for c in exactness_corpus()
+                                      if c[0] == "core_pendants6_lowered")
+        probe = oracle_feasible(t, samples=1, seed=seed)
+        assert np.linalg.eigvalsh(probe_gram(t))[0] < 0
+        assert oracle_feasible(t, samples=samples, seed=seed).best_penalty < probe.best_penalty
+
+    @pytest.mark.parametrize("label", ["core_pendants6", "core_pendants8", "c4_plus_isolated"])
+    def test_most_samples_skip_eigvalsh(self, label, monkeypatch):
+        t = pendant_and_c4_texts()[label]
+        assert np.linalg.eigvalsh(probe_gram(t))[0] < 0
+        ref = unpruned_oracle(t, samples=20000, seed=7)
+        real = np.linalg.eigvalsh
+        rows = []
+
+        def counting(a, *args, **kwargs):
+            rows.append(a.shape[0] if a.ndim == 3 else 1)
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        got = oracle_feasible(t, samples=20000, seed=7)
+        assert_reports_identical(got, ref)
+        assert sum(rows) < got.samples / 2
+
+
+def probe_gram(t):
+    """The output Gram of the Q = 0 probe: ones on the text's edges, zeros
+    on its orthogonal pairs."""
+    return np.where(np.abs(t.gram) > 1e-9, 1.0, 0.0).astype(complex)
+
+
+def referee_rows(t, Q, tablets, free_vals):
+    """The unpruned evaluation of one batch: per sample the penalty (inf
+    where some B <= 1e-12), whether it passes every acceptance test before
+    the overlap residual, its full output Gram Y, its smallest B, and its
+    null residuals."""
+    E = embed_text(t, pad_extra_dim=True).vectors
+    n = t.n
+    free = sorted(null_index_set(t))
+    fi = np.array([i for i, _ in free], dtype=int)
+    fj = np.array([j for _, j in free], dtype=int)
+    nonnull = ~np.eye(n, dtype=bool)
+    nonnull[fi, fj] = nonnull[fj, fi] = False
+    A = tablets @ E.conj()
+    B = 1.0 + Q[:, None] * np.abs(A) ** 2
+    okB = B.min(axis=1) > 1e-12
+    safeB = np.where(B > 1e-12, B, 1.0)
+    num = t.gram[None] + Q[:, None, None] * (A[:, :, None] * A.conj()[:, None, :])
+    den = np.sqrt(safeB[:, :, None] * safeB[:, None, :]) * np.where(nonnull, t.gram, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        Y = num / den
+    Y[:, np.arange(n), np.arange(n)] = 1.0
+    Y[:, fi, fj] = free_vals
+    Y[:, fj, fi] = free_vals.conj()
+    # eigvalsh does not converge on NaN entries
+    lam = np.full(len(Q), np.nan)
+    finite = np.isfinite(Y).all(axis=(1, 2))
+    lam[finite] = np.linalg.eigvalsh(Y[finite])[:, 0]
+    iu = np.triu_indices(n, 1)
+    offmod = np.abs(Y[:, iu[0], iu[1]])
+    nullres = np.abs(Q[:, None] * A[:, fi] * A.conj()[:, fj])
+    pen = (np.maximum(0.0, -lam) ** 2
+           + np.sum(np.maximum(0.0, offmod - MODULUS_CAP) ** 2, axis=1)
+           + np.sum(np.maximum(0.0, nullres - 1e-8) ** 2, axis=1))
+    ok = (okB & (lam >= -psd_tol(n)) & (offmod.max(axis=1, initial=0.0) < 1.0 - 1e-12)
+          & (nullres.max(axis=1, initial=0.0) <= 1e-8))
+    return np.where(okB, pen, np.inf), ok, Y, B.min(axis=1), nullres
+
+
+def triangles(t, Q, tablets, free_vals, Y):
+    """Evaluations of the upper triangle that differ in the last bits: the
+    full Y's upper triangle, its lower triangle conjugated, one computed in
+    the (m, n(n-1)/2) layout, and the first scaled by 1 -+ 2^-50, well
+    inside the per-entry error `_skipped` allows for."""
+    n = t.n
+    iu = np.triu_indices(n, 1)
+    A = tablets @ embed_text(t, pad_extra_dim=True).vectors.conj()
+    B = 1.0 + Q[:, None] * np.abs(A) ** 2
+    safeB = np.where(B > 1e-12, B, 1.0)
+    z = t.gram[iu]
+    zden = np.where(np.abs(z) > 1e-9, z, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        flat = (z + Q[:, None] * (A[:, iu[0]] * A[:, iu[1]].conj())) / (
+            np.sqrt(safeB[:, iu[0]] * safeB[:, iu[1]]) * zden)
+    upper = Y[:, iu[0], iu[1]]
+    free = np.abs(z) <= 1e-9
+    flat[:, free] = upper[:, free]
+    return [upper, Y[:, iu[1], iu[0]].conj(), flat,
+            upper * (1.0 - 2.0 ** -50), upper * (1.0 + 2.0 ** -50)]
+
+
+def assert_skips_are_sound(t, Q, tablets, free_vals, x, bests):
+    """No sample that `_skipped` drops would have been accepted, or would
+    have had a penalty below `best`, for any of the triangles."""
+    pen, ok, Y, Bmin, nullres = referee_rows(t, Q, tablets, free_vals)
+    nullok = nullpen = None
+    if nullres.shape[1]:
+        nullpen = np.sum(np.maximum(0.0, nullres - 1e-8) ** 2, axis=1)
+        nullok = nullres.max(axis=1) <= 1e-8
+    zmin = np.abs(t.gram[np.abs(t.gram) > 1e-9]).min()
+    for yt in triangles(t, Q, tablets, free_vals, Y):
+        for best in bests:
+            skip = _skipped(yt, Bmin, zmin, best, nullok, nullpen, x)
+            assert not np.any(skip & ok)
+            assert not np.any(skip & (pen < best))
+            # a NaN in the triangle keeps its sample unless some B <= 1e-12
+            assert not np.any(skip & (Bmin > 1e-12) & np.isnan(yt).any(axis=1))
+
+
+def unit_rows(a):
+    return a / np.linalg.norm(a, axis=1, keepdims=True)
+
+
+def random_batch(rng, m, dim):
+    """m values of Q and m unit tablets of length dim."""
+    return (rng.uniform(-1.0, 1.0, m),
+            unit_rows(rng.standard_normal((m, dim)) + 1j * rng.standard_normal((m, dim))))
+
+
+def edge_batches(t, Q, tablets, pairs, holds, width):
+    """For each (a, b) of `pairs`, a batch of 33 samples spread over
+    +-`width` around the point of the segment from sample a to sample b
+    where `holds(Y)` stops being true, found by bisection.  Only batches
+    with samples on both sides of the referee's acceptance are returned,
+    as (Q, tablets, Y).  The text has no orthogonal pairs."""
+    none = np.zeros((33, 0), dtype=complex)
+
+    def along(c, a, b):
+        return ((1 - c) * Q[a] + c * Q[b],
+                unit_rows((1 - c)[:, None] * tablets[a] + c[:, None] * tablets[b]))
+
+    out = []
+    for a, b in pairs:
+        lo, hi = 0.0, 1.0
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            y = referee_rows(t, *along(np.array([mid]), a, b), none[:1])[2][0]
+            lo, hi = (mid, hi) if holds(y) else (lo, mid)
+        Qc, tc = along(lo + np.linspace(-width, width, 33), a, b)
+        _, ok, Y, *_ = referee_rows(t, Qc, tc, none)
+        if ok.any() and not ok.all():
+            out.append((Qc, tc, Y))
+    return out
+
+
+class TestPruneSoundness:
+    """`_skipped` at the tolerance edges, against the unpruned evaluation."""
+
+    def test_lambda_min_within_1e12_of_the_psd_floor(self):
+        # uniform3 has samples on both sides of -psd_tol with every other
+        # test passed
+        t = validate_text(uniform_gram(3, 0.5))
+        Q, tablets = random_batch(np.random.default_rng(3), 4000, 4)
+        pen, ok, Y, *_ = referee_rows(t, Q, tablets, np.zeros((4000, 0), dtype=complex))
+        lam = np.linalg.eigvalsh(Y)[:, 0]
+        floor = -psd_tol(3)
+        outside = np.flatnonzero(~ok & (lam < floor) & (pen < 1e-3))
+        batches = edge_batches(t, Q, tablets, zip(np.flatnonzero(ok)[:40], outside[:40]),
+                               lambda y: np.linalg.eigvalsh(y)[0] >= floor, 4e-12)
+        assert len(batches) >= 5
+        for Qc, tc, Yc in batches:
+            assert np.abs(np.linalg.eigvalsh(Yc)[:, 0] - floor).max() < 1e-10
+            x = np.linalg.eigh(Yc[16])[1][:, 0]
+            assert_skips_are_sound(t, Qc, tc, np.zeros((33, 0)), x, [0.0, 1e-30])
+
+    def test_modulus_within_ulps_of_the_distinct_floor(self):
+        # on a 2-text lambda_min = 1 - |y|, so the modulus test is the edge
+        t = validate_text(uniform_gram(2, 0.5))
+        Q, tablets = random_batch(np.random.default_rng(2), 400, 3)
+        _, ok, Y, Bmin, _ = referee_rows(t, Q, tablets, np.zeros((400, 0), dtype=complex))
+        mod = np.abs(Y[:, 0, 1])
+        floor = 1.0 - 1e-12
+        outside = np.flatnonzero((mod >= floor) & (mod < 1.5) & (Bmin > 0.01))
+        batches = edge_batches(t, Q, tablets, zip(np.flatnonzero(ok)[:40], outside[:40]),
+                               lambda y: abs(y[0, 1]) < floor, 2e-15)
+        assert len(batches) >= 5
+        for Qc, tc, Yc in batches:
+            assert np.abs(np.abs(Yc[:, 0, 1]) - floor).max() < 1e-14
+            x = np.linalg.eigh(Yc[16])[1][:, 0]
+            for probe in (x, None):
+                assert_skips_are_sound(t, Qc, tc, np.zeros((33, 0)), probe, [0.0])
+
+    def test_penalty_equal_to_best_to_the_ulp(self):
+        # x from each sample's own Y makes the Rayleigh bound as tight as it gets
+        t = core_with_pendants(6, 1)
+        rng = np.random.default_rng(11)
+        m = 64
+        Q, tablets = random_batch(rng, m, embed_text(t, pad_extra_dim=True).dim)
+        nfree = len(null_index_set(t))
+        free_vals = (np.sqrt(rng.uniform(size=(m, nfree)))
+                     * np.exp(2j * np.pi * rng.uniform(size=(m, nfree))))
+        pen, _, Y, *_ = referee_rows(t, Q, tablets, free_vals)
+        probe_x = np.linalg.eigh(probe_gram(t))[1][:, 0]
+        for s in range(m):
+            if not np.isfinite(pen[s]):
+                continue
+            bests = [np.nextafter(pen[s], -np.inf), pen[s], np.nextafter(pen[s], np.inf)]
+            x = np.linalg.eigh(Y[s])[1][:, 0]
+            assert_skips_are_sound(t, Q[s:s + 1], tablets[s:s + 1], free_vals[s:s + 1],
+                                   x, bests)
+        assert_skips_are_sound(t, Q, tablets, free_vals, probe_x,
+                               sorted(pen[np.isfinite(pen)]))
+
+    def test_b_just_above_the_floor(self):
+        # a tablet on state 0 and Q near -1 put B_0 at 1e-12 (1 + d)
+        t = core_with_pendants(6, 1)
+        emb = embed_text(t, pad_extra_dim=True)
+        d = np.array([-0.5, -1e-3, 1e-3, 1e-2, 0.1, 1.0, 10.0, 1e3, 1e6])
+        tablets = np.repeat(unit_rows(emb.vectors[:, :1].T.copy()), len(d), axis=0)
+        a0 = np.abs(tablets @ emb.vectors.conj())[0, 0] ** 2
+        Q = (1e-12 * (1.0 + d) - 1.0) / a0
+        free_vals = np.full((len(d), len(null_index_set(t))), 0.3 + 0.1j)
+        pen, _, Y, Bmin, _ = referee_rows(t, Q, tablets, free_vals)
+        assert list(Bmin > 1e-12) == [False, False] + [True] * 7
+        assert Bmin[2] < 1.01e-12
+        x = np.linalg.eigh(probe_gram(t))[1][:, 0]
+        finite = pen[np.isfinite(pen)]
+        assert_skips_are_sound(t, Q, tablets, free_vals, x,
+                               [0.0, finite.min(), np.median(finite), np.inf])
+
+    def test_nan_entries(self):
+        t = core_with_pendants(6, 1)
+        m = 32
+        dim = embed_text(t, pad_extra_dim=True).dim
+        Q, tablets = random_batch(np.random.default_rng(5), m, dim)
+        free_vals = np.full((m, len(null_index_set(t))), 0.5 + 0.0j)
+        free_vals[::3, 0] = np.nan
+        free_vals[1::5, -1] = complex(np.nan, 0.0)
+        tablets[2::7, 1] = np.nan
+        Q[3] = np.nan
+        x = np.linalg.eigh(probe_gram(t))[1][:, 0]
+        for probe in (x, None):
+            assert_skips_are_sound(t, Q, tablets, free_vals, probe, [0.0, 1.0, np.inf])
+
+
+def pendant_and_c4_texts():
+    """Refused texts whose probe Y is indefinite, so that the PSD term, not
+    the modulus and null terms, sets the best penalty."""
+    c4 = make_graph(8, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    return {"core_pendants6": core_with_pendants(6, 1),
+            "core_pendants8": core_with_pendants(8, 0),
+            "c4_plus_isolated": gen_text(GenSpec(mode="from_graph", seed=2, graph=c4))}
+
+
+def digest_corpus():
+    """The refused texts whose reports `REPORT_DIGEST` fixes."""
+    out = [gen_text(GenSpec(mode="untranslatable4", seed=s)) for s in range(3)]
+    out += [refused_random(n) for n in range(5, 9)]
+    return out + list(pendant_and_c4_texts().values())
+
+
+def report_digest(reports):
+    """sha256 over every bit of a list of reports that a caller can read."""
+    h = hashlib.sha256()
+    for rep in reports:
+        h.update(f"{rep.found} {rep.samples} {rep.best_penalty.hex()}\n".encode())
+        h.update(" ".join(q.hex() for q in rep.accepted_Q).encode() + b"\n")
+        w = rep.witness
+        if w is not None:
+            h.update(w.Q.hex().encode() + w.tablet.tobytes() + w.output_gram.tobytes())
+            h.update(repr(w.residuals).encode())
+    return h.hexdigest()
+
+
+# recorded from the kernel that built the full n x n output Gram of every
+# sample and pruned on the modulus and null terms alone
+REPORT_DIGEST = "eefec1ac3a10d85946c7f7912d5a06d8650027c3790a770aaf81ca43b62cef80"
+
+
+def test_reports_at_20000_samples_are_unchanged():
+    reports = [oracle_feasible(t, samples=20000, seed=7) for t in digest_corpus()]
+    assert report_digest(reports) == REPORT_DIGEST
 
 
 class TestOracleProbe:

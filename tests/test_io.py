@@ -116,6 +116,29 @@ class TestWitnessJson:
         assert rep.passed and rep.r3 is None
 
 
+class TestRequiredKeys:
+    """A JSON object without a required key is a ValueError that names it."""
+
+    def test_every_loader_names_its_missing_key(self, uniform3):
+        cases = [(qio.text_from_dict, qio.text_to_dict(uniform3), ["gram"]),
+                 (qio.graph_from_dict, qio.graph_to_dict(make_graph(3, [(0, 1)])),
+                  ["edges", "n"]),
+                 (qio.witness_from_dict, qio.witness_to_dict(translate(uniform3)),
+                  ["tablet", "embedding_dim", "Q", "output_gram"])]
+        for load, d, keys in cases:
+            for key in keys:
+                partial = {k: v for k, v in d.items() if k != key}
+                with pytest.raises(ValueError, match=f"^the JSON object has no '{key}' key$"):
+                    load(partial)
+
+    def test_cli_reports_it_with_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps({"n": 2, "edges": []}))
+        assert main(["validate", "-i", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: ValueError: the JSON object has no 'gram' key\n")
+
+
 class TestDecisionJson:
     def test_positive_decision(self, uniform3):
         d = qio.decision_to_dict(decide_translatable(uniform3))
