@@ -229,9 +229,10 @@ def oracle_feasible(t: Text, samples: int = 100000, seed: int = 0,
 
     Stage 2 builds the full Y of the kept samples alone, then runs the
     modulus and null tests, `eigvalsh`, the penalty and the acceptance
-    test on them.  A skipped sample could neither be accepted nor lower
-    the best, so the prune is exact: the report is the one the unpruned
-    evaluation gives, bit for bit, with the same draws.
+    test on them; a batch that keeps none skips it, unless it is the last.
+    A skipped sample could neither be accepted nor lower the best, so the
+    prune is exact: the report is the one the unpruned evaluation gives,
+    bit for bit, with the same draws.
     """
     rng = np.random.default_rng([seed, 1618])
     emb = embed_text(t, pad_extra_dim=True)
@@ -284,6 +285,8 @@ def oracle_feasible(t: Text, samples: int = 100000, seed: int = 0,
             nullpen = np.sum(np.maximum(0.0, nullres - EQ4_TOL) ** 2, axis=1)
             nullok = nullres.max(axis=1) <= EQ4_TOL
         kept = np.flatnonzero(~_skipped(yt, B.min(axis=1), zmin, best, nullok, nullpen, x))
+        if not kept.size and used < samples:
+            continue
         # stage 2: the kept samples, full Y
         Qk, Ak, Bk = Q[kept], A[kept], safeB[kept]
         Y = z[None, :, :] + Qk[:, None, None] * (Ak[:, :, None] * Ak.conj()[:, None, :])

@@ -19,6 +19,7 @@ r3 as the residuals.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,30 +191,27 @@ def _eigen_overlaps(t: Text, sign: int) -> np.ndarray | None:
     return None
 
 
-def _delta_schedule(start: float, max_q: float):
-    """Geometric shrink from `start`, then geometric growth up to `max_q`."""
+def _delta_schedule():
+    """|Q| in the order tried: 41 halvings from Q_START, then 0.1 ... 0.8."""
     for k in range(41):
-        yield start * 0.5 ** k
-    d = start * 2.0
-    while d <= max_q + 1e-15:
-        yield min(d, 1.0)
-        d *= 2.0
+        yield Q_START * 0.5 ** k
+    for k in range(1, 5):
+        yield Q_START * 2.0 ** k
 
 
-def _fully_quantum_overlaps(t: Text, sign: int, start: float = Q_START,
-                            max_q: float = 1.0) -> SearchOutcome:
-    """Eigenvector overlaps at the first Q of the schedule whose forced
-    output Gram passes the penalty and the PSD floor of `validate_text`,
-    for a text without orthogonal pairs.
+def _fully_quantum_overlaps(t: Text, sign: int) -> Iterator[SearchOutcome]:
+    """Walk the schedule with the eigenvector overlaps of a text without
+    orthogonal pairs: one SearchOutcome per Q whose forced output Gram
+    passes the penalty and the PSD floor of `validate_text`, then one whose
+    witness is None (the only one when the route gives no direction).
 
-    The witness carries no unitary and is unchecked; it is None when the
-    eigenvector route gives no direction or no step of Q passes.
+    Each counts the walk so far; its witness is bare and unchecked.
     """
     a = _eigen_overlaps(t, sign)
     best, evaluations = np.inf, 0
     if a is not None:
         a = _span_normalize(t, a)
-        for delta in _delta_schedule(start, max_q):
+        for delta in _delta_schedule():
             evaluations += 1
             Y = _forced_output(t, sign * delta, a)
             if Y is None:
@@ -225,24 +223,24 @@ def _fully_quantum_overlaps(t: Text, sign: int, start: float = Q_START,
             # must also clear validate_text's floor of -psd_tol(n)
             if p <= PENALTY_SUCCESS and lam_min >= -psd_tol(t.n):
                 w = witness_from_overlaps(t, sign * delta, a, Y)
-                return SearchOutcome(w, float(best), evaluations)
-    return SearchOutcome(None, float(best), evaluations)
+                yield SearchOutcome(w, float(best), evaluations)
+    yield SearchOutcome(None, float(best), evaluations)
 
 
 def search_translation(t: Text, sign: int) -> SearchOutcome:
     """Closed-form witness with the given sign of Q for an efficient text
     without orthogonal pairs.
 
-    The witness is `_fully_quantum_overlaps`'s, bare and unchecked.  A
-    None witness never claims untranslatability; for a sign the classifier
-    admits it is not expected at all.
+    The outcome is the first of `_fully_quantum_overlaps`, its witness bare
+    and unchecked.  A None witness never claims untranslatability; for a
+    sign the classifier admits it is not expected at all.
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     props = text_properties(t)
     if not (props.efficient and props.fully_quantum):
         raise SynthError("search needs an efficient text without orthogonal pairs")
-    return _fully_quantum_overlaps(t, sign)
+    return next(_fully_quantum_overlaps(t, sign))
 
 
 def clone_classical(t: Text, target_output=None) -> TranslationWitness:
@@ -286,7 +284,7 @@ def central_translate_uniform(t: Text) -> TranslationWitness:
     c = min(CENTRAL_OVERLAP, 0.8 * np.sqrt(sigma / n))
     overlaps = np.full(n, c, dtype=complex)
     sign = -1.0 if z > 0 else 1.0
-    for delta in _delta_schedule(Q_START, 1.0):
+    for delta in _delta_schedule():
         Q = sign * delta
         B = 1.0 + Q * c * c
         if B <= B_FLOOR:
@@ -377,25 +375,26 @@ def _scatter_witness(t: Text, order: list[int],
 
 def _mixed_witness(t: Text, core: list[int],
                    pendants: list[int]) -> tuple[list[int], TranslationWitness]:
-    """Chain of attachments over the core witness, one pendant at a time in
-    the given order, each onto the input's own subtext; on overflow the core
-    restarts at half its Q."""
-    t_core = subtext(t, core)
-    start = Q_START
-    for _ in range(60):
-        w_core = _fully_quantum_overlaps(t_core, +1, start=start, max_q=start).witness
-        if w_core is None:
-            raise SearchBudgetExhausted(
-                "no positive-Q witness found for the complete core")
-        order, w_cur = list(core), w_core
+    """Chain of attachments over a positive-Q core witness, one pendant at a
+    time in the given order, each onto the input's own subtext.
+
+    The chain's tablets depend on the core's overlap direction alone, so it
+    multiplies Q by a fixed factor: it overflows Q = 1 exactly above some
+    core Q.  The core walk's witnesses are tried in schedule order.
+    """
+    for out in _fully_quantum_overlaps(subtext(t, core), +1):
+        if out.witness is None:
+            break
+        order, w = list(core), out.witness
         try:
             for p in pendants:
                 order.append(p)
-                w_cur = attach_classical(w_cur, subtext(t, order))
-            return order, w_cur
+                w = attach_classical(w, subtext(t, order))
         except QTooLarge:
-            start = w_core.Q / 2.0
-    raise SearchBudgetExhausted("attachment chain kept overflowing Q = 1")
+            continue
+        return order, w
+    raise SearchBudgetExhausted(
+        "no positive-Q witness of the complete core keeps the chain at Q <= 1")
 
 
 def translate(t: Text, force_sign: int | None = None,

@@ -8,6 +8,7 @@ import pytest
 from qtext import (
     BadOverlapPattern,
     GraphError,
+    Infeasible,
     NotClassical,
     NotUniformRealEfficient,
     QTooLarge,
@@ -152,7 +153,14 @@ class TestSearch:
         out = search_translation(uniform3, sign=+1)
         assert out.witness is None
         assert out.best_penalty > 0
-        assert out.evaluations == len(list(synth._delta_schedule(synth.Q_START, 1.0)))
+        assert out.evaluations == len(list(synth._delta_schedule()))
+
+    def test_schedule_values(self):
+        # 41 halvings from Q_START, then the doublings that stay below 1
+        schedule = list(synth._delta_schedule())
+        assert schedule == ([synth.Q_START * 0.5 ** k for k in range(41)]
+                            + [0.1, 0.2, 0.4, 0.8])
+        assert max(schedule) <= 1.0
 
     def test_deterministic(self, uniform3):
         a = search_translation(uniform3, sign=-1)
@@ -254,13 +262,9 @@ class TestTranslate:
 
 
     def test_mixed_chain_retries_after_q_overflow(self, monkeypatch):
-        # a uniform 3-core with z = -0.35 and pendants of 0.625 on states 0
-        # and 1: the chain overflows Q = 1 from the first core witness and
-        # lands at Q ~ 0.636 from a core witness of half the start
-        g = np.eye(5, dtype=complex)
-        g[:3, :3] = uniform_gram(3, -0.35)
-        g[0, 3] = g[3, 0] = g[1, 4] = g[4, 1] = 0.625
-        t = validate_text(g)
+        # the chain overflows Q = 1 from the first core witness and lands at
+        # Q ~ 0.636 from a core witness of half the start
+        t = validate_text(OVERFLOW_TEXT)
         overflows = []
         attach = synth.attach_classical
 
@@ -277,6 +281,25 @@ class TestTranslate:
         assert w.Q == pytest.approx(0.636, abs=1e-3)
         rep = check_witness(t, w)
         assert rep.passed and rep.r3 <= 1e-8 and rep.unitarity <= 1e-10
+
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    @pytest.mark.xfail(strict=True, raises=SearchBudgetExhausted,
+                       reason="no Q of the schedule keeps |y| under MODULUS_CAP")
+    def test_near_one_uniform_translates(self, n):
+        # accepted, but every point of both routes misses the window
+        t = validate_text(uniform_gram(n, 1 - 1e-7))
+        assert decide_translatable(t).reason == "OK_FULLY_QUANTUM"
+        assert_gates(t, translate(t))
+
+    @pytest.mark.xfail(strict=True, raises=Infeasible,
+                       reason="_scatter_witness rebuilds the chain tablet with norm > 1")
+    def test_ill_conditioned_mixed_translates(self):
+        # a triangle with z = -1e-5 and a state overlapping state 0 by
+        # 1 - 1e-7: the chain succeeds, the solve on the full Gram does not
+        t = validate_text(with_pendant(uniform_gram(3, -1e-5), 0, 1 - 1e-7))
+        assert decide_translatable(t).reason == "OK_MIXED"
+        assert_gates(t, translate(t))
 
 
 class TestAttachClassical:
@@ -415,6 +438,11 @@ def with_pendant(core, anchor, overlap):
     z[:k, :k] = core
     z[anchor, k] = z[k, anchor] = overlap
     return z
+
+
+# a uniform 3-core with z = -0.35 and pendants of 0.625 on states 0 and 1;
+# its chain overflows Q = 1 from the first core witness
+OVERFLOW_TEXT = with_pendant(with_pendant(uniform_gram(3, -0.35), 0, 0.625), 1, 0.625)
 
 
 def singular_core(a):
@@ -761,3 +789,126 @@ class TestClosedFormCorpus:
                 forced += 1
         # 244 yes-texts and 272 admissible signs at the time of writing
         assert yes >= 240 and forced > yes
+
+
+def referee_mixed_witness(t, core, pendants):
+    """The mixed chain as it was before the single walk, kept as a referee:
+    on overflow the core search restarts at half the failing core Q, up to
+    60 times, each over 41 halvings of its start.  Returns the order, the
+    witness and the number of overflows."""
+
+    def core_witness(t_core, start):
+        a = synth._eigen_overlaps(t_core, +1)
+        if a is None:
+            return None
+        a = synth._span_normalize(t_core, a)
+        for k in range(41):
+            Y = synth._forced_output(t_core, start * 0.5 ** k, a)
+            if Y is None:
+                continue
+            lam_min = float(np.linalg.eigvalsh(Y)[0])
+            if (synth._penalty(Y, lam_min) <= synth.PENALTY_SUCCESS
+                    and lam_min >= -qtext.texts.psd_tol(t_core.n)):
+                return witness_from_overlaps(t_core, start * 0.5 ** k, a, Y)
+        return None
+
+    t_core = subtext(t, core)
+    start, overflows = synth.Q_START, 0
+    for _ in range(60):
+        w_core = core_witness(t_core, start)
+        if w_core is None:
+            raise SearchBudgetExhausted("no positive-Q witness found for the complete core")
+        order, w_cur = list(core), w_core
+        try:
+            for p in pendants:
+                order.append(p)
+                w_cur = attach_classical(w_cur, subtext(t, order))
+            return order, w_cur, overflows
+        except QTooLarge:
+            start = w_core.Q / 2.0
+            overflows += 1
+    raise SearchBudgetExhausted("attachment chain kept overflowing Q = 1")
+
+
+def with_pendants(core, corners, overlap):
+    g = core
+    for anchor in corners:
+        g = with_pendant(g, anchor, overlap)
+    return g
+
+
+def mixed_chain_corpus():
+    """The pendant texts of closed_form_corpus; uniform 3-cores with large
+    pendants; and triangles with z from -1e-8 to -1e-4 and pendants near 1,
+    the ill-conditioned grid whose chains overflow up to 11 times.  Texts
+    that do not validate are left out."""
+    out = [(label, g) for label, g in closed_form_corpus() if "pendant" in label]
+    for z in (-0.2, -0.3, -0.35, -0.4, -0.45):
+        for p in (0.5, 0.6, 0.625, 0.7, 0.8):
+            for corners in ((0,), (0, 1), (0, 0), (0, 1, 2)):
+                out.append((f"uniform3_z{z}_p{p}_{corners}",
+                            with_pendants(uniform_gram(3, z), corners, p)))
+    for z in (-1e-8, -1e-7, -1e-6, -1e-5, -1e-4):
+        for p in (1 - 1e-7, 1 - 5e-8):
+            for corners in ((0,), (0, 1), (0, 1, 2)):
+                out.append((f"triangle_z{z}_p{p}_{corners}",
+                            with_pendants(uniform_gram(3, z), corners, p)))
+    texts = []
+    for label, g in out:
+        try:
+            texts.append((label, validate_text(g)))
+        except TextError:
+            pass
+    return texts
+
+
+class TestSingleCoreWalk:
+    """The mixed chain walks the core's Q schedule once.  Its tablets depend
+    on the core's overlap direction alone, so each core witness scales the
+    chain's Q by the same factor, and the passing points of one walk are the
+    points the restarts of the referee visit."""
+
+    def test_matches_the_restart_referee(self):
+        mixed = overflowing = 0
+        for label, t in mixed_chain_corpus():
+            d = decide_translatable(t)
+            if d.reason != "OK_MIXED":
+                continue
+            mixed += 1
+            core, pendants = list(d.decomposition.core), list(d.decomposition.anchors)
+            try:
+                order, ref, overflows = referee_mixed_witness(t, core, pendants)
+            except SynthError as e:
+                with pytest.raises(type(e)):
+                    synth._mixed_witness(t, core, pendants)
+                continue
+            got_order, w = synth._mixed_witness(t, core, pendants)
+            assert got_order == order, label
+            assert w.Q.hex() == ref.Q.hex(), label
+            assert w.tablet.tobytes() == ref.tablet.tobytes(), label
+            assert w.output_gram.tobytes() == ref.output_gram.tobytes(), label
+            overflowing += overflows > 0
+        # 196 OK_MIXED texts, 3 uniform-core and 8 triangle ones overflowing,
+        # at the time of writing
+        assert mixed >= 190 and overflowing >= 5
+
+    @pytest.mark.parametrize("gram", [OVERFLOW_TEXT, with_pendant(RANDOM3, 0, 0.1),
+                                      with_pendant(uniform_gram(3, -1e-4), 0, 1 - 1e-7)],
+                             ids=["overflow_once", "random3_pendant", "overflow_10_times"])
+    def test_one_walk_per_translate(self, gram, count_calls):
+        calls = count_calls(synth._fully_quantum_overlaps)
+        w = translate(validate_text(gram))
+        assert len(calls) == 1 and w.Q > 0
+
+    def test_chain_tablets_do_not_depend_on_core_q(self):
+        t = validate_text(with_pendants(uniform_gram(3, -0.35), (0, 1), 0.3))
+        walk = synth._fully_quantum_overlaps(subtext(t, [0, 1, 2]), +1)
+        cores = [next(walk).witness, next(walk).witness]
+        assert cores[0].Q == 2.0 * cores[1].Q
+        chains = []
+        for w in cores:
+            for order in ([0, 1, 2, 3], [0, 1, 2, 3, 4]):
+                w = attach_classical(w, subtext(t, order))
+            chains.append(w)
+        assert chains[0].tablet.tobytes() == chains[1].tablet.tobytes()
+        assert chains[0].Q == 2.0 * chains[1].Q
