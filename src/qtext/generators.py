@@ -10,6 +10,7 @@ never infeasibility.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -121,9 +122,51 @@ class OracleReport:
     accepted_Q: list[float] | None = None
 
 
-def _skipped(yt: np.ndarray, Bmin: np.ndarray, zmin: float, best: float,
+class _PruneConsts(NamedTuple):
+    """What `_skipped` reads of a text; see `_prune_consts`."""
+
+    n: int
+    iu: tuple[np.ndarray, np.ndarray]  # np.triu_indices(n, 1)
+    zmin: float                        # smallest |z_ij| over non-orthogonal pairs
+    tol: float                         # psd_tol(n)
+    pairs: np.ndarray | None           # conj(x_i) x_j in triangle order, or None
+    xx: float                          # x^H x
+
+
+def _prune_consts(n: int, zmin: float, x: np.ndarray | None = None) -> _PruneConsts:
+    """The constants `_skipped` needs for an n-text, made once per oracle
+    call rather than per batch; x is the vector of Rayleigh's bound, or None
+    for no such bound."""
+    iu = np.triu_indices(n, 1)
+    if x is None:
+        return _PruneConsts(n, iu, zmin, psd_tol(n), None, 0.0)
+    return _PruneConsts(n, iu, zmin, psd_tol(n), x[iu[0]].conj() * x[iu[1]],
+                        float(np.sum(np.abs(x) ** 2)))
+
+
+def _cholesky_fails(yt: np.ndarray, diag: np.ndarray, n: int,
+                    iu: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Mask of the rows whose Cholesky factorization in floats meets a
+    pivot <= 0; row i factors the Hermitian n x n matrix with upper triangle
+    yt[i] (in `np.triu_indices` order) and every diagonal entry diag[i].
+    A row with a NaN or infinite diagonal never counts as failed: its
+    pivots are all NaN or infinite."""
+    # rows last, so that each step runs along the batch; pivot k stays on
+    # the diagonal once step k has read it, so a failed one is still there
+    H = np.zeros((n, n, len(diag)), dtype=complex)
+    H[iu[0], iu[1]] = yt.T
+    k_ = np.arange(n)
+    H[k_, k_] = diag
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(n - 1):
+            r = H[k, k + 1:] / np.sqrt(H[k, k].real)
+            H[k + 1:, k + 1:] -= r.conj()[:, None] * r
+    return (H[k_, k_].real <= 0.0).any(axis=0)
+
+
+def _skipped(yt: np.ndarray, Bmin: np.ndarray, best: float,
              nullok: np.ndarray | None, nullpen: np.ndarray | None,
-             x: np.ndarray | None) -> np.ndarray:
+             pc: _PruneConsts) -> np.ndarray:
     """Mask of the samples of a batch that can neither be accepted nor
     lower `best`, read off the upper triangle alone.
 
@@ -131,15 +174,15 @@ def _skipped(yt: np.ndarray, Bmin: np.ndarray, zmin: float, best: float,
               in `np.triu_indices` order; any evaluation of the forced
               entries, not necessarily the one the full Y gets
     Bmin    : (m,) smallest B = 1 + Q |a_i|^2 of each sample
-    zmin    : smallest |z_ij| over the text's non-orthogonal pairs
     nullok, nullpen : the null-residual test and term, None without
               orthogonal pairs
-    x       : a vector for Rayleigh's bound lambda_min(Y) <= x^H Y x / x^H x,
-              or None
+    pc      : the text's constants; with a vector x, tier 1 uses Rayleigh's
+              bound lambda_min(Y) <= x^H Y x / x^H x
 
     A sample with B_min <= B_FLOOR is skipped.  Any other one is skipped
     when it provably fails an acceptance test and a lower bound on its
-    penalty is at least `best`.  Margins, u the unit roundoff:
+    penalty is at least `best`.  Tier 1 bounds every sample at O(T) cost;
+    tier 2 factors the samples tier 1 keeps.  Margins, u the unit roundoff:
 
     - A forced entry y_ij = (z_ij + Q a_i conj(a_j)) / (sqrt(B_i B_j) z_ij)
       has |Q a_i a_j| <= 1, so |y_ij| and the terms it is made of are at
@@ -170,31 +213,73 @@ def _skipped(yt: np.ndarray, Bmin: np.ndarray, zmin: float, best: float,
       each no smaller than its term in the bound, in another order: the
       factor 1 - s with s = 8 (T + 1) u covers both sums' rounding.
 
+    Tier 2 runs when `best` is finite.  Let `other` be tier 1's bound on
+    the modulus and null terms, and c = sqrt(max(0, need)) with
+    need = best / (1 - s) - other, the PSD term that would lift the bound
+    to `best`; where tier 1 has not proven the sample rejected, c is raised
+    to psd_tol(n).  The sample is skipped when `_cholesky_fails` on
+    Y_t + sigma I, where sigma = (c + (n - 1) eps + 16 n u R + delta)
+    / (1 - delta) solves sigma = c + (n - 1) eps + 16 n u R
+    + delta (1 + sigma):
+
+    - Suppose the computed lambda_min(H) is >= -c.  Then lambda_min(H) >=
+      -c - 16 n u R (the backward error above), lambda_min(Y_t) >= -c -
+      16 n u R - (n - 1) eps (Weyl), and lambda_min(Y_t + sigma I) >=
+      delta (1 + sigma).
+    - The factored diagonal fl(1 + sigma) is within u (1 + sigma) of
+      1 + sigma.  Scaled to a unit diagonal, the factored matrix then has
+      lambda_min >= (delta - u) / (1 + u) = n g / (1 - n g), with
+      delta = n g / (1 - n g) (1 + u) + u and g = 8 (n + 1) u / (1 - 8 (n + 1) u).
+    - Demmel's condition (Higham, Accuracy and Stability of Numerical
+      Algorithms, 2nd ed., Thm 10.7): the factorization succeeds in
+      floating point when that lambda_min exceeds n gamma / (1 - gamma),
+      gamma = gamma_{n+1} = (n + 1) v / (1 - (n + 1) v) with v the
+      relative error of one operation; n g / (1 - n g) is no smaller.  A
+      complex operation errs by at most sqrt(2) gamma_4 < 6 u (ibid.,
+      Lemma 3.5), and g takes v = 8 u.  The excess, over 2 n (n + 1) u
+      >= 12 u in delta, exceeds the rounding of delta and sigma and makes
+      each inequality strict.  (A 1 x 1 matrix has the pivot
+      fl(1 + sigma) > 0.)
+    - So a failed factorization proves lambda_min(H) < -c: the sample
+      fails the PSD test when c >= psd_tol(n), and its PSD term is at
+      least fl(c^2).  Then its penalty reaches `best`: s exceeds the
+      (2 T + 6) u that the two sums and the rounding of need, c and c^2
+      take.
+
     A NaN in `yt` or the null term keeps its sample, as every comparison
-    with it is false; a NaN B skips it, as B <= B_FLOOR does.
+    with it is false, and in tier 2 it makes R or c and so sigma NaN; a
+    NaN B skips it, as B <= B_FLOOR does.
     """
     u = 2.0 ** -53
-    T = yt.shape[1]
+    n, T = pc.n, yt.shape[1]
+    s = 8 * (T + 1) * u
     with np.errstate(divide="ignore", invalid="ignore"):
-        eps = 64 * u * (1.0 + 1.0 / zmin) / Bmin
+        eps = 64 * u * (1.0 + 1.0 / pc.zmin) / Bmin
     mod = np.abs(yt)
     big = mod.max(axis=1, initial=0.0)
     eta = 2 * eps + 4 * u * (big + 1.0)
-    bound = np.sum(np.maximum(0.0, mod - (MODULUS_CAP + eta)[:, None]) ** 2, axis=1)
+    R = 1.0 + (n - 1) * (big + eps)
+    other = np.sum(np.maximum(0.0, mod - (MODULUS_CAP + eta)[:, None]) ** 2, axis=1)
     rejected = big >= 1.0 - DISTINCT_TOL + eta
     if nullok is not None:
         rejected |= ~nullok
-        bound = bound + nullpen
-    if x is not None:
-        n = x.size
-        iu = np.triu_indices(n, 1)
-        xx = float(np.sum(np.abs(x) ** 2))
-        r = xx + 2.0 * (yt @ (x[iu[0]].conj() * x[iu[1]])).real
-        R = 1.0 + (n - 1) * (big + eps)
-        mu = (n - 1) * eps + R * (abs(1.0 - xx) + (16 * n + 2 * n + 3 * (T + n + 4)) * u)
-        rejected |= r + mu < -psd_tol(n)
-        bound = np.maximum(0.0, -r - mu) ** 2 + bound
-    return ~(Bmin > B_FLOOR) | (rejected & (bound * (1.0 - 8 * (T + 1) * u) >= best))
+        other = other + nullpen
+    bound = other
+    if pc.pairs is not None:
+        r = pc.xx + 2.0 * (yt @ pc.pairs).real
+        mu = (n - 1) * eps + R * (abs(1.0 - pc.xx) + (16 * n + 2 * n + 3 * (T + n + 4)) * u)
+        rejected |= r + mu < -pc.tol
+        bound = np.maximum(0.0, -r - mu) ** 2 + other
+    skip = ~(Bmin > B_FLOOR) | (rejected & (bound * (1.0 - s) >= best))
+    rows = np.flatnonzero(~skip)
+    if rows.size and best < np.inf:
+        c = np.sqrt(np.maximum(0.0, best / (1.0 - s) - other[rows]))
+        c = np.where(rejected[rows], c, np.maximum(c, pc.tol))
+        g = 8 * (n + 1) * u / (1.0 - 8 * (n + 1) * u)
+        delta = n * g / (1.0 - n * g) * (1.0 + u) + u
+        sigma = (c + (n - 1) * eps[rows] + 16 * n * u * R[rows] + delta) / (1.0 - delta)
+        skip[rows] = _cholesky_fails(yt[rows], 1.0 + sigma, n, pc.iu)
+    return skip
 
 
 def oracle_feasible(t: Text, samples: int = 100000, seed: int = 0,
@@ -217,15 +302,20 @@ def oracle_feasible(t: Text, samples: int = 100000, seed: int = 0,
     batch runs in two stages.
 
     Stage 1 takes every sample on the upper triangle of Y alone: the
-    forced entries, the free values, the null term, and lower bounds on
-    the modulus and PSD terms.  The PSD bound is Rayleigh's,
+    forced entries, the free values and the null term.  `_skipped` then
+    drops every sample that has B <= 1e-12, or that provably fails an
+    acceptance test while a lower bound on its penalty is at least the
+    best penalty from before the batch, in two tiers.  Tier 1 bounds the
+    modulus and PSD terms of every sample; its PSD bound is Rayleigh's,
     lambda_min(Y) <= x^H Y x for a unit x, with x the eigenvector of the
-    probe's smallest eigenvalue when that is negative.  `_skipped` drops
-    every sample that has B <= 1e-12, or that provably fails an acceptance
-    test while its bound is at least the best penalty from before the
-    batch.  The triangle may differ from the full Y in the last bits
-    (another loop, FMA), so its margins eps, eta, mu and s cover that, the
-    rounding of the bound and the backward error of `eigvalsh`.
+    probe's smallest eigenvalue when that is negative.  Tier 2 takes the
+    samples tier 1 keeps and asks for the PSD term that would lift their
+    bound to the best, c^2: a Cholesky factorization of the triangle's
+    Hermitian matrix, shifted by a little more than c, that fails in
+    floats proves lambda_min(Y) < -c.  The triangle may differ from the
+    full Y in the last bits (another loop, FMA), so the margins cover
+    that, the rounding of the bounds, the backward error of `eigvalsh`
+    and the rounding of the factorization.
 
     Stage 2 builds the full Y of the kept samples alone, then runs the
     modulus and null tests, `eigvalsh`, the penalty and the acceptance
@@ -245,12 +335,12 @@ def oracle_feasible(t: Text, samples: int = 100000, seed: int = 0,
     nonnull[free_i, free_j] = nonnull[free_j, free_i] = False
     z = t.gram
     zden = np.where(nonnull, z, 1.0)
-    iu = np.triu_indices(n, 1)
+    pc = _prune_consts(n, np.abs(z[nonnull]).min(initial=1.0))
+    iu = pc.iu
     diag = np.arange(n)
     # sorted, the free pairs come in the triangle's row-by-row order
     free_u = ~nonnull[iu]
-    zmin = np.abs(z[nonnull]).min(initial=1.0)
-    nullok = nullpen = x = None
+    nullok = nullpen = None
     best = np.inf
     used = 0
     accepted_Q: list[float] = []
@@ -284,7 +374,7 @@ def oracle_feasible(t: Text, samples: int = 100000, seed: int = 0,
             nullres = np.abs(Q[:, None] * A[:, free_i] * A.conj()[:, free_j])
             nullpen = np.sum(np.maximum(0.0, nullres - EQ4_TOL) ** 2, axis=1)
             nullok = nullres.max(axis=1) <= EQ4_TOL
-        kept = np.flatnonzero(~_skipped(yt, B.min(axis=1), zmin, best, nullok, nullpen, x))
+        kept = np.flatnonzero(~_skipped(yt, B.min(axis=1), best, nullok, nullpen, pc))
         if not kept.size and used < samples:
             continue
         # stage 2: the kept samples, full Y
@@ -308,8 +398,8 @@ def oracle_feasible(t: Text, samples: int = 100000, seed: int = 0,
         if finite.size:
             best = min(best, float(finite.min()))
         if used == 1 and lam_min[0] < 0:  # the probe: x for later batches' bound
-            x = np.linalg.eigh(Y[0])[1][:, 0]
-        for k in np.flatnonzero(passes & (lam_min >= -psd_tol(n))):
+            pc = _prune_consts(n, pc.zmin, np.linalg.eigh(Y[0])[1][:, 0])
+        for k in np.flatnonzero(passes & (lam_min >= -pc.tol)):
             s = kept[k]
             r1 = overlap_residual(t, float(Q[s]), A[s], Y[k])
             if r1 > EQ4_TOL:

@@ -18,7 +18,7 @@ from qtext import (
     text_properties,
     validate_text,
 )
-from qtext.generators import MODULUS_CAP, OracleReport, _skipped
+from qtext.generators import MODULUS_CAP, OracleReport, _prune_consts, _skipped
 from qtext.texts import embed_text, null_index_set, psd_tol
 from qtext.translation import TranslationWitness, overlap_residual, q_from_Q
 from tests.conftest import uniform_gram
@@ -366,6 +366,24 @@ class TestRayleighPrune:
         assert_reports_identical(got, ref)
         assert sum(rows) < got.samples / 2
 
+    @pytest.mark.parametrize("label", ["core_pendants6", "core_pendants8", "c4_plus_isolated"])
+    def test_cholesky_tier_leaves_under_one_percent(self, label, monkeypatch):
+        # the probe's PSD term sets the best, and the shifted Cholesky of
+        # tier 2 shows almost every later sample's PSD term above it
+        t = pendant_and_c4_texts()[label]
+        ref = unpruned_oracle(t, samples=20000, seed=7)
+        real = np.linalg.eigvalsh
+        rows = []
+
+        def counting(a, *args, **kwargs):
+            rows.append(a.shape[0] if a.ndim == 3 else 1)
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        got = oracle_feasible(t, samples=20000, seed=7)
+        assert_reports_identical(got, ref)
+        assert sum(rows) < got.samples / 100
+
 
 def probe_gram(t):
     """The output Gram of the Q = 0 probe: ones on the text's edges, zeros
@@ -444,7 +462,7 @@ def assert_skips_are_sound(t, Q, tablets, free_vals, x, bests):
     zmin = np.abs(t.gram[np.abs(t.gram) > 1e-9]).min()
     for yt in triangles(t, Q, tablets, free_vals, Y):
         for best in bests:
-            skip = _skipped(yt, Bmin, zmin, best, nullok, nullpen, x)
+            skip = _skipped(yt, Bmin, best, nullok, nullpen, _prune_consts(t.n, zmin, x))
             assert not np.any(skip & ok)
             assert not np.any(skip & (pen < best))
             # a NaN in the triangle keeps its sample unless some B <= 1e-12
@@ -485,6 +503,70 @@ def edge_batches(t, Q, tablets, pairs, holds, width):
         if ok.any() and not ok.all():
             out.append((Qc, tc, Y))
     return out
+
+
+U = 2.0 ** -53
+# offsets from an edge: steps of u / 4 within 8 u, and of 4 u within 2048 u
+EDGE_STEPS = np.concatenate([np.arange(-32, 33) / 4, np.arange(-512, 513) * 4.0]) * U
+
+
+def circulant_grams(n, lams, b):
+    """Hermitian circulant n x n Grams with unit diagonal, one per lam of
+    `lams`, with the eigenvalues lam (eigenvector the all-ones vector),
+    n - lam - (n - 2) b, and b n - 2 times."""
+    k = np.arange(n)
+    F = np.exp(2j * np.pi * np.outer(k, k) / n)
+    lams = np.asarray(lams, dtype=float)
+    spec = np.full((lams.size, n), float(b))
+    spec[:, 0] = lams
+    spec[:, 1] = n - lams - (n - 2) * b
+    Y = np.einsum("jk,mk,lk->mjl", F, spec, F.conj()) / n
+    Y = (Y + Y.conj().transpose(0, 2, 1)) / 2
+    Y[:, k, k] = 1.0
+    return Y
+
+
+def edge_of_model(Y):
+    """The worst case `_skipped`'s error model allows for the circulants Y,
+    with B_min = zmin = 1, so eps = 128 u: the triangle yt with every
+    entry moved by eps along -1, which lowers lambda_min(Y_t) by the whole
+    (n - 1) eps that Weyl's term allows, and the largest lambda_min that a
+    backward-stable eigvalsh may return, 16 n u R above the computed one."""
+    n = Y.shape[1]
+    iu = np.triu_indices(n, 1)
+    eps = 128 * U
+    upper = Y[:, iu[0], iu[1]]
+    yt = upper - eps
+    assert np.all(np.abs(yt - upper) <= eps)
+    R = 1.0 + (n - 1) * (np.abs(yt).max(axis=1) + eps)
+    return yt, np.linalg.eigvalsh(Y)[:, 0] + 16 * n * U * R
+
+
+def edge_rows(Y, lam):
+    """Penalty and acceptance of the rows Y if eigvalsh returned `lam`."""
+    n = Y.shape[1]
+    iu = np.triu_indices(n, 1)
+    offmod = np.abs(Y[:, iu[0], iu[1]])
+    pen = np.maximum(0.0, -lam) ** 2 + np.sum(np.maximum(0.0, offmod - MODULUS_CAP) ** 2, axis=1)
+    return pen, (lam >= -psd_tol(n)) & (offmod.max(axis=1) < 1.0 - 1e-12)
+
+
+def assert_sound_at_the_edge(Y, yt, lam, bests):
+    """No sample that `_skipped` drops is acceptable, or has a penalty below
+    `best`, when eigvalsh returns `lam` on its Y."""
+    pen, ok = edge_rows(Y, lam)
+    pc = _prune_consts(Y.shape[1], 1.0)
+    for best in bests:
+        skip = _skipped(yt, np.ones(len(Y)), best, None, None, pc)
+        assert not np.any(skip & ok), best
+        assert not np.any(skip & (pen < best)), best
+
+
+def bests_around(c, n):
+    """Values of `best` that put c = sqrt(best / (1 - s)) at c - d for
+    each d of EDGE_STEPS."""
+    c = c - EDGE_STEPS
+    return list((c[c > 0] ** 2) * (1.0 - 8 * (n * (n - 1) // 2 + 1) * U))
 
 
 class TestPruneSoundness:
@@ -575,6 +657,68 @@ class TestPruneSoundness:
         x = np.linalg.eigh(probe_gram(t))[1][:, 0]
         for probe in (x, None):
             assert_skips_are_sound(t, Q, tablets, free_vals, probe, [0.0, 1.0, np.inf])
+
+    # tier 2 at the edge of its error model: yt as far from Y as eps
+    # allows and eigvalsh off by its whole backward error, so that each
+    # of the margins of sigma is needed
+
+    @pytest.mark.parametrize("n", [3, 6, 8])
+    def test_lambda_min_ulps_either_side_of_minus_c(self, n):
+        Y = circulant_grams(n, [-0.05, -0.02, -1e-3, -1e-6], 0.1)
+        yt, lam = edge_of_model(Y)
+        # every |y| is under MODULUS_CAP: the PSD term is the whole penalty
+        assert np.all(lam < 0) and np.abs(yt).max() < MODULUS_CAP
+        for r in range(len(Y)):
+            bests = bests_around(-lam[r], n)
+            assert_sound_at_the_edge(Y[r:r + 1], yt[r:r + 1], lam[r:r + 1], bests)
+
+    @pytest.mark.parametrize("n", [3, 6, 8])
+    def test_best_equal_to_a_penalty_to_the_ulp(self, n):
+        Y = circulant_grams(n, -np.geomspace(1e-7, 0.5, 40), 0.1)
+        yt, lam = edge_of_model(Y)
+        true_pen = edge_rows(Y, np.linalg.eigvalsh(Y)[:, 0])[0]
+        for p in np.concatenate([edge_rows(Y, lam)[0], true_pen]):
+            assert_sound_at_the_edge(Y, yt, lam, [np.nextafter(p, -np.inf), p,
+                                                  np.nextafter(p, np.inf)])
+
+    @pytest.mark.parametrize("n", [3, 6, 8])
+    @pytest.mark.parametrize("b", [0.05, 1e-7])
+    def test_passing_moduli_with_lambda_min_at_the_psd_floor(self, n, b):
+        # b = 0.05 keeps every |y| below MODULUS_CAP, so with best = 0 the
+        # need is 0; b = 1e-7 puts |y| between the cap and 1 - 1e-12, so a
+        # modulus term but no failed test, and bests up to it keep need <= 0.
+        # Either way c = psd_tol(n), and lambda_min steps across -psd_tol(n).
+        tol = psd_tol(n)
+        _, lam = edge_of_model(circulant_grams(n, [-tol], b))
+        Y = circulant_grams(n, -tol - (lam[0] + tol) + EDGE_STEPS, b)
+        yt, lam = edge_of_model(Y)
+        pen, ok = edge_rows(Y, lam)
+        assert ok.any() and not ok.all()
+        offmod = np.abs(Y[:, 0, 1:])
+        if b < 1e-3:
+            assert np.all((offmod > MODULUS_CAP) & (offmod < 1.0 - 1e-12))
+        other = pen - np.maximum(0.0, -lam) ** 2
+        bests = [0.0, 0.5 * other.min(), other.min() * (1.0 - 8 * (yt.shape[1] + 1) * U)]
+        assert_sound_at_the_edge(Y, yt, lam, bests)
+
+    def test_nan_in_the_triangle_or_the_null_term_keeps_the_sample(self):
+        # y = -0.5 on every pair of a 6-text: lambda_min = -1.5, and with
+        # best = 0.1 the factorization fails at the fourth pivot, before it
+        # reads the last pair
+        m, n = 8, 6
+        yt = np.full((m, n * (n - 1) // 2), -0.5 + 0.0j)
+        nullres = np.zeros((m, 2))
+        pc = _prune_consts(n, 1.0)
+        skip = _skipped(yt, np.ones(m), 0.1, nullres.max(axis=1) <= 1e-8, np.zeros(m), pc)
+        assert skip.all()
+        yt[0, 0] = np.nan
+        yt[1, -1] = np.nan
+        yt[2, -1] = complex(0.0, np.nan)
+        yt[3, 3] = complex(np.nan, np.nan)
+        nullres[4, 1] = np.nan
+        nullpen = np.sum(np.maximum(0.0, nullres - 1e-8) ** 2, axis=1)
+        skip = _skipped(yt, np.ones(m), 0.1, nullres.max(axis=1) <= 1e-8, nullpen, pc)
+        assert list(skip) == [False] * 5 + [True] * 3
 
 
 def pendant_and_c4_texts():
