@@ -17,7 +17,7 @@ import numpy as np
 from .texts import DISTINCT_TOL, Text, embed_text, null_index_set, psd_tol, validate_text
 from .graphs import SimpleGraph, graph_of_text
 from .translation import (B_FLOOR, EQ4_TOL, MODULUS_CAP, TranslationWitness,
-                          overlap_residual, q_from_Q)
+                          forced_outputs, overlap_residual, q_from_Q)
 from .classify import hadamard_inverse_signature
 
 
@@ -337,7 +337,6 @@ def oracle_feasible(t: Text, samples: int = 100000, seed: int = 0,
     zden = np.where(nonnull, z, 1.0)
     pc = _prune_consts(n, np.abs(z[nonnull]).min(initial=1.0))
     iu = pc.iu
-    diag = np.arange(n)
     # sorted, the free pairs come in the triangle's row-by-row order
     free_u = ~nonnull[iu]
     nullok = nullpen = None
@@ -379,11 +378,7 @@ def oracle_feasible(t: Text, samples: int = 100000, seed: int = 0,
             continue
         # stage 2: the kept samples, full Y
         Qk, Ak, Bk = Q[kept], A[kept], safeB[kept]
-        Y = z[None, :, :] + Qk[:, None, None] * (Ak[:, :, None] * Ak.conj()[:, None, :])
-        den = np.sqrt(Bk[:, :, None] * Bk[:, None, :])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            Y /= den * zden[None, :, :]
-        Y[:, diag, diag] = 1.0
+        Y = forced_outputs(z, zden, Qk, Ak, Bk)
         Y[:, free_i, free_j] = free_vals[kept]
         Y[:, free_j, free_i] = free_vals[kept].conj()
         offmod = np.abs(Y[:, iu[0], iu[1]])

@@ -216,10 +216,14 @@ def dump_json(obj, path: str | None) -> None:
 
 
 def load_json(path: str) -> dict:
-    """The JSON object in a file; ValueError for malformed JSON or any other
-    top-level value."""
+    """The JSON object in a file; ValueError for malformed JSON, JSON nested
+    too deeply for the parser, or any other top-level value."""
     with open(path, "r", encoding="utf-8") as fh:
-        return _checked(json.load(fh), (dict,), "the top-level JSON value")
+        try:
+            value = json.load(fh)
+        except RecursionError:
+            raise ValueError("the JSON value is nested too deeply") from None
+    return _checked(value, (dict,), "the top-level JSON value")
 
 
 def load_text(path: str) -> Text:

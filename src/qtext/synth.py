@@ -1,39 +1,38 @@
 """Constructing translations.
 
-Four construction routes, dispatched by `translate`, all in closed form:
+Three construction routes, dispatched by `translate`, all in closed form:
 
 * classical texts are cloned exactly (Q = 0, any target output);
-* uniform real texts get the closed-form central translation;
 * texts without orthogonal pairs take their tablet overlaps from the
   exceptional eigenvector of the reciprocal Gram matrix (stepped into the
-  cone of valid directions when that eigenvector has a zero entry);
-* mixed texts translate their complete core with Q > 0 and then absorb the
-  pendant states one attachment at a time, each on a subtext of the input;
-  isolated states join as a free classical summand at the end.
+  cone of valid directions when it has a zero entry), the all-ones vector
+  on a uniform real text;
+* mixed texts translate their complete core with Q > 0 and attach each
+  pendant in closed form; isolated states join as a free classical summand.
 
-The builders return bare witnesses: no unitary and no residuals.
-`translate` and `realize_graph` end in one finishing step, `_finish`, which
-synthesizes the unitary, runs the one `check_witness` and stores its r1 and
-r3 as the residuals.
+Q is never searched for.  It is the geometric middle of the |Q| interval of
+`_feasible_q`, on which the forced output Gram meets every constraint, and
+one `eigvalsh` confirms that Gram.  The builders return bare witnesses (no
+unitary, no residuals); `translate` and `realize_graph` end in `_finish`,
+which synthesizes the unitary, runs the one `check_witness` and stores its
+r1 and r3 as the residuals.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy  # unused here; perfbench/tracing.py patches synth.scipy.optimize
 
 from .texts import (
+    DISTINCT_TOL,
     Text,
     SizeMismatch,
     _orthogonal,
-    embed_text,
     psd_tol,
     subtext,
     text_properties,
-    uniform_real_flags,
     validate_text,
 )
 from .graphs import SimpleGraph, graph_of_text, read_well_split, recognize
@@ -49,7 +48,7 @@ from .translation import (
     TranslationError,
     _embedding_for_tablet,
     check_witness,
-    q_from_Q,
+    forced_outputs,
     synthesize_unitary,
     tablet_overlaps,
     witness_from_overlaps,
@@ -57,10 +56,10 @@ from .translation import (
     MODULUS_CAP,
 )
 
-Q_START = 0.05
-PENALTY_SUCCESS = 1e-16
-# largest tablet overlap of the central translation
-CENTRAL_OVERLAP = 0.25
+# |Q| of the witness a classical text gets for a forced sign of Q
+FORCED_SIGN_Q = 0.05
+# 1 / sqrt(1 + x) < 1 - DISTINCT_TOL exactly when x > PENDANT_FLOOR
+PENDANT_FLOOR = (1.0 - DISTINCT_TOL) ** -2 - 1.0
 
 
 class SynthError(ValueError):
@@ -95,64 +94,100 @@ class BadOverlapPattern(SynthError):
     pass
 
 
+@dataclass(frozen=True)
+class QInterval:
+    """Every |Q| strictly between lo and hi meets the constraints on Q of
+    one overlap direction and sign; lo_by and hi_by name the constraint that
+    binds at each end.  Empty when lo >= hi."""
+
+    lo: float
+    hi: float
+    lo_by: str
+    hi_by: str
+
+    def above(self, lo: float, by: str) -> QInterval:
+        return replace(self, lo=float(lo), lo_by=by) if lo > self.lo else self
+
+    def below(self, hi: float, by: str) -> QInterval:
+        return replace(self, hi=float(hi), hi_by=by) if hi < self.hi else self
+
+    @property
+    def empty(self) -> bool:
+        return not self.lo < self.hi
+
+    def __str__(self) -> str:
+        return f"|Q| from {self.lo:.6g} ({self.lo_by}) to {self.hi:.6g} ({self.hi_by})"
+
+
 @dataclass
 class SearchOutcome:
-    """Result of the eigenvector route for one sign of Q: a witness or
-    None, the best penalty seen and the number of forced outputs tried."""
+    """A route's result for one sign of Q: a bare witness or None; the
+    feasible |Q| interval of its overlap direction (None without one); and
+    the number of output Grams built and checked, 0 or 1."""
 
     witness: TranslationWitness | None
-    best_penalty: float
+    interval: QInterval | None
     evaluations: int
 
-
-def _penalty(Y: np.ndarray, lam_min: float) -> float:
-    """max(0, -lam_min)^2 plus squared modulus excesses over 1 - 1e-6."""
-    p = max(0.0, -lam_min) ** 2
-    n = Y.shape[0]
-    for i in range(n):
-        for j in range(i + 1, n):
-            p += max(0.0, abs(Y[i, j]) - MODULUS_CAP) ** 2
-    return p
+    def refusal(self, sign: int) -> str:
+        """Why there is no witness, naming the constraints that bind."""
+        why = ("no overlap direction" if self.interval is None
+               else f"no feasible Q, {self.interval}" if self.evaluations == 0
+               else f"output Gram not PSD in the middle of {self.interval}")
+        return f"sign {sign:+d}: {why}"
 
 
-def _forced_output(t: Text, Q: float, a: np.ndarray) -> np.ndarray | None:
-    """Output Gram forced by overlaps `a` at parameter Q; None if B degenerates.
+def _feasible_q(t: Text, a: np.ndarray, sign: int, q_psd: float) -> QInterval:
+    """The |Q| on which the output Gram Y(Q) forced by overlaps `a`, with Q
+    of the given sign, meets each constraint, in O(n^2):
 
-    Valid only for texts without orthogonal pairs (every entry forced).
+    * cap: |y_ij| <= MODULUS_CAP squares to A x^2 + b x + C <= 0 in
+      x = |Q|, with A = |a_i a_j|^2 (1 / |z_ij|^2 - cap^2) > 0 and
+      C = 1 - cap^2 > 0.  The roots, of product C / A, are real and
+      positive iff b^2 >= 4 A C and b < 0; the pair is feasible between
+      them, else nowhere.  The cap sets the lower end (|y_ij| = 1 at Q = 0).
+    * B: B_i = 1 + Q |a_i|^2 > B_FLOOR, a bound on Q < 0 only.
+    * |Q| <= 1.
+    * PSD: Y(Q) = D (w w^H + Q M) D^H with w = 1 ./ a, M = 1 ./ z and
+      D = diag(a / sqrt(B)), so by Sylvester's law of inertia it is PSD
+      with w w^H + Q M.  When Q M has one negative eigenvalue, that
+      rank-one update has at most one, and by the matrix determinant lemma
+      none exactly for 0 < Q / q_psd < 1, q_psd = -w^H M^+ w.  For a sign
+      that the signature of M does not admit this end proves nothing: the
+      route's one eigvalsh of Y is the check.
     """
-    B = 1.0 + Q * np.abs(a) ** 2
-    if np.min(B) <= B_FLOOR:
-        return None
-    n = t.n
-    Y = np.eye(n, dtype=complex)
-    scale = np.sqrt(np.outer(B, B))
-    for i in range(n):
-        for j in range(i + 1, n):
-            y = (1.0 + Q * a[i] * np.conj(a[j]) / t.gram[i, j]) / scale[i, j]
-            Y[i, j] = y
-            Y[j, i] = np.conj(y)
-    return Y
+    iu = np.triu_indices(t.n, 1)
+    p = np.abs(a) ** 2
+    pi, pj, z = p[iu[0]], p[iu[1]], t.gram[iu]
+    cap2 = MODULUS_CAP * MODULUS_CAP
+    A = pi * pj * (1.0 / np.abs(z) ** 2 - cap2)
+    b = sign * (2.0 * (a[iu[0]] * a[iu[1]].conj() / z).real - cap2 * (pi + pj))
+    C = (1.0 - MODULUS_CAP) * (1.0 + MODULUS_CAP)
+    disc = b * b - 4.0 * A * C
+    real = (disc >= 0.0) & (b < 0.0)
+    # the roots without cancellation: C / s and s / A, s = (|b| + sqrt(disc)) / 2
+    s = np.where(real, 0.5 * (np.sqrt(np.where(real, disc, 0.0)) - b), 1.0)
+    iv = QInterval(0.0, 1.0, "Q = 0", "|Q| <= 1")
+    iv = iv.above(np.max(np.where(real, C / s, np.inf), initial=0.0), "cap")
+    iv = iv.below(np.min(np.where(real, s / A, 0.0), initial=np.inf), "cap")
+    if sign < 0:
+        iv = iv.below((1.0 - B_FLOOR) / np.max(p), "B")
+    return iv.below(max(0.0, sign * q_psd), "PSD")
 
 
-def _span_normalize(t: Text, a: np.ndarray) -> np.ndarray:
-    """Scale an overlap vector so the minimal tablet realizing it is unit."""
-    coeff = np.linalg.solve(t.gram, a)
-    s2 = float(np.real(np.vdot(a, coeff)))
-    if s2 <= 0:
-        raise TranslationError("degenerate overlap direction")
-    return a / np.sqrt(s2)
-
-
-def _eigen_overlaps(t: Text, sign: int) -> np.ndarray | None:
-    """Overlap direction from the exceptional eigenvector of M = 1 ./ z.
+def _eigen_overlaps(t: Text, sign: int) -> tuple[np.ndarray | None, QInterval | None]:
+    """Overlap direction a from the exceptional eigenvector of M = 1 ./ z,
+    and its `_feasible_q` interval, whose PSD end -w^H M^+ w, w = 1 ./ a,
+    comes from the same eigendecomposition without the eigenvalues inside
+    the zero band of the signature test.
 
     For sign(Q) = +1 the relevant eigenvector u belongs to the smallest
     eigenvalue, for -1 to the largest; M is semidefinite of sign sign(Q)
     on the hyperplane orthogonal to u, and entrywise inversion of u makes
     the constraint subspace of the output Gram match the sign condition.
 
-    When u has a (near-)zero entry the overlaps are 1 ./ w for a nearby
-    direction w with no such entry:
+    When u has a (near-)zero entry, w is a nearby direction with no such
+    entry:
 
     * M invertible: any w with sign * (w* M^-1 w) < 0 serves, since by
       Haynsworth inertia additivity on [[M, w], [w*, 0]] M is then
@@ -167,80 +202,75 @@ def _eigen_overlaps(t: Text, sign: int) -> np.ndarray | None:
       the null vectors of M in its kernel.  By Cauchy interlacing no hyperplane
       does better than semidefinite, and the output Gram is singular.
 
-    Returns None when no step qualifies.
+    Returns (None, None) when no step qualifies.
     """
     M = 1.0 / t.gram
     lam, vec = np.linalg.eigh((M + M.conj().T) / 2.0)
     u, v = (vec[:, 0], vec[:, -1]) if sign > 0 else (vec[:, -1], vec[:, 0])
+    band = np.abs(lam) <= SIGNATURE_SCALE * np.max(np.abs(lam))
 
     def no_zero_entry(w):
         return np.min(np.abs(w)) >= 1e-10 * np.max(np.abs(w))
 
     if no_zero_entry(u):
-        return 1.0 / u
-    if np.min(np.abs(lam)) <= SIGNATURE_SCALE * np.max(np.abs(lam)):
+        w = u
+    elif band.any():
         w = u + 1e-2 * v
-        return 1.0 / w if no_zero_entry(w) else None
-    s = 1e-2 * np.max(np.abs(u))
-    for _ in range(41):
-        w = u + s
-        form = float(np.sum(np.abs(vec.conj().T @ w) ** 2 / lam))
-        if sign * form < 0 and no_zero_entry(w):
-            return 1.0 / w
-        s *= 0.5
-    return None
+    else:
+        s = 1e-2 * np.max(np.abs(u))
+        for _ in range(41):
+            w = u + s
+            form = float(np.sum(np.abs(vec.conj().T @ w) ** 2 / lam))
+            if sign * form < 0 and no_zero_entry(w):
+                break
+            s *= 0.5
+        else:
+            return None, None
+    if not no_zero_entry(w):
+        return None, None
+    a = 1.0 / w
+    # scaled so that the minimal tablet realizing a is unit
+    s2 = float(np.real(np.vdot(a, np.linalg.solve(t.gram, a))))
+    if s2 <= 0:
+        raise TranslationError("degenerate overlap direction")
+    a = a / np.sqrt(s2)
+    q_psd = -float(np.sum(np.abs(vec[:, ~band].conj().T @ (1.0 / a)) ** 2 / lam[~band]))
+    return a, _feasible_q(t, a, sign, q_psd)
 
 
-def _delta_schedule():
-    """|Q| in the order tried: 41 halvings from Q_START, then 0.1 ... 0.8."""
-    for k in range(41):
-        yield Q_START * 0.5 ** k
-    for k in range(1, 5):
-        yield Q_START * 2.0 ** k
-
-
-def _fully_quantum_overlaps(t: Text, sign: int) -> Iterator[SearchOutcome]:
-    """Walk the schedule with the eigenvector overlaps of a text without
-    orthogonal pairs: one SearchOutcome per Q whose forced output Gram
-    passes the penalty and the PSD floor of `validate_text`, then one whose
-    witness is None (the only one when the route gives no direction).
-
-    Each counts the walk so far; its witness is bare and unchecked.
-    """
-    a = _eigen_overlaps(t, sign)
-    best, evaluations = np.inf, 0
-    if a is not None:
-        a = _span_normalize(t, a)
-        for delta in _delta_schedule():
-            evaluations += 1
-            Y = _forced_output(t, sign * delta, a)
-            if Y is None:
-                continue
-            lam_min = float(np.linalg.eigvalsh(Y)[0])
-            p = _penalty(Y, lam_min)
-            best = min(best, p)
-            # the penalty alone lets lam_min reach -1e-8; the output Gram
-            # must also clear validate_text's floor of -psd_tol(n)
-            if p <= PENALTY_SUCCESS and lam_min >= -psd_tol(t.n):
-                w = witness_from_overlaps(t, sign * delta, a, Y)
-                yield SearchOutcome(w, float(best), evaluations)
-    yield SearchOutcome(None, float(best), evaluations)
+def _at_middle(t: Text, sign: int, a: np.ndarray,
+               iv: QInterval) -> tuple[float, np.ndarray] | None:
+    """Q = sign sqrt(lo hi), the geometric middle of `iv`, and its forced
+    output Gram; None when `iv` is empty or one eigvalsh finds the Gram
+    below validate_text's floor of -psd_tol(n)."""
+    if iv.empty:
+        return None
+    Q = sign * float(np.sqrt(iv.lo * iv.hi))
+    Y = forced_outputs(t.gram, t.gram, np.array([Q]), a[None, :],
+                       1.0 + Q * np.abs(a[None, :]) ** 2)[0]
+    return None if np.linalg.eigvalsh(Y)[0] < -psd_tol(t.n) else (Q, Y)
 
 
 def search_translation(t: Text, sign: int) -> SearchOutcome:
     """Closed-form witness with the given sign of Q for an efficient text
-    without orthogonal pairs.
+    without orthogonal pairs: the eigenvector route at the middle of its
+    feasible |Q| interval.
 
-    The outcome is the first of `_fully_quantum_overlaps`, its witness bare
-    and unchecked.  A None witness never claims untranslatability; for a
-    sign the classifier admits it is not expected at all.
+    The witness is bare and unchecked.  A None witness never claims
+    untranslatability; for a sign the classifier admits it is not expected
+    at all, and `SearchOutcome.refusal` names the constraints that bind.
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     props = text_properties(t)
     if not (props.efficient and props.fully_quantum):
         raise SynthError("search needs an efficient text without orthogonal pairs")
-    return next(_fully_quantum_overlaps(t, sign))
+    a, iv = _eigen_overlaps(t, sign)
+    if a is None:
+        return SearchOutcome(None, None, 0)
+    out = _at_middle(t, sign, a, iv)
+    w = None if out is None else witness_from_overlaps(t, out[0], a, out[1])
+    return SearchOutcome(w, iv, int(not iv.empty))
 
 
 def clone_classical(t: Text, target_output=None) -> TranslationWitness:
@@ -269,33 +299,34 @@ def clone_classical(t: Text, target_output=None) -> TranslationWitness:
 def central_translate_uniform(t: Text) -> TranslationWitness:
     """Closed-form translation of a uniform real efficient text.
 
-    The tablet has the same overlap c with every state, so the output is
-    uniform with y = (1 + Q c^2 / z) / (1 + Q c^2), feasible for small |Q|
-    of sign -sign(z).  The witness is bare: no unitary, no residuals.
+    The eigenvector route with sign(Q) = -sign(z): the exceptional
+    eigenvector of 1 ./ z is all-ones, so the tablet overlaps every state by
+    the same c, and the output is uniform, y = (1 + Q c^2 / z) / (1 + Q c^2).
+    The witness is bare: no unitary, no residuals.
     """
     props = text_properties(t)
     if t.n < 2 or props.classical or not (props.uniform and props.real_text
                                           and props.efficient):
         raise NotUniformRealEfficient(
             "central translation needs a uniform real efficient text with z != 0")
-    n = t.n
-    z = float(t.gram[0, 1].real)
-    sigma = 1.0 + (n - 1) * z
-    c = min(CENTRAL_OVERLAP, 0.8 * np.sqrt(sigma / n))
-    overlaps = np.full(n, c, dtype=complex)
-    sign = -1.0 if z > 0 else 1.0
-    for delta in _delta_schedule():
-        Q = sign * delta
-        B = 1.0 + Q * c * c
-        if B <= B_FLOOR:
-            continue
-        y = (1.0 + Q * c * c / z) / B
-        if abs(y) > MODULUS_CAP or min(1.0 + (n - 1) * y, 1.0 - y) < 1e-12:
-            continue
-        Y = np.full((n, n), complex(y))
-        np.fill_diagonal(Y, 1.0)
-        return witness_from_overlaps(t, Q, overlaps, Y)
-    raise SynthError("no feasible Q found for the central translation")
+    sign = -1 if t.gram[0, 1].real > 0 else +1
+    out = search_translation(t, sign)
+    if out.witness is None:
+        raise SearchBudgetExhausted(out.refusal(sign))
+    return out.witness
+
+
+def _pendant_rows(Y0: np.ndarray, anchors: dict[int, int], B: np.ndarray) -> np.ndarray:
+    """Y0, the output Gram of the other states, with each pendant's output
+    its anchor's over sqrt(B_anchor) plus a fresh orthogonal part; pendants
+    of one anchor overlap by 1 / B_anchor."""
+    r, d = np.arange(len(Y0)), np.ones(len(Y0))
+    pend = list(anchors)
+    r[pend] = list(anchors.values())
+    d[pend] = 1.0 / np.sqrt(B[r[pend]])
+    Y = d[:, None] * Y0[np.ix_(r, r)] * d[None, :]
+    np.fill_diagonal(Y, 1.0)
+    return Y
 
 
 def attach_classical(base_witness: TranslationWitness, t_new: Text) -> TranslationWitness:
@@ -303,98 +334,67 @@ def attach_classical(base_witness: TranslationWitness, t_new: Text) -> Translati
     phi must overlap exactly one earlier state, the anchor.
 
     The new tablet is alpha * psi_0 + beta * (phi - P phi), with alpha fixed
-    by unit norm and beta by <phi|psi_0'> = 0; the parameter grows to
-    Q' = Q / alpha^2, so Q must have been small enough to keep Q' <= 1.
+    by unit norm and beta by <phi|psi_0'> = 0: alpha times the old overlaps
+    and 0 with phi, with rho = |phi - P phi| > 0.  Q grows to Q / alpha^2,
+    which must stay <= 1, and every B_i stays.
     """
     n = t_new.n - 1
     nz = np.flatnonzero(~_orthogonal(t_new.gram[n, :n])).tolist()
     if len(nz) != 1:
         raise BadOverlapPattern(
             f"new state must overlap exactly one state; nonzero at {nz}")
-    anchor = nz[0]
-    Q2 = base_witness.Q
-    if not Q2 > 0:
+    Q = base_witness.Q
+    if not Q > 0:
         raise SynthError("attachment requires a base witness with Q > 0")
-
-    base_text = subtext(t_new, range(n))
-    emb_base = _embedding_for_tablet(base_text, len(base_witness.tablet))
-    o_old = tablet_overlaps(emb_base, np.asarray(base_witness.tablet, dtype=complex))
-
-    emb_new = embed_text(t_new, pad_extra_dim=True)
-    span = emb_new.vectors[:-1, :]
-    E_old = span[:, :n]
-    phi = span[:, n]
-    G2 = base_text.gram
-    coeff = np.linalg.solve(G2, o_old)
-    tau_span = E_old @ coeff
-    s2_old = float(np.real(np.vdot(o_old, coeff)))
-    pad_old = np.sqrt(max(0.0, 1.0 - s2_old))
-    v = phi - E_old @ np.linalg.solve(G2, t_new.gram[:n, n])
-    rho2 = float(np.real(np.vdot(v, v)))
-    if rho2 <= 1e-12:
+    base = subtext(t_new, range(n))
+    o = tablet_overlaps(_embedding_for_tablet(base, len(base_witness.tablet)),
+                        np.asarray(base_witness.tablet, dtype=complex))
+    zn = t_new.gram[:n, n]
+    c = np.linalg.solve(base.gram, np.column_stack([o, zn]))
+    if 1.0 - float(np.real(np.vdot(zn, c[:, 1]))) <= 1e-12:
         raise TranslationError("new state lies in the span of the base text")
-    g = complex(np.vdot(phi, tau_span))
-    alpha = 1.0 / np.sqrt(1.0 + abs(g) ** 2 / rho2)
-    beta = -alpha * g / rho2
-    Q_new = Q2 / alpha ** 2
-    if Q_new > 1.0 + 1e-12:
-        raise QTooLarge(f"Q grows to {Q_new:.6f} > 1 at this attachment")
-    Q_new = min(Q_new, 1.0)
-
-    tablet = np.concatenate([alpha * tau_span + beta * v, [alpha * pad_old]])
-    tablet = tablet / np.linalg.norm(tablet)
-    B_anchor = 1.0 + Q2 * abs(o_old[anchor]) ** 2
-
-    Y2 = np.asarray(base_witness.output_gram, dtype=complex)
-    Y_new = np.zeros((n + 1, n + 1), dtype=complex)
-    Y_new[:n, :n] = Y2
-    Y_new[n, :n] = Y2[anchor, :] / np.sqrt(B_anchor)
-    Y_new[:n, n] = Y_new[n, :n].conj()
-    Y_new[n, n] = 1.0
-
-    return TranslationWitness(Q=float(Q_new), q=q_from_Q(Q_new), tablet=tablet,
-                              output_gram=Y_new)
+    # 1 / alpha^2 = 1 + |<phi|P psi_0>|^2 / rho^2, growth of the span part
+    s2_old = min(1.0, float(np.real(np.vdot(o, c[:, 0]))))
+    o = np.append(o, 0.0)
+    alpha2 = 1.0 / (1.0 + float(np.real(np.vdot(o, np.linalg.solve(t_new.gram, o)))) - s2_old)
+    if Q / alpha2 > 1.0 + 1e-12:
+        raise QTooLarge(f"Q grows to {Q / alpha2:.6f} > 1 at this attachment")
+    Y0 = np.eye(n + 1, dtype=complex)
+    Y0[:n, :n] = base_witness.output_gram
+    Y = _pendant_rows(Y0, {n: nz[0]}, 1.0 + Q * np.abs(o) ** 2)
+    return witness_from_overlaps(t_new, min(Q / alpha2, 1.0), np.sqrt(alpha2) * o, Y)
 
 
-def _scatter_witness(t: Text, order: list[int],
-                     w_local: TranslationWitness) -> TranslationWitness:
-    """Spread a witness on subtext(t, order) over the full text, as a bare
-    witness.
+def _mixed_witness(t: Text, core: list[int], anchors: dict[int, int],
+                   sign: int) -> SearchOutcome:
+    """The route for a complete core with pendants or isolated states: the
+    core's eigenvector route and a chain of `attach_classical` steps, one
+    per pendant, in closed form, as one bare witness on the whole text.
 
-    States outside `order` must be orthogonal to everything; they keep
-    zero tablet overlap and get fresh orthonormal outputs.
+    The chain ends in the unit tablet with overlaps (a, 0) / sqrt(F) at
+    Q_core F, a the core's span-normalized overlaps (so no pad) and
+    F = (a, 0)^H z^-1 (a, 0).  That cuts the core's interval at
+    Q_core F <= 1 ("chain"), and where a pendant's output overlap with its
+    anchor, 1 / sqrt(B_anchor), would reach 1 - DISTINCT_TOL ("pendant").
+    Isolated states keep zero overlap and a fresh output.
     """
-    emb_local = _embedding_for_tablet(subtext(t, order), len(w_local.tablet))
-    o_local = tablet_overlaps(emb_local, np.asarray(w_local.tablet, dtype=complex))
-    o_full = np.zeros(t.n, dtype=complex)
-    o_full[order] = o_local
-    Y_full = np.eye(t.n, dtype=complex)
-    Y_full[np.ix_(order, order)] = w_local.output_gram
-    return witness_from_overlaps(t, w_local.Q, o_full, Y_full)
-
-
-def _mixed_witness(t: Text, core: list[int],
-                   pendants: list[int]) -> tuple[list[int], TranslationWitness]:
-    """Chain of attachments over a positive-Q core witness, one pendant at a
-    time in the given order, each onto the input's own subtext.
-
-    The chain's tablets depend on the core's overlap direction alone, so it
-    multiplies Q by a fixed factor: it overflows Q = 1 exactly above some
-    core Q.  The core walk's witnesses are tried in schedule order.
-    """
-    for out in _fully_quantum_overlaps(subtext(t, core), +1):
-        if out.witness is None:
-            break
-        order, w = list(core), out.witness
-        try:
-            for p in pendants:
-                order.append(p)
-                w = attach_classical(w, subtext(t, order))
-        except QTooLarge:
-            continue
-        return order, w
-    raise SearchBudgetExhausted(
-        "no positive-Q witness of the complete core keeps the chain at Q <= 1")
+    t_core = subtext(t, core)
+    a, iv = _eigen_overlaps(t_core, sign)
+    if a is None:
+        return SearchOutcome(None, None, 0)
+    o = np.zeros(t.n, dtype=complex)
+    o[core] = a
+    F = float(np.real(np.vdot(o, np.linalg.solve(t.gram, o))))
+    low = np.min(np.abs(o[list(anchors.values())]) ** 2, initial=np.inf)
+    iv = iv.below(1.0 / F, "chain").above(PENDANT_FLOOR / low, "pendant")
+    out = _at_middle(t_core, sign, a, iv)
+    if out is None:
+        return SearchOutcome(None, iv, int(not iv.empty))
+    Q, Y0 = out[0], np.eye(t.n, dtype=complex)
+    Y0[np.ix_(core, core)] = out[1]
+    Y = _pendant_rows(Y0, anchors, 1.0 + Q * np.abs(o) ** 2)
+    w = witness_from_overlaps(t, float(np.clip(Q * F, -1.0, 1.0)), o / np.sqrt(F), Y)
+    return SearchOutcome(w, iv, 1)
 
 
 def translate(t: Text, force_sign: int | None = None,
@@ -402,11 +402,11 @@ def translate(t: Text, force_sign: int | None = None,
     """Decide, construct, and verify a translation of a text.
 
     Raises Untranslatable(decision) when the classifier refuses, and
-    SearchBudgetExhausted when `force_sign` is a sign of Q the classifier
-    does not admit or when the closed-form construction yields no verified
-    witness (not expected on a text the classifier accepts).  With q0=True
-    only classical texts are accepted and the clone construction is used;
-    it excludes `force_sign` (ValueError).  Every route ends in `_finish`.
+    SearchBudgetExhausted, naming the constraints on Q that bind, when
+    `force_sign` is a sign of Q the classifier does not admit or when the
+    closed-form construction yields no verified witness.  With q0=True only
+    classical texts are accepted and the clone construction is used; it
+    excludes `force_sign` (ValueError).  Every route ends in `_finish`.
     """
     if q0 and force_sign is not None:
         raise ValueError("q0 and force_sign exclude each other")
@@ -442,7 +442,7 @@ def _construct(t: Text, force_sign: int | None, q0: bool) -> TranslationWitness:
             return clone_classical(t)
         # any sign works on an orthogonal family: a tablet orthogonal to
         # every state leaves all output overlaps free
-        return witness_from_overlaps(t, force_sign * Q_START,
+        return witness_from_overlaps(t, force_sign * FORCED_SIGN_Q,
                                      np.zeros(t.n, dtype=complex),
                                      np.eye(t.n, dtype=complex))
     signs = decision.sign_constraint
@@ -452,32 +452,16 @@ def _construct(t: Text, force_sign: int | None, q0: bool) -> TranslationWitness:
                 f"sign(Q) = {force_sign} is not admissible for this text; "
                 f"admissible: {sorted(signs)}")
         signs = frozenset({force_sign})
-    parts = decision.decomposition
-    core = list(parts.core)
-    if not parts.anchors:
-        t_core = subtext(t, core)
-        # the decision found the core efficient: only its shape is new
-        uniform, real_text = uniform_real_flags(t_core)
-        w_core = None
-        if uniform and real_text and force_sign is None:
-            try:
-                w_core = central_translate_uniform(t_core)
-            except SynthError:
-                pass  # near z = 1 no Q of the schedule clears MODULUS_CAP
-        if w_core is None:
-            for sign in sorted(signs, reverse=True):
-                out = search_translation(t_core, sign)
-                if out.witness is not None:
-                    break
-            else:
-                raise SearchBudgetExhausted(
-                    f"construction failed; best penalty {out.best_penalty:.3e} "
-                    f"after {out.evaluations} evaluations")
-            w_core = out.witness
-        return _scatter_witness(t, core, w_core) if parts.isolated else w_core
-    # the chain's order: core first, then the pendants in increasing order
-    order, w_chain = _mixed_witness(t, core, list(parts.anchors))
-    return _scatter_witness(t, order, w_chain)
+    core, refusals = list(decision.decomposition.core), []
+    for sign in sorted(signs, reverse=True):
+        if len(core) == t.n:
+            out = search_translation(t, sign)
+        else:
+            out = _mixed_witness(t, core, decision.decomposition.anchors, sign)
+        if out.witness is not None:
+            return out.witness
+        refusals.append(out.refusal(sign))
+    raise SearchBudgetExhausted("; ".join(refusals))
 
 
 @dataclass

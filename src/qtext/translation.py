@@ -42,7 +42,8 @@ UNITARITY_TOL = 1e-10
 TABLET_NORM_TOL = 1e-10
 Q_CONSISTENCY_TOL = 1e-12
 B_FLOOR = 1e-12
-# output overlaps of larger modulus are penalized
+# a bound of the feasible set: constructed output overlaps stay at or below
+# this modulus, a margin inside validate_text's 1 - 1e-12
 MODULUS_CAP = 1.0 - 1e-6
 NORMALIZER_FLOOR = 1e-12
 FRAME_RANK_TOL = 1e-12
@@ -181,6 +182,21 @@ def overlap_residual(t: Text, Q: float, overlaps: np.ndarray,
     if iu[0].size == 0:
         return 0.0
     return float(np.max(resid[iu]))
+
+
+def forced_outputs(z: np.ndarray, zden: np.ndarray, Q: np.ndarray, A: np.ndarray,
+                   B: np.ndarray) -> np.ndarray:
+    """Output Grams forced by a batch of samples, one per row of Q, the
+    overlaps A and B = 1 + Q |A|^2: Y[s, i, j] = (z_ij + Q_s A_si
+    conj(A_sj)) / (sqrt(B_si B_sj) zden_ij), with a unit diagonal.  zden is
+    z with nonzero values where the caller fills in free entries itself."""
+    Y = z[None, :, :] + Q[:, None, None] * (A[:, :, None] * A.conj()[:, None, :])
+    den = np.sqrt(B[:, :, None] * B[:, None, :])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        Y /= den * zden[None, :, :]
+    diag = np.arange(z.shape[0])
+    Y[:, diag, diag] = 1.0
+    return Y
 
 
 def witness_from_overlaps(t: Text, Q: float, overlaps: np.ndarray,

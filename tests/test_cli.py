@@ -258,8 +258,8 @@ class TestTranslateVerify:
         assert d["r1"] <= 1e-8 and d["r3"] <= 1e-8 and d["unitarity"] <= 1e-10
 
     def test_near_one_uniform_translates(self, capsys, tmp_path):
-        # the central route finds no Q below MODULUS_CAP at z = 1 - 1e-5;
-        # translate falls back to the eigenvector route (exit 4 before)
+        # at z = 1 - 1e-5 the feasible |Q| window lies above the schedule the
+        # central route once walked (exit 4 then)
         text, w = str(tmp_path / "t.json"), str(tmp_path / "w.json")
         qio.save_text(validate_text(uniform_gram(4, 0.99999)), text)
         assert run(capsys, "translate", "-i", text, "-o", w)[0] == 0
@@ -391,6 +391,26 @@ class TestMalformedJson:
                            "-o", str(tmp_path / "out.json"), "--json")
         assert code == 2, err
         assert json.loads(err)["error"] == "ValueError"
+
+
+class TestDeepNesting:
+    """JSON nested deeper than the parser's recursion limit is invalid input
+    (exit 2), never a RecursionError traceback with exit 1."""
+
+    @pytest.mark.parametrize("blob", [
+        "[" * 200_000,
+        '{"n": 2, "gram": ' + "[" * 5000 + "]" * 5000 + "}",
+    ], ids=["unclosed_brackets", "deep_gram"])
+    @pytest.mark.parametrize("argv", [["validate", "-i"], ["translate", "-i"],
+                                      ["analyze", "-g"], ["verify", "-i", "TEXT", "-w"]])
+    def test_exits_2(self, capsys, tmp_path, text_file, blob, argv):
+        bad = tmp_path / "deep.json"
+        bad.write_text(blob)
+        argv = [text_file if a == "TEXT" else a for a in argv]
+        code, _, err = run(capsys, *argv, str(bad), "--json")
+        assert code == 2
+        assert json.loads(err) == {"error": "ValueError",
+                                   "message": "the JSON value is nested too deeply"}
 
 
 class TestUnwritableOutput:

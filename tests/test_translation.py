@@ -26,7 +26,6 @@ from qtext import (
     witness_from_overlaps,
 )
 from qtext import translation
-from qtext.synth import _forced_output
 from qtext.translation import _null_space
 from tests.conftest import off_frame_stretch, uniform_gram
 
@@ -122,9 +121,14 @@ class TestBuildOmega:
             np.testing.assert_array_equal(out, ref)
 
 
+def _forced_output(t, Q, a):
+    return translation.forced_outputs(t.gram, t.gram, np.array([Q]), a[None, :],
+                                      1.0 + Q * np.abs(a[None, :]) ** 2)[0]
+
+
 class TestOutputGram:
-    """The one forced-output kernel, synth._forced_output, on texts without
-    orthogonal pairs (where every output entry is forced)."""
+    """The one forced-output kernel, translation.forced_outputs, on texts
+    without orthogonal pairs (where every output entry is forced)."""
 
     def test_two_state_zero_overlap(self):
         # z = -0.1, tablet overlap 0.4 on both states, Q = -z/t^2 = 0.625
@@ -233,8 +237,11 @@ class TestSynthesizeUnitary:
 
     def test_gram_mismatch(self, uniform3):
         w = translate(uniform3)
+        # small enough to keep the output Gram PSD, which near |y| = 1 has
+        # its smallest eigenvalue near 1e-3
         y = np.array(w.output_gram)
-        y[0, 1] = y[1, 0] = 0.99
+        y[0, 1] -= 1e-6
+        y[1, 0] = np.conj(y[0, 1])
         bad = TranslationWitness(Q=w.Q, q=w.q, tablet=w.tablet, output_gram=y)
         with pytest.raises(GramMismatch):
             synthesize_unitary(uniform3, bad)
