@@ -281,7 +281,9 @@ def check_witness(t: Text, w: TranslationWitness) -> WitnessReport:
         D = emb.vectors.shape[0] ** 2
         if U.shape != (D, D):
             raise DimensionMismatch(f"unitary has shape {U.shape}, expected {(D, D)}")
-        unitarity = float(np.max(np.abs(U.conj().T @ U - np.eye(D))))
+        G = U.conj().T @ U
+        G[np.diag_indices(D)] -= 1.0
+        unitarity = float(np.max(np.abs(G)))
         omegas = build_omega(emb, tablet, w.q)
         targets = _product_targets(out, emb)
         r3 = float(np.max(np.linalg.norm(U @ omegas - targets, axis=0)))
@@ -308,26 +310,17 @@ def _orthonormal_polar(W: np.ndarray) -> np.ndarray:
     return u @ vh
 
 
-def _null_space(A: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the null space of A, as columns.
-
-    Full SVD with the rank rule of scipy.linalg.null_space: singular values
-    above max(s) * eps * max(A.shape) count as nonzero.
-    """
-    _, s, vh = np.linalg.svd(A, full_matrices=True)
-    tol = np.amax(s, initial=0.0) * np.finfo(s.dtype).eps * max(A.shape)
-    num = int(np.count_nonzero(s > tol))
-    return vh[num:].conj().T
-
-
 def synthesize_unitary(t: Text, w: TranslationWitness) -> np.ndarray:
     """Unitary mapping each frame state Omega_i onto chi_i (x) psi_i.
 
     Exists iff the two families share a Gram matrix (checked at 1e-8).
-    Both frames are orthonormalized with the same spectral coefficients and
-    completed by the null-space bases of `_null_space` (a numpy SVD), so the
-    result is deterministic.  The unitary is not checked here; that is
-    `check_witness`'s job.
+    Both frames are orthonormalized with the same spectral coefficients, to
+    P and Qf (D x k).  The unitary is the identity outside span[P, Qf]:
+    with E (D x m, m = min(D, 2k)) the reduced QR basis of [P, Qf], and
+    p = E^H P, q = E^H Qf each completed in C^m by the last m - k columns
+    of a complete QR, U = I + E (V - I) E^H with V = [q cq][p cp]^H.  That
+    costs O(D^2 k), and the result is deterministic.  The unitary is not
+    checked here; that is `check_witness`'s job.
     """
     tablet = np.asarray(w.tablet, dtype=complex)
     emb = _embedding_for_tablet(t, len(tablet))
@@ -347,9 +340,16 @@ def synthesize_unitary(t: Text, w: TranslationWitness) -> np.ndarray:
     coeff = vec[:, keep] / np.sqrt(lam[keep])
     P = _orthonormal_polar(A @ coeff)
     Qf = _orthonormal_polar(Bm @ coeff)
-    Np = _null_space(P.conj().T)
-    Nq = _null_space(Qf.conj().T)
-    U = np.hstack([Qf, Nq]) @ np.hstack([P, Np]).conj().T
+    E = np.linalg.qr(np.hstack([P, Qf]))[0]
+    Eh = E.conj().T
+    p, q = Eh @ P, Eh @ Qf
+    k = p.shape[1]
+    cp = np.linalg.qr(p, mode="complete")[0][:, k:]
+    cq = np.linalg.qr(q, mode="complete")[0][:, k:]
+    V = np.hstack([q, cq]) @ np.hstack([p, cp]).conj().T
+    V[np.diag_indices(len(V))] -= 1.0
+    U = (E @ V) @ Eh
+    U[np.diag_indices(len(U))] += 1.0
     return U
 
 

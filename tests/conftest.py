@@ -74,17 +74,20 @@ def two_k2():
 
 @pytest.fixture
 def count_calls(monkeypatch):
-    """count_calls(fn) rebinds a counting wrapper of `fn` under every name
-    a loaded qtext module binds it to, so calls from inside the package are
-    seen too, and returns the list of argument tuples its calls append to.
-    The original bindings come back at teardown."""
+    """count_calls(fn, *namespaces) rebinds a counting wrapper of `fn` under
+    every name a loaded qtext module binds it to, so calls from inside the
+    package are seen too, and under its own name in each of `namespaces`
+    (say, np.linalg for a numpy function called by attribute).  It returns
+    the list of argument tuples its calls append to; a call with keyword
+    arguments appends them as a trailing dict.  The original bindings come
+    back at teardown."""
 
-    def install(fn):
+    def install(fn, *namespaces):
         calls = []
 
         @functools.wraps(fn)
         def counting(*args, **kwargs):
-            calls.append(args)
+            calls.append((*args, kwargs) if kwargs else args)
             return fn(*args, **kwargs)
 
         for name, module in list(sys.modules.items()):
@@ -92,6 +95,8 @@ def count_calls(monkeypatch):
                 for attr, value in list(vars(module).items()):
                     if value is fn:
                         monkeypatch.setattr(module, attr, counting)
+        for namespace in namespaces:
+            monkeypatch.setattr(namespace, fn.__name__, counting)
         return calls
 
     return install

@@ -7,17 +7,22 @@ import pytest
 from qtext import (
     DegenerateNormalizer,
     DuplicateStates,
+    GenSpec,
     GramMismatch,
     QOutOfRange,
     TranslationError,
     TranslationWitness,
+    WellSplitShape,
     Q_from_q,
     build_omega,
     check_witness,
     embed_text,
+    gen_text,
     overlap_residual,
     q_from_Q,
+    realize_graph,
     restrict_witness,
+    shape_to_graph,
     subtext,
     synthesize_unitary,
     tablet_overlaps,
@@ -26,8 +31,8 @@ from qtext import (
     witness_from_overlaps,
 )
 from qtext import translation
-from qtext.translation import _null_space
 from tests.conftest import off_frame_stretch, uniform_gram
+from tests.test_synth import with_pendant
 
 
 class TestQParameter:
@@ -247,34 +252,124 @@ class TestSynthesizeUnitary:
             synthesize_unitary(uniform3, bad)
 
 
-class TestNullSpace:
-    @staticmethod
-    def frame(D, k, seed):
-        """Adjoint of a random orthonormal D x k frame, as in synthesize_unitary."""
-        rng = np.random.default_rng([seed, D, k])
-        raw = rng.standard_normal((D, k)) + 1j * rng.standard_normal((D, k))
-        u, _, vh = np.linalg.svd(raw, full_matrices=False)
-        return (u @ vh).conj().T
+def _hand_witness(t, tablet, Q, output):
+    """Witness with a given tablet, Q and output Gram, and its unitary."""
+    w = TranslationWitness(Q=Q, q=q_from_Q(Q), tablet=np.asarray(tablet, dtype=complex),
+                           output_gram=np.asarray(output, dtype=complex))
+    w.unitary = synthesize_unitary(t, w)
+    return w
 
-    @pytest.mark.parametrize("D,k", [(4, 1), (9, 3), (16, 4), (25, 6), (49, 8), (64, 64)])
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_matches_scipy(self, D, k, seed):
-        scipy_linalg = pytest.importorskip("scipy.linalg")
-        A = self.frame(D, k, seed)
-        N = _null_space(A)
-        ref = scipy_linalg.null_space(A)
-        assert N.shape == ref.shape == (D, D - k)
-        np.testing.assert_allclose(N, ref, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(N.conj().T @ N, np.eye(D - k), atol=1e-12)
-        np.testing.assert_allclose(A @ N, 0, atol=1e-12)
 
-    def test_rank_deficient_rows(self):
-        A = self.frame(16, 3, 7)
-        A = np.vstack([A, A[0] + A[1]])
-        N = _null_space(A)
-        assert N.shape == (16, 13)
-        np.testing.assert_allclose(N.conj().T @ N, np.eye(13), atol=1e-12)
-        np.testing.assert_allclose(A @ N, 0, atol=1e-12)
+def unpadded_uniform(n, z, Q):
+    """Uniform text with an unpadded tablet, the normalized sum of its
+    states, and the output Gram that tablet and Q force."""
+    t = validate_text(uniform_gram(n, z))
+    emb = embed_text(t)
+    tablet = emb.vectors.sum(axis=1)
+    tablet /= np.linalg.norm(tablet)
+    a = tablet_overlaps(emb, tablet)
+    return t, _hand_witness(t, tablet, Q, _forced_output(t, Q, a))
+
+
+def unpadded_classical(n, Q):
+    """Orthonormal n-text with the tablet on its first state and the
+    identity output.  The frame psi_0 (x) psi_0 (+ q psi_0 (x) psi_0) lies
+    on the target psi_0 (x) psi_0, so [P, Qf] has rank below 2n; at n = 1,
+    2n > D."""
+    t = validate_text(np.eye(n))
+    return t, _hand_witness(t, np.eye(n)[0], Q, np.eye(n))
+
+
+def _translated(gram, **kwargs):
+    t = validate_text(gram)
+    return t, translate(t, **kwargs)
+
+
+def _realized(shape):
+    res = realize_graph(shape_to_graph(shape))
+    return res.text, res.witness
+
+
+def witness_cases():
+    """{label: builder of (text, finished witness)} over every construction
+    route, the unpadded tablets and the rank-deficient [P, Qf] included."""
+    cases = {}
+    for n in (1, 2, 3, 8, 16, 24, 32):
+        for z in ((0.4,) if n == 1 else (0.4, -0.5 / (n - 1))):
+            cases[f"uniform{n}_z{z:+.3f}"] = lambda n=n, z=z: _translated(uniform_gram(n, z))
+    for kwargs in ({}, {"q0": True}, {"force_sign": +1}, {"force_sign": -1}):
+        label = "classical3" + "".join(f"_{k}{v}" for k, v in kwargs.items())
+        cases[label] = lambda kwargs=kwargs: _translated(np.eye(3), **kwargs)
+    core = gen_text(GenSpec(mode="random_efficient", n=3, seed=0)).gram
+    pendant = with_pendant(core, 0, 0.1)
+    cases["mixed_pendant"] = lambda: _translated(pendant)
+    cases["mixed_two_pendants"] = lambda: _translated(with_pendant(pendant, 1, 0.1))
+    cases["isolated"] = lambda: _translated(with_pendant(with_pendant(core, 0, 0.0), 0, 0.0))
+    cases["realize_graph"] = lambda: _realized(WellSplitShape(n2=3, ell=2, m=(2, 1)))
+    for n in (2, 3, 8, 16):
+        cases[f"unpadded_uniform{n}"] = lambda n=n: unpadded_uniform(n, 0.4, -0.01)
+    for n in (1, 2, 3):
+        for Q in (0.0, 0.3):
+            cases[f"unpadded_classical{n}_Q{Q}"] = lambda n=n, Q=Q: unpadded_classical(n, Q)
+    return cases
+
+
+WITNESS_CASES = witness_cases()
+
+
+@pytest.fixture(scope="module", params=list(WITNESS_CASES))
+def finished(request):
+    return WITNESS_CASES[request.param]()
+
+
+def _frame_span(t, w):
+    """Orthonormal basis of span[Omega, chi (x) psi], which is span[P, Qf]."""
+    emb = translation._embedding_for_tablet(t, len(w.tablet))
+    both = np.hstack([build_omega(emb, w.tablet, w.q),
+                      translation._product_targets(validate_text(w.output_gram), emb)])
+    u, s, _ = np.linalg.svd(both, full_matrices=False)
+    return u[:, s > 1e-10 * s[0]]
+
+
+class TestUnitaryOnEveryRoute:
+    def test_every_gate_passes(self, finished):
+        t, w = finished
+        rep = check_witness(t, w)
+        assert rep.passed
+        assert rep.r1 <= translation.EQ4_TOL and rep.r3 <= translation.EQ2_TOL
+        assert rep.unitarity <= translation.UNITARITY_TOL
+
+    def test_identity_off_the_frames(self, finished):
+        t, w = finished
+        span = _frame_span(t, w)
+        rng = np.random.default_rng(len(w.unitary))
+        x = rng.standard_normal((len(span), 3)) + 1j * rng.standard_normal((len(span), 3))
+        x -= span @ (span.conj().T @ x)
+        assert np.max(np.abs(w.unitary @ x - x)) <= 1e-12
+
+    def test_deterministic(self, finished):
+        t, w = finished
+        assert synthesize_unitary(t, w).tobytes() == synthesize_unitary(t, w).tobytes()
+
+    def test_unitarity_matches_identity_form(self, finished):
+        # check_witness subtracts 1 on the diagonal in place; the value is
+        # the one max |U^H U - I| gives, bit for bit
+        t, w = finished
+        for u in (w.unitary, off_frame_stretch(t, w).unitary):
+            bare = TranslationWitness(Q=w.Q, q=w.q, tablet=w.tablet,
+                                      output_gram=w.output_gram, unitary=u)
+            ref = float(np.max(np.abs(u.conj().T @ u - np.eye(len(u)))))
+            assert check_witness(t, bare).unitarity == ref
+
+    @pytest.mark.parametrize("gram", [uniform_gram(8, 0.4), np.eye(1)], ids=["uniform8", "one"])
+    def test_no_full_svd(self, gram, count_calls):
+        t, w = _translated(gram)
+        calls = count_calls(np.linalg.svd, np.linalg)
+        synthesize_unitary(t, w)
+        assert calls
+        for call in calls:
+            kwargs = call[-1] if isinstance(call[-1], dict) else {}
+            assert not kwargs.get("full_matrices", call[1] if len(call) > 1 else True)
 
 
 class TestOverlapResidual:
