@@ -371,9 +371,10 @@ def shape_to_graph(shape: WellSplitShape) -> SimpleGraph:
     """Build the canonical graph of a shape: clique 0..n2-1, then pendants.
 
     Pendants of w_i occupy consecutive indices after the clique, grouped by
-    i.  Raises InvalidShape for ell > n2, non-positive m, non-increasing
-    violations are tolerated, and for n2 = 1 with pendants (that graph is a
-    star whose canonical shape has n2 = 2).
+    i.  Raises InvalidShape for n2 < 1, for ell outside 0..n2, for
+    len(m) != ell, for a non-positive entry of m, and for n2 = 1 with
+    pendants (that graph is a star whose canonical shape has n2 = 2).  An m
+    that is not non-increasing is accepted as given.
     """
     if shape.n2 < 1:
         raise InvalidShape("n2 must be at least 1")

@@ -1,14 +1,15 @@
 """Constructing translations.
 
-Three construction routes, dispatched by `translate`, all in closed form:
+Two construction routes, dispatched by `translate`, both in closed form:
 
 * classical texts are cloned exactly (Q = 0, any target output);
-* texts without orthogonal pairs take their tablet overlaps from the
-  exceptional eigenvector of the reciprocal Gram matrix (stepped into the
-  cone of valid directions when it has a zero entry), the all-ones vector
-  on a uniform real text;
-* mixed texts translate their complete core with Q > 0 and attach each
-  pendant in closed form; isolated states join as a free classical summand.
+* every other text is a complete core, all of it when there are no
+  orthogonal pairs, with pendants and isolated states.  Its tablet
+  overlaps come from the exceptional eigenvector of the core's reciprocal
+  Gram matrix (stepped into the cone of valid directions when it has a
+  zero entry), the all-ones vector on a uniform real core, and are zero
+  off the core; each pendant's output is its anchor's, shrunk in closed
+  form, and isolated states join as a free classical summand.
 
 Q is never searched for.  It is the geometric middle of the |Q| interval of
 `_feasible_q`, on which the forced output Gram meets every constraint, and
@@ -121,13 +122,16 @@ class QInterval:
 
 @dataclass
 class SearchOutcome:
-    """A route's result for one sign of Q: a bare witness or None; the
-    feasible |Q| interval of its overlap direction (None without one); and
-    the number of output Grams built and checked, 0 or 1."""
+    """A route's result for one sign of Q: a bare witness or None, and the
+    feasible |Q| interval of its overlap direction (None without one)."""
 
     witness: TranslationWitness | None
     interval: QInterval | None
-    evaluations: int
+
+    @property
+    def evaluations(self) -> int:
+        """Output Grams built and checked: 1 on a nonempty interval, else 0."""
+        return int(self.interval is not None and not self.interval.empty)
 
     def refusal(self, sign: int) -> str:
         """Why there is no witness, naming the constraints that bind."""
@@ -175,11 +179,13 @@ def _feasible_q(t: Text, a: np.ndarray, sign: int, q_psd: float) -> QInterval:
     return iv.below(max(0.0, sign * q_psd), "PSD")
 
 
-def _eigen_overlaps(t: Text, sign: int) -> tuple[np.ndarray | None, QInterval | None]:
-    """Overlap direction a from the exceptional eigenvector of M = 1 ./ z,
-    and its `_feasible_q` interval, whose PSD end -w^H M^+ w, w = 1 ./ a,
-    comes from the same eigendecomposition without the eigenvalues inside
-    the zero band of the signature test.
+def _eigen_overlaps(t: Text, core: list[int],
+                    sign: int) -> tuple[np.ndarray | None, QInterval | None]:
+    """Overlaps o from the exceptional eigenvector of M = 1 ./ z on the
+    core, zero off it and scaled so that o^H z^-1 o = 1 on the whole text,
+    and the `_feasible_q` interval of o on the core, whose PSD end
+    -w^H M^+ w, w = 1 ./ o[core], comes from the same eigendecomposition
+    without the eigenvalues inside the zero band of the signature test.
 
     For sign(Q) = +1 the relevant eigenvector u belongs to the smallest
     eigenvalue, for -1 to the largest; M is semidefinite of sign sign(Q)
@@ -192,8 +198,10 @@ def _eigen_overlaps(t: Text, sign: int) -> tuple[np.ndarray | None, QInterval | 
     * M invertible: any w with sign * (w* M^-1 w) < 0 serves, since by
       Haynsworth inertia additivity on [[M, w], [w*, 0]] M is then
       definite of sign sign(Q) on the hyperplane orthogonal to w.  The
-      step w = u + s 1 enters that open cone, with s = 1e-2 max|u| halved
-      up to 40 times until w qualifies.
+      step w = u + s 1 enters that open cone: for a unit u, sign * (w* M^-1 w)
+      = sign (1 / lam_u + 2 s Re(sum u) / lam_u + s^2 1^H M^-1 1) is negative
+      from s = 0 to its least positive root r, and s = 1e-2 max|u| 2^-k
+      with the least k >= 0 for which s < r.
     * M singular: w = u + 1e-2 v, with v the eigenvector of the opposite
       extreme eigenvalue.  The hyperplane orthogonal to w holds every other
       eigenvector and 1e-2 u - v, whose Rayleigh quotient is proportional
@@ -202,11 +210,13 @@ def _eigen_overlaps(t: Text, sign: int) -> tuple[np.ndarray | None, QInterval | 
       the null vectors of M in its kernel.  By Cauchy interlacing no hyperplane
       does better than semidefinite, and the output Gram is singular.
 
-    Returns (None, None) when no step qualifies.
+    Returns (None, None) when the step leaves a zero entry.
     """
-    M = 1.0 / t.gram
+    t_core = subtext(t, core)
+    M = 1.0 / t_core.gram
     lam, vec = np.linalg.eigh((M + M.conj().T) / 2.0)
-    u, v = (vec[:, 0], vec[:, -1]) if sign > 0 else (vec[:, -1], vec[:, 0])
+    k = 0 if sign > 0 else -1
+    u, v, lam_u = vec[:, k], vec[:, -1 - k], lam[k]
     band = np.abs(lam) <= SIGNATURE_SCALE * np.max(np.abs(lam))
 
     def no_zero_entry(w):
@@ -217,44 +227,33 @@ def _eigen_overlaps(t: Text, sign: int) -> tuple[np.ndarray | None, QInterval | 
     elif band.any():
         w = u + 1e-2 * v
     else:
-        s = 1e-2 * np.max(np.abs(u))
-        for _ in range(41):
-            w = u + s
-            form = float(np.sum(np.abs(vec.conj().T @ w) ** 2 / lam))
-            if sign * form < 0 and no_zero_entry(w):
-                break
-            s *= 0.5
-        else:
-            return None, None
+        # the quadratic as al + 2 be s + ga s^2, al < 0 since M (unit diagonal,
+        # |m_ij| > 1 off it) has lam_min < 0 < lam_max; its least positive
+        # root without cancellation is -al / (be + sqrt(be^2 - al ga))
+        al, be = sign / lam_u, sign * float(np.sum(u).real) / lam_u
+        ga = sign * float(np.sum(np.abs(np.sum(vec, axis=0)) ** 2 / lam))
+        disc = be * be - al * ga
+        den = be + np.sqrt(disc) if disc >= 0.0 else 0.0
+        r = -al / den if den > 0.0 else np.inf
+        s0 = 1e-2 * np.max(np.abs(u))
+        w = u + s0 * 0.5 ** (0 if s0 < r else int(np.floor(np.log2(s0 / r))) + 1)
     if not no_zero_entry(w):
         return None, None
-    a = 1.0 / w
-    # scaled so that the minimal tablet realizing a is unit
-    s2 = float(np.real(np.vdot(a, np.linalg.solve(t.gram, a))))
-    if s2 <= 0:
+    o = np.zeros(t.n, dtype=complex)
+    o[core] = 1.0 / w
+    F = float(np.real(np.vdot(o, np.linalg.solve(t.gram, o))))
+    if F <= 0:
         raise TranslationError("degenerate overlap direction")
-    a = a / np.sqrt(s2)
+    o = o / np.sqrt(F)
+    a = o[core]
     q_psd = -float(np.sum(np.abs(vec[:, ~band].conj().T @ (1.0 / a)) ** 2 / lam[~band]))
-    return a, _feasible_q(t, a, sign, q_psd)
-
-
-def _at_middle(t: Text, sign: int, a: np.ndarray,
-               iv: QInterval) -> tuple[float, np.ndarray] | None:
-    """Q = sign sqrt(lo hi), the geometric middle of `iv`, and its forced
-    output Gram; None when `iv` is empty or one eigvalsh finds the Gram
-    below validate_text's floor of -psd_tol(n)."""
-    if iv.empty:
-        return None
-    Q = sign * float(np.sqrt(iv.lo * iv.hi))
-    Y = forced_outputs(t.gram, t.gram, np.array([Q]), a[None, :],
-                       1.0 + Q * np.abs(a[None, :]) ** 2)[0]
-    return None if np.linalg.eigvalsh(Y)[0] < -psd_tol(t.n) else (Q, Y)
+    return o, _feasible_q(t_core, a, sign, q_psd)
 
 
 def search_translation(t: Text, sign: int) -> SearchOutcome:
     """Closed-form witness with the given sign of Q for an efficient text
-    without orthogonal pairs: the eigenvector route at the middle of its
-    feasible |Q| interval.
+    without orthogonal pairs: `_mixed_witness` with every state in the
+    core.
 
     The witness is bare and unchecked.  A None witness never claims
     untranslatability; for a sign the classifier admits it is not expected
@@ -265,12 +264,7 @@ def search_translation(t: Text, sign: int) -> SearchOutcome:
     props = text_properties(t)
     if not (props.efficient and props.fully_quantum):
         raise SynthError("search needs an efficient text without orthogonal pairs")
-    a, iv = _eigen_overlaps(t, sign)
-    if a is None:
-        return SearchOutcome(None, None, 0)
-    out = _at_middle(t, sign, a, iv)
-    w = None if out is None else witness_from_overlaps(t, out[0], a, out[1])
-    return SearchOutcome(w, iv, int(not iv.empty))
+    return _mixed_witness(t, list(range(t.n)), {}, sign)
 
 
 def clone_classical(t: Text, target_output=None) -> TranslationWitness:
@@ -319,13 +313,14 @@ def central_translate_uniform(t: Text) -> TranslationWitness:
 def _pendant_rows(Y0: np.ndarray, anchors: dict[int, int], B: np.ndarray) -> np.ndarray:
     """Y0, the output Gram of the other states, with each pendant's output
     its anchor's over sqrt(B_anchor) plus a fresh orthogonal part; pendants
-    of one anchor overlap by 1 / B_anchor."""
-    r, d = np.arange(len(Y0)), np.ones(len(Y0))
-    pend = list(anchors)
-    r[pend] = list(anchors.values())
-    d[pend] = 1.0 / np.sqrt(B[r[pend]])
-    Y = d[:, None] * Y0[np.ix_(r, r)] * d[None, :]
-    np.fill_diagonal(Y, 1.0)
+    of one anchor overlap by 1 / B_anchor.  Every other entry of Y0 is kept
+    bit for bit."""
+    pend, anch = list(anchors), list(anchors.values())
+    d = 1.0 / np.sqrt(B[anch])
+    Y = Y0.copy()
+    Y[pend, :] = d[:, None] * Y0[anch, :]
+    Y[:, pend] = Y[:, anch] * d[None, :]
+    Y[pend, pend] = 1.0
     return Y
 
 
@@ -367,34 +362,35 @@ def attach_classical(base_witness: TranslationWitness, t_new: Text) -> Translati
 
 def _mixed_witness(t: Text, core: list[int], anchors: dict[int, int],
                    sign: int) -> SearchOutcome:
-    """The route for a complete core with pendants or isolated states: the
-    core's eigenvector route and a chain of `attach_classical` steps, one
-    per pendant, in closed form, as one bare witness on the whole text.
+    """The route for every text with a complete core (all of it, with no
+    anchors, on a text without orthogonal pairs): the `_eigen_overlaps`
+    overlaps o at Q = sign sqrt(lo hi), the geometric middle of their
+    feasible |Q| interval, as one bare witness on the whole text.
 
-    The chain ends in the unit tablet with overlaps (a, 0) / sqrt(F) at
-    Q_core F, a the core's span-normalized overlaps (so no pad) and
-    F = (a, 0)^H z^-1 (a, 0).  That cuts the core's interval at
-    Q_core F <= 1 ("chain"), and where a pendant's output overlap with its
-    anchor, 1 / sqrt(B_anchor), would reach 1 - DISTINCT_TOL ("pendant").
-    Isolated states keep zero overlap and a fresh output.
+    It is the core's eigenvector route and a chain of `attach_classical`
+    steps, one per pendant, in closed form: the chain ends in the unit
+    tablet with overlaps o, so the interval in the final Q needs no bound of
+    its own for the chain.  It is cut where a pendant's output overlap with
+    its anchor, 1 / sqrt(B_anchor), would reach 1 - DISTINCT_TOL
+    ("pendant").  Isolated states keep zero overlap and a fresh output.  One
+    eigvalsh refuses a core output Gram below validate_text's -psd_tol(k).
     """
-    t_core = subtext(t, core)
-    a, iv = _eigen_overlaps(t_core, sign)
-    if a is None:
-        return SearchOutcome(None, None, 0)
-    o = np.zeros(t.n, dtype=complex)
-    o[core] = a
-    F = float(np.real(np.vdot(o, np.linalg.solve(t.gram, o))))
+    o, iv = _eigen_overlaps(t, core, sign)
+    if o is None:
+        return SearchOutcome(None, None)
     low = np.min(np.abs(o[list(anchors.values())]) ** 2, initial=np.inf)
-    iv = iv.below(1.0 / F, "chain").above(PENDANT_FLOOR / low, "pendant")
-    out = _at_middle(t_core, sign, a, iv)
-    if out is None:
-        return SearchOutcome(None, iv, int(not iv.empty))
-    Q, Y0 = out[0], np.eye(t.n, dtype=complex)
-    Y0[np.ix_(core, core)] = out[1]
-    Y = _pendant_rows(Y0, anchors, 1.0 + Q * np.abs(o) ** 2)
-    w = witness_from_overlaps(t, float(np.clip(Q * F, -1.0, 1.0)), o / np.sqrt(F), Y)
-    return SearchOutcome(w, iv, 1)
+    iv = iv.above(PENDANT_FLOOR / low, "pendant")
+    if iv.empty:
+        return SearchOutcome(None, iv)
+    Q = sign * float(np.sqrt(iv.lo * iv.hi))
+    B = 1.0 + Q * np.abs(o) ** 2
+    block = np.ix_(core, core)
+    Y0 = np.eye(t.n, dtype=complex)
+    Y0[block] = forced_outputs(t.gram[block], t.gram[block], np.array([Q]),
+                               o[None, core], B[None, core])[0]
+    if np.linalg.eigvalsh(Y0[block])[0] < -psd_tol(len(core)):
+        return SearchOutcome(None, iv)
+    return SearchOutcome(witness_from_overlaps(t, Q, o, _pendant_rows(Y0, anchors, B)), iv)
 
 
 def translate(t: Text, force_sign: int | None = None,
@@ -452,12 +448,9 @@ def _construct(t: Text, force_sign: int | None, q0: bool) -> TranslationWitness:
                 f"sign(Q) = {force_sign} is not admissible for this text; "
                 f"admissible: {sorted(signs)}")
         signs = frozenset({force_sign})
-    core, refusals = list(decision.decomposition.core), []
+    parts, refusals = decision.decomposition, []
     for sign in sorted(signs, reverse=True):
-        if len(core) == t.n:
-            out = search_translation(t, sign)
-        else:
-            out = _mixed_witness(t, core, decision.decomposition.anchors, sign)
+        out = _mixed_witness(t, list(parts.core), parts.anchors, sign)
         if out.witness is not None:
             return out.witness
         refusals.append(out.refusal(sign))

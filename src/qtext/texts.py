@@ -162,7 +162,8 @@ def text_properties(t: Text) -> TextProperties:
     fully_quantum = not np.any(orthogonal)
     evals = np.linalg.eigvalsh(t.gram)
     efficient = bool(evals[0] > pd_tol(n))
-    uniform, real_text = uniform_real_flags(t)
+    uniform = bool(n == 1 or np.max(np.abs(offvals - offvals[0])) <= UNIFORM_TOL)
+    real_text = bool(np.max(np.abs(t.gram.imag)) <= REAL_TOL)
     return TextProperties(
         classical=classical,
         fully_quantum=fully_quantum,
@@ -170,15 +171,6 @@ def text_properties(t: Text) -> TextProperties:
         uniform=uniform,
         real_text=real_text,
     )
-
-
-def uniform_real_flags(t: Text) -> tuple[bool, bool]:
-    """The `uniform` and `real_text` flags of `text_properties`, which need
-    no eigvalsh."""
-    offvals = t.gram[~np.eye(t.n, dtype=bool)]
-    uniform = bool(t.n == 1 or np.max(np.abs(offvals - offvals[0])) <= UNIFORM_TOL)
-    real_text = bool(np.max(np.abs(t.gram.imag)) <= REAL_TOL)
-    return uniform, real_text
 
 
 def null_index_set(t: Text) -> frozenset[tuple[int, int]]:

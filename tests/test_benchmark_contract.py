@@ -44,6 +44,9 @@ def test_tracer_sees_every_route_and_restores_the_package(tracer_module):
         tracer.request = 0
         for gram in (uniform_gram(5, 0.4), random3, pendant):
             qtext.translate(qtext.validate_text(gram))
+        # translate reaches every text with a core through _mixed_witness;
+        # search_translation is the input check in front of it
+        synth.search_translation(qtext.validate_text(random3), +1)
         qtext.realize_graph(qtext.make_graph(4, [(0, 1), (0, 2), (1, 2), (0, 3)]))
         tracer.request = None
     finally:

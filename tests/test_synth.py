@@ -181,7 +181,7 @@ class TestSearch:
         iv, w = out.interval, out.witness
         assert out.evaluations == 1 and 0 < iv.lo < iv.hi <= 1
         assert w.Q == sign * np.sqrt(iv.lo * iv.hi) and w.q == q_from_Q(w.Q)
-        a = synth._eigen_overlaps(t, sign)[0]
+        a = eigen_overlaps(t, sign)[0]
         assert max_modulus(t, w.Q, a) < translation.MODULUS_CAP
         assert np.min(1.0 + w.Q * np.abs(a) ** 2) > translation.B_FLOOR
         assert np.linalg.eigvalsh(w.output_gram)[0] > 0
@@ -287,12 +287,12 @@ class TestTranslate:
 
     def test_mixed_chain_bound_keeps_q_below_one(self):
         # the chain overflowed Q = 1 from the first core witness of the
-        # schedule; its bound Q_core F <= 1 now ends the core's interval
+        # schedule; the interval, taken in the final Q, ends at |Q| <= 1
         t = validate_text(OVERFLOW_TEXT)
         d = decide_translatable(t)
         out = synth._mixed_witness(t, list(d.decomposition.core),
                                    d.decomposition.anchors, +1)
-        assert out.interval.hi_by == "chain"
+        assert out.interval.hi_by == "|Q| <= 1"
         w = translate(t)
         assert 0 < w.Q < 1 and w.Q == out.witness.Q
         assert_gates(t, w)
@@ -353,7 +353,7 @@ class TestAttachClassical:
     def test_q_too_large(self):
         # a base witness near the top of its interval
         base = validate_text(self.BASE)
-        a, iv = synth._eigen_overlaps(base, +1)
+        a, iv = eigen_overlaps(base, +1)
         Q = 0.99 * iv.hi
         w = witness_from_overlaps(base, Q, a, forced_output(base, Q, a))
         with pytest.raises(QTooLarge):
@@ -480,6 +480,11 @@ SINGULAR_TEXTS.update({f"pendant_a{a}_p{p}": with_pendant(singular_core(a), 1, p
                        for a in SINGULAR_A for p in (0.2, 0.1)})
 
 
+def eigen_overlaps(t, sign):
+    """`synth._eigen_overlaps` with every state in the core."""
+    return synth._eigen_overlaps(t, list(range(t.n)), sign)
+
+
 def forced_output(t, Q, a):
     """The output Gram that overlaps `a` force at Q on a text without
     orthogonal pairs."""
@@ -494,6 +499,24 @@ def assert_gates(t, w):
     assert w.residuals == {"eq4": rep.r1, "eq2": rep.r3}
 
 
+def halving_cone_step(t, sign):
+    """The cone step as the loop it was, kept as a referee: s = 1e-2 max|u|,
+    halved until w = u + s 1 has sign * w^H M^-1 w < 0 and no zero entry.
+    Returns the number k of halvings and w, or (None, None)."""
+    M = 1.0 / t.gram
+    lam, vec = np.linalg.eigh((M + M.conj().T) / 2.0)
+    u = vec[:, 0] if sign > 0 else vec[:, -1]
+    assert np.min(np.abs(u)) < 1e-10 * np.max(np.abs(u))
+    s = 1e-2 * np.max(np.abs(u))
+    for k in range(41):
+        w = u + s
+        form = float(np.sum(np.abs(vec.conj().T @ w) ** 2 / lam))
+        if sign * form < 0 and np.min(np.abs(w)) >= 1e-10 * np.max(np.abs(w)):
+            return k, w
+        s *= 0.5
+    return None, None
+
+
 class TestZeroEntryEigenvector:
     @pytest.mark.parametrize("z02", [0.01, 0.05])
     def test_eigenvector_has_zero_entry(self, z02):
@@ -504,11 +527,26 @@ class TestZeroEntryEigenvector:
     @pytest.mark.parametrize("z02", [0.01, 0.05])
     def test_direction_lies_in_the_cone(self, z02):
         t = validate_text(symmetric_core(0.4, z02))
-        a = synth._eigen_overlaps(t, +1)[0]
+        a = eigen_overlaps(t, +1)[0]
         assert np.all(np.isfinite(a))
         w = 1.0 / a
         M = 1.0 / t.gram
         assert np.real(np.vdot(w, np.linalg.solve(M, w))) < 0
+
+    @pytest.mark.parametrize("a", [0.2, 0.4, 0.6])
+    def test_cone_step_takes_the_halving_loops_s(self, a):
+        # z02 just below the singular core's: the least root of the
+        # quadratic falls below 1e-2 max|u|, so s needs halvings
+        ks = set()
+        for eps in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
+            t = validate_text(symmetric_core(a, a * a / (2.0 - a * a) * (1.0 - eps)))
+            k, w = halving_cone_step(t, +1)
+            ks.add(k)
+            o = 1.0 / w
+            o = o / np.sqrt(float(np.real(np.vdot(o, np.linalg.solve(t.gram, o)))))
+            assert eigen_overlaps(t, +1)[0].tobytes() == o.tobytes()
+            assert_gates(t, translate(t))
+        assert None not in ks and max(ks) >= 3
 
     @pytest.mark.parametrize("label", sorted(ZERO_ENTRY_TEXTS))
     def test_translates_without_optimizer(self, label):
@@ -534,7 +572,7 @@ class TestSingularReciprocal:
         # M is semidefinite of sign sign(Q) on the hyperplane orthogonal to
         # the stepped direction, and singular there (Cauchy interlacing)
         t = validate_text(singular_core(a))
-        w = 1.0 / synth._eigen_overlaps(t, sign)[0]
+        w = 1.0 / eigen_overlaps(t, sign)[0]
         M = 1.0 / t.gram
         basis = np.linalg.svd(w.conj()[None, :])[2][1:].conj().T
         mu = np.sort(sign * np.linalg.eigvalsh(basis.conj().T @ M @ basis))
@@ -658,8 +696,8 @@ class TestOneEmbeddingPerLookup:
 
 class TestTextPropertiesPerTranslate:
     """decide_translatable computes the text's flags once.  _construct takes
-    classicality from the decision, so only the route's own input check
-    (search_translation or clone_classical) computes them again."""
+    classicality from the decision, so only clone_classical's own input
+    check computes them again."""
 
     @pytest.mark.parametrize("gram", [
         RANDOM3,
@@ -846,7 +884,7 @@ def referee_mixed_witness(t, core, pendants):
     the witness and the number of overflows."""
 
     def core_witness(t_core, start):
-        a = synth._eigen_overlaps(t_core, +1)[0]
+        a = eigen_overlaps(t_core, +1)[0]
         for k in range(41):
             Y = referee_forced_output(t_core, start * 0.5 ** k, a)
             if Y is not None and referee_accepts(Y):
@@ -903,11 +941,32 @@ def mixed_chain_corpus():
     return texts
 
 
+class TestPendantRows:
+    """`synth._pendant_rows` writes the pendants' rows and columns only."""
+
+    @pytest.mark.parametrize("anchors", [{}, {3: 0, 4: 0}], ids=["no_pendants", "pendants"])
+    def test_other_entries_keep_their_bits(self, anchors):
+        # a real output Gram with negative zero imaginary parts, as the
+        # forced output of a real text can carry them
+        Y0 = np.eye(5, dtype=complex)
+        Y0[:3, :3] = uniform_gram(3, -0.2)
+        Y0.imag[:] = -0.0
+        B = np.array([1.5, 1.2, 1.1, 1.0, 1.0])
+        Y = synth._pendant_rows(Y0, anchors, B)
+        keep = np.setdiff1d(np.arange(5), list(anchors))
+        assert Y[np.ix_(keep, keep)].tobytes() == Y0[np.ix_(keep, keep)].tobytes()
+        for p in anchors:
+            assert Y[p, p] == 1.0
+            np.testing.assert_array_equal(Y[p, :3], Y0[0, :3] / np.sqrt(1.5))
+        if anchors:
+            assert Y[3, 4] == Y[4, 3] == pytest.approx(1.0 / 1.5, rel=1e-15)
+
+
 class TestClosedFormChain:
     """The mixed route is the chain of attach_classical steps in closed
     form: each step scales the tablet overlaps by alpha and Q by
-    alpha^-2, so one solve gives the chain's bound on the core's Q and its
-    witness."""
+    alpha^-2, so one solve on the whole text gives the chain's overlaps,
+    and the chain's end is the |Q| <= 1 end of their interval."""
 
     def test_translates_whatever_the_restart_referee_translates(self):
         mixed = judged = 0
@@ -940,9 +999,12 @@ class TestClosedFormChain:
                 continue
             core, anchors = list(d.decomposition.core), d.decomposition.anchors
             out = synth._mixed_witness(t, core, anchors, +1)
-            Q_core = np.sqrt(out.interval.lo * out.interval.hi)
             t_core = subtext(t, core)
-            a = synth._eigen_overlaps(t_core, +1)[0]
+            a = eigen_overlaps(t_core, +1)[0]
+            # the chain's Q is the core's times F = (a, 0)^H z^-1 (a, 0)
+            o = np.zeros(t.n, dtype=complex)
+            o[core] = a
+            Q_core = out.witness.Q / np.real(np.vdot(o, np.linalg.solve(t.gram, o)))
             w = witness_from_overlaps(t_core, Q_core, a, forced_output(t_core, Q_core, a))
             order = list(core)
             for p in anchors:
@@ -971,7 +1033,7 @@ class TestClosedFormChain:
     def test_chain_tablets_do_not_depend_on_core_q(self):
         t = validate_text(with_pendants(uniform_gram(3, -0.35), (0, 1), 0.3))
         t_core = subtext(t, [0, 1, 2])
-        a, iv = synth._eigen_overlaps(t_core, +1)
+        a, iv = eigen_overlaps(t_core, +1)
         Q = np.sqrt(iv.lo * iv.hi)
         cores = [witness_from_overlaps(t_core, q, a, forced_output(t_core, q, a))
                  for q in (Q, Q / 2)]
@@ -1033,7 +1095,7 @@ class TestFeasibleInterval:
         for label, g in interval_corpus():
             t = validate_text(g)
             for sign in sorted(decide_translatable(t).sign_constraint):
-                a, iv = synth._eigen_overlaps(t, sign)
+                a, iv = eigen_overlaps(t, sign)
                 mid = np.sqrt(iv.lo * iv.hi)
 
                 def capped(x):
@@ -1066,7 +1128,7 @@ class TestFeasibleInterval:
     ], ids=["cap", "PSD", "unit"])
     def test_binding_names(self, gram, sign, ends):
         t = validate_text(gram)
-        a, iv = synth._eigen_overlaps(t, sign)
+        a, iv = eigen_overlaps(t, sign)
         assert (iv.lo_by, iv.hi_by) == ends and 0 < iv.lo < iv.hi <= 1
         assert_gates(t, translate(t, force_sign=sign))
 
@@ -1087,9 +1149,9 @@ class TestFeasibleInterval:
         t = validate_text(with_pendant(uniform_gram(3, -0.2), 0, 0.3))
         d = decide_translatable(t)
         out = synth._mixed_witness(t, [0, 1, 2], d.decomposition.anchors, +1)
-        assert (out.interval.lo_by, out.interval.hi_by) == ("pendant", "chain")
+        assert (out.interval.lo_by, out.interval.hi_by) == ("pendant", "|Q| <= 1")
         if out.witness is None:
-            with pytest.raises(SearchBudgetExhausted, match=r"\(pendant\) to .* \(chain\)"):
+            with pytest.raises(SearchBudgetExhausted, match=r"\(pendant\) to .* \(\|Q\| <= 1\)"):
                 translate(t)
         else:
             w = translate(t)
