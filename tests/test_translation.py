@@ -1,6 +1,8 @@
 """Pair construction, the overlap identity, witness checking, and unitary
 synthesis."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -331,6 +333,20 @@ def _frame_span(t, w):
     return u[:, s > 1e-10 * s[0]]
 
 
+def _complex_defect(u):
+    """max |U^H U - I| from the complex product: the reference for
+    `translation._unitarity_defect`."""
+    return float(np.max(np.abs(u.conj().T @ u - np.eye(len(u)))))
+
+
+def _rounding_bound(u):
+    """How far two evaluations of the defect of u may differ: each lies
+    within sqrt(2) gamma_2D max_j |u_j|^2 and a few roundings of the result
+    of the exact value; the 2 extra terms also cover rotating u by a phase."""
+    eps = np.finfo(float).eps
+    return 4 * (len(u) + 2) * eps * float(np.max(np.sum(np.abs(u) ** 2, axis=0)))
+
+
 class TestUnitaryOnEveryRoute:
     def test_every_gate_passes(self, finished):
         t, w = finished
@@ -352,14 +368,66 @@ class TestUnitaryOnEveryRoute:
         assert synthesize_unitary(t, w).tobytes() == synthesize_unitary(t, w).tobytes()
 
     def test_unitarity_matches_identity_form(self, finished):
-        # check_witness subtracts 1 on the diagonal in place; the value is
-        # the one max |U^H U - I| gives, bit for bit
+        # check_witness computes the defect in real arithmetic; it is the
+        # value of max |U^H U - I| from the complex product, up to rounding
         t, w = finished
         for u in (w.unitary, off_frame_stretch(t, w).unitary):
             bare = TranslationWitness(Q=w.Q, q=w.q, tablet=w.tablet,
                                       output_gram=w.output_gram, unitary=u)
-            ref = float(np.max(np.abs(u.conj().T @ u - np.eye(len(u)))))
-            assert check_witness(t, bare).unitarity == ref
+            got = check_witness(t, bare).unitarity
+            assert abs(got - _complex_defect(u)) <= _rounding_bound(u)
+
+    def test_phase_keeps_the_defect(self, finished):
+        # every finished U here with a zero imaginary part takes the real
+        # path; e^{0.3i} U takes the complex one
+        _, w = finished
+        u = np.asarray(w.unitary)
+        defect = translation._unitarity_defect
+        assert abs(defect(np.exp(0.3j) * u) - defect(u)) <= _rounding_bound(u)
+
+    def test_imaginary_defect_fails(self):
+        # column 1 gains 1e-9 i times column 0: (U^H U)_01 gains 1e-9 i and
+        # no real part, so only the imaginary block can see it
+        t, w = _translated(uniform_gram(8, 0.4))
+        u = np.array(w.unitary)
+        assert not u.imag.any()
+        u[:, 1] += 1e-9j * u[:, 0]
+        rep = check_witness(t, TranslationWitness(Q=w.Q, q=w.q, tablet=w.tablet,
+                                                  output_gram=w.output_gram, unitary=u))
+        assert not rep.passed
+        assert rep.unitarity == pytest.approx(1e-9, rel=1e-6)
+
+    @pytest.mark.parametrize("entry", [1e100, 1e100j, np.nan, complex(0.0, np.nan)],
+                             ids=["huge_real", "huge_imag", "nan_real", "nan_imag"])
+    def test_bad_entry_fails_without_a_warning(self, entry):
+        # |G| is taken without squaring its entries, so 1e200 in G warns no
+        # more than the complex product did; NaN fails the gate
+        t, w = _translated(uniform_gram(3, 0.4))
+        u = np.array(w.unitary)
+        u[0, 1] = entry
+        bare = TranslationWitness(Q=w.Q, q=w.q, tablet=w.tablet,
+                                  output_gram=w.output_gram, unitary=u)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = check_witness(t, bare)
+        assert not rep.passed
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_seeded_unitary_passes(self, kind):
+        rng = np.random.default_rng(23)
+        z = rng.standard_normal((50, 50))
+        if kind == "complex":
+            z = z + 1j * rng.standard_normal((50, 50))
+        u = np.linalg.qr(z)[0].astype(complex)
+        got = translation._unitarity_defect(u)
+        assert got <= translation.UNITARITY_TOL
+        assert abs(got - _complex_defect(u)) <= _rounding_bound(u)
+
+    @pytest.mark.parametrize("u, ref", [(1.0, 0.0), (1j, 0.0), (0.6 + 0.8j, 0.0),
+                                        (2.0, 3.0), (2j, 3.0)])
+    def test_one_dimension(self, u, ref):
+        u = np.array([[u]], dtype=complex)
+        assert abs(translation._unitarity_defect(u) - ref) <= _rounding_bound(u)
 
     @pytest.mark.parametrize("gram", [uniform_gram(8, 0.4), np.eye(1)], ids=["uniform8", "one"])
     def test_no_full_svd(self, gram, count_calls):
