@@ -79,18 +79,14 @@ from .classify import (
 from .synth import (
     BadOverlapPattern,
     NotClassical,
-    NotUniformRealEfficient,
     QTooLarge,
     RealizeResult,
     SearchBudgetExhausted,
-    SearchOutcome,
     SynthError,
     Untranslatable,
     attach_classical,
-    central_translate_uniform,
     clone_classical,
     realize_graph,
-    search_translation,
     translate,
 )
 from .generators import GenSpec, InfeasibleSpec, OracleReport, gen_text, oracle_feasible

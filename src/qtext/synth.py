@@ -83,10 +83,6 @@ class NotClassical(SynthError):
     pass
 
 
-class NotUniformRealEfficient(SynthError):
-    pass
-
-
 class QTooLarge(SynthError):
     pass
 
@@ -128,15 +124,10 @@ class SearchOutcome:
     witness: TranslationWitness | None
     interval: QInterval | None
 
-    @property
-    def evaluations(self) -> int:
-        """Output Grams built and checked: 1 on a nonempty interval, else 0."""
-        return int(self.interval is not None and not self.interval.empty)
-
     def refusal(self, sign: int) -> str:
         """Why there is no witness, naming the constraints that bind."""
         why = ("no overlap direction" if self.interval is None
-               else f"no feasible Q, {self.interval}" if self.evaluations == 0
+               else f"no feasible Q, {self.interval}" if self.interval.empty
                else f"output Gram not PSD in the middle of {self.interval}")
         return f"sign {sign:+d}: {why}"
 
@@ -250,23 +241,6 @@ def _eigen_overlaps(t: Text, core: list[int],
     return o, _feasible_q(t_core, a, sign, q_psd)
 
 
-def search_translation(t: Text, sign: int) -> SearchOutcome:
-    """Closed-form witness with the given sign of Q for an efficient text
-    without orthogonal pairs: `_mixed_witness` with every state in the
-    core.
-
-    The witness is bare and unchecked.  A None witness never claims
-    untranslatability; for a sign the classifier admits it is not expected
-    at all, and `SearchOutcome.refusal` names the constraints that bind.
-    """
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
-    props = text_properties(t)
-    if not (props.efficient and props.fully_quantum):
-        raise SynthError("search needs an efficient text without orthogonal pairs")
-    return _mixed_witness(t, list(range(t.n)), {}, sign)
-
-
 def clone_classical(t: Text, target_output=None) -> TranslationWitness:
     """Exact translation of a classical text onto an arbitrary target text.
 
@@ -288,26 +262,6 @@ def clone_classical(t: Text, target_output=None) -> TranslationWitness:
         raise SizeMismatch(f"target has {target.n} states, text has {t.n}")
     overlaps = np.zeros(t.n, dtype=complex)
     return witness_from_overlaps(t, 0.0, overlaps, target.gram)
-
-
-def central_translate_uniform(t: Text) -> TranslationWitness:
-    """Closed-form translation of a uniform real efficient text.
-
-    The eigenvector route with sign(Q) = -sign(z): the exceptional
-    eigenvector of 1 ./ z is all-ones, so the tablet overlaps every state by
-    the same c, and the output is uniform, y = (1 + Q c^2 / z) / (1 + Q c^2).
-    The witness is bare: no unitary, no residuals.
-    """
-    props = text_properties(t)
-    if t.n < 2 or props.classical or not (props.uniform and props.real_text
-                                          and props.efficient):
-        raise NotUniformRealEfficient(
-            "central translation needs a uniform real efficient text with z != 0")
-    sign = -1 if t.gram[0, 1].real > 0 else +1
-    out = search_translation(t, sign)
-    if out.witness is None:
-        raise SearchBudgetExhausted(out.refusal(sign))
-    return out.witness
 
 
 def _pendant_rows(Y0: np.ndarray, anchors: dict[int, int], B: np.ndarray) -> np.ndarray:

@@ -90,9 +90,17 @@ def q_from_Q(Q: float) -> complex:
 
 
 def Q_from_q(q: complex) -> float:
-    """Entanglement parameter Q = 2 Re(q) / (1 + |q|^2) in [-1, 1]."""
+    """Entanglement parameter Q = 2 Re(q) / (1 + |q|^2) in [-1, 1].
+
+    Beyond the unit square q is scaled by s = max(|Re q|, |Im q|) first, so
+    no |q| overflows; an infinite q gives NaN.
+    """
     q = complex(q)
-    return 2.0 * q.real / (1.0 + abs(q) ** 2)
+    s = max(abs(q.real), abs(q.imag))
+    if s <= 1.0:
+        return 2.0 * q.real / (1.0 + abs(q) ** 2)
+    x, y = q.real / s, q.imag / s
+    return 2.0 * x / (1.0 / s + s * (x * x + y * y))
 
 
 def tablet_overlaps(emb: StateEmbedding, tablet: np.ndarray) -> np.ndarray:
@@ -254,21 +262,23 @@ def check_witness(t: Text, w: TranslationWitness) -> WitnessReport:
 
     Pass requires r1 <= 1e-8, a valid output Gram, and, when a unitary is
     attached, mapping residual r3 <= 1e-8 and unitarity defect
-    max |U^H U - I| <= 1e-10.  Internal consistency (unit tablet, q vs Q)
-    is enforced with hard errors.  The defect is computed in real
-    arithmetic by `_unitarity_defect`, within rounding of the complex
-    product's value.
+    max |U^H U - I| <= 1e-10.  Internal consistency (unit tablet, q vs Q,
+    B above its floor) is enforced with hard errors, which NaN and infinite
+    entries fail too, before any other arithmetic.  The defect is computed
+    in real arithmetic by `_unitarity_defect`, within rounding of the
+    complex product's value.
     """
-    if abs(Q_from_q(w.q) - w.Q) > Q_CONSISTENCY_TOL:
+    if not abs(Q_from_q(w.q) - w.Q) <= Q_CONSISTENCY_TOL:
         raise QOutOfRange(f"q = {w.q} does not represent Q = {w.Q}")
     tablet = np.asarray(w.tablet, dtype=complex)
-    norm = np.linalg.norm(tablet)
-    if abs(norm - 1.0) > TABLET_NORM_TOL:
+    with np.errstate(over="ignore"):  # an overflowing norm is inf, not 1
+        norm = np.linalg.norm(tablet)
+    if not abs(norm - 1.0) <= TABLET_NORM_TOL:
         raise TranslationError(f"tablet norm {norm:.12f} is not 1")
     emb = _embedding_for_tablet(t, len(tablet))
     a = tablet_overlaps(emb, tablet)
     B = 1.0 + w.Q * np.abs(a) ** 2
-    if np.min(B) <= B_FLOOR:
+    if not np.min(B) > B_FLOOR:
         raise DegenerateB(f"min B_i = {np.min(B):.3e}")
     try:
         out = validate_text(w.output_gram)

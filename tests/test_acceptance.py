@@ -18,7 +18,6 @@ from qtext import (
     SimpleGraph,
     check_witness,
     clone_classical,
-    central_translate_uniform,
     decide_translatable,
     decide_zero_translatable,
     embed_text,
@@ -30,7 +29,6 @@ from qtext import (
     realize_graph,
     recognize,
     restrict_witness,
-    search_translation,
     subtext,
     synthesize_unitary,
     tablet_overlaps,
@@ -350,9 +348,8 @@ def test_08_uniform_central_translation_grid():
             if abs(z) < 0.02:
                 continue
             t = validate_text(uniform_gram(n, float(z)))
-            w = central_translate_uniform(t)
+            w = translate(t, force_sign=-int(np.sign(z)))
             assert np.sign(w.Q) == -np.sign(z), (n, z, w.Q)
-            w.unitary = synthesize_unitary(t, w)
             rep = check_witness(t, w)
             assert rep.passed, (n, z, rep)
             assert rep.r3 is not None, (n, z, rep)

@@ -26,7 +26,6 @@ def test_tracer_sees_every_route_and_restores_the_package(tracer_module):
     originals = {
         "qtext.translate": qtext.translate,
         "synth._mixed_witness": synth._mixed_witness,
-        "synth.search_translation": synth.search_translation,
         "translation.synthesize_unitary": translation.synthesize_unitary,
         "synth.synthesize_unitary": synth.synthesize_unitary,
     }
@@ -42,25 +41,20 @@ def test_tracer_sees_every_route_and_restores_the_package(tracer_module):
     try:
         assert qtext.translate is not originals["qtext.translate"]
         tracer.request = 0
+        # translate reaches every text with a core through _mixed_witness
         for gram in (uniform_gram(5, 0.4), random3, pendant):
             qtext.translate(qtext.validate_text(gram))
-        # translate reaches every text with a core through _mixed_witness;
-        # search_translation is the input check in front of it
-        synth.search_translation(qtext.validate_text(random3), +1)
         qtext.realize_graph(qtext.make_graph(4, [(0, 1), (0, 2), (1, 2), (0, 3)]))
         tracer.request = None
     finally:
         tracer.uninstall()
 
     names = {span[1] for span in tracer.spans}
-    assert {"synth.search_translation", "synth._mixed_witness",
-            "translation.synthesize_unitary", "synth.translate",
-            "synth.realize_graph"} <= names
-    assert tracer.counters["synth.search_evaluations"] > 0
+    assert {"synth._mixed_witness", "translation.synthesize_unitary",
+            "synth.translate", "synth.realize_graph"} <= names
     restored = {
         "qtext.translate": qtext.translate,
         "synth._mixed_witness": synth._mixed_witness,
-        "synth.search_translation": synth.search_translation,
         "translation.synthesize_unitary": translation.synthesize_unitary,
         "synth.synthesize_unitary": synth.synthesize_unitary,
     }

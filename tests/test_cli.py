@@ -1,5 +1,7 @@
 """Command-line interface: exit codes, JSON output, and file pipelines."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qtext
 from qtext import io as qio
@@ -190,6 +194,18 @@ class TestTranslateVerify:
         code, _, _ = run(capsys, "verify", "-i", text_file, "-w", w)
         assert code == 3
 
+    @pytest.mark.parametrize("q", [[1e200, 0.0], [1e308, 1e308]])
+    def test_huge_q_exits_3(self, capsys, text_file, tmp_path, q):
+        # |q|^2 overflows a float: the consistency gate refuses the q
+        w = str(tmp_path / "w.json")
+        run(capsys, "translate", "-i", text_file, "-o", w)
+        d = json.load(open(w))
+        d["q"] = q
+        json.dump(d, open(w, "w"))
+        code, _, err = run(capsys, "verify", "-i", text_file, "-w", w)
+        assert code == 3
+        assert err.startswith("error: QOutOfRange: ")
+
     def test_forced_sign_failure_exits_4(self, capsys, text_file, tmp_path):
         # z = 1/2 admits only Q < 0 and z = -1/4 only Q > 0, so the other
         # forced sign is refused up front
@@ -272,6 +288,49 @@ class TestTranslateVerify:
         run(capsys, "translate", "-i", text_file, "-o", w1)
         run(capsys, "translate", "-i", text_file, "-o", w2)
         assert open(w1, "rb").read() == open(w2, "rb").read()
+
+
+EDGE_VALUES = [float("nan"), float("inf"), float("-inf"), 1e308, 1.4e154, 5e-324, -0.0]
+
+
+class TestMalformedWitnessValues:
+    """A valid witness of a uniform 3-text with one number replaced by an
+    edge value: verify reports it (exit 2 or 3) and never raises, under the
+    suite's error::RuntimeWarning filter.  A replacement that moves the
+    number by at most 1e-12, below every tolerance of the check, leaves a
+    valid witness, which still passes."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("witness")
+        text, w = str(d / "t.json"), str(d / "w.json")
+        qio.save_text(validate_text(uniform_gram(3, 0.5)), text)
+        assert main(["translate", "-i", text, "-o", w]) == 0
+        return text, qio.load_json(w), d
+
+    @given(field=st.sampled_from(["Q", "q", "tablet"]), part=st.integers(0, 1),
+           index=st.integers(0, 3), value=st.sampled_from(EDGE_VALUES))
+    @settings(max_examples=200, deadline=None)
+    def test_verify_exits_2_or_3(self, files, field, part, index, value):
+        text, base, d = files
+        w = json.loads(json.dumps(base))
+        if field == "Q":
+            old, w["Q"] = w["Q"], value
+        elif field == "q":
+            old, w["q"][part] = w["q"][part], value
+        else:
+            old, w["tablet"][index][part] = w["tablet"][index][part], value
+        path = str(d / "bad.json")
+        with open(path, "w") as fh:
+            json.dump(w, fh)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(["verify", "-i", text, "-w", path])
+        if abs(value - old) <= 1e-12:
+            assert code == 0, err.getvalue()
+        else:
+            assert code in (2, 3), err.getvalue()
+            assert err.getvalue().startswith("error: ")
 
 
 class TestRealizeGen:
@@ -475,8 +534,9 @@ class TestParsing:
         assert code == 2
 
     def test_console_script(self, text_file):
-        # the installed entry point behaves like main(); the child imports
-        # the same package as this test, installed or not
+        # `python -m qtext.cli` in a child process behaves like main(); the
+        # child imports the same package as this test, installed or not.  The
+        # installed `qtext` script itself runs only in CI, after pip install
         src = os.path.dirname(os.path.dirname(qtext.__file__))
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-m", "qtext.cli", "classify",

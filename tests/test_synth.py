@@ -16,7 +16,6 @@ from qtext import (
     BorderlineSignature,
     GraphError,
     NotClassical,
-    NotUniformRealEfficient,
     QTooLarge,
     TextError,
     Untranslatable,
@@ -24,7 +23,6 @@ from qtext import (
     SynthError,
     WellSplitShape,
     attach_classical,
-    central_translate_uniform,
     check_witness,
     clone_classical,
     decide_translatable,
@@ -37,7 +35,6 @@ from qtext import (
     q_from_Q,
     realize_graph,
     recognize,
-    search_translation,
     shape_to_graph,
     subtext,
     synthesize_unitary,
@@ -83,57 +80,38 @@ class TestCloneClassical:
 
 
 class TestCentralUniform:
+    """translate with sign(Q) = -sign(z) on a uniform real text: the
+    exceptional eigenvector of 1 ./ z is all-ones, and the output is
+    uniform."""
+
     def test_positive_overlap_needs_negative_Q(self, uniform3):
-        w = central_translate_uniform(uniform3)
+        w = translate(uniform3, force_sign=-1)
         assert w.Q < 0
-        w.unitary = synthesize_unitary(uniform3, w)
         rep = check_witness(uniform3, w)
         assert rep.passed and rep.r1 <= 1e-8 and rep.r3 is not None
 
     def test_negative_overlap_needs_positive_Q(self):
         t = validate_text(uniform_gram(4, -0.2))
-        w = central_translate_uniform(t)
+        w = translate(t, force_sign=+1)
         assert w.Q > 0
-        w.unitary = synthesize_unitary(t, w)
         rep = check_witness(t, w)
         assert rep.passed and rep.r3 is not None
 
     def test_output_is_uniform(self, uniform3):
-        w = central_translate_uniform(uniform3)
+        w = translate(uniform3, force_sign=-1)
         y = w.output_gram
         off = y[~np.eye(3, dtype=bool)]
         np.testing.assert_allclose(off, off[0], atol=1e-12)
 
-    def test_rejects_nonuniform(self, path3):
-        with pytest.raises(NotUniformRealEfficient):
-            central_translate_uniform(path3)
-
-    def test_rejects_singular_uniform(self):
-        # z = -1/2 at n = 3 sits on the PSD boundary
-        t = validate_text(uniform_gram(3, -0.5))
-        with pytest.raises(NotUniformRealEfficient):
-            central_translate_uniform(t)
-
-    def test_rejects_complex_uniform(self):
-        g = np.eye(3, dtype=complex)
-        z = 0.3j
-        for i in range(3):
-            for j in range(3):
-                if i < j:
-                    g[i, j] = z
-                    g[j, i] = np.conj(z)
-        with pytest.raises(NotUniformRealEfficient):
-            central_translate_uniform(validate_text(g))
-
     @pytest.mark.parametrize("z", [-1e-3, 0.9999])
     def test_q_is_the_middle_of_the_feasible_interval(self, z):
-        # the one admissible sign is -sign(z); translate takes the same
-        # route, and Q is the geometric middle of the interval
+        # the one admissible sign is -sign(z), so translate takes it
+        # unforced, and Q is the geometric middle of the interval
         t = validate_text(uniform_gram(3, z))
         sign = -int(np.sign(z))
-        iv = search_translation(t, sign).interval
+        iv = mixed_witness(t, sign).interval
         w = translate(t)
-        assert w.Q == central_translate_uniform(t).Q == sign * np.sqrt(iv.lo * iv.hi)
+        assert w.Q == translate(t, force_sign=sign).Q == sign * np.sqrt(iv.lo * iv.hi)
         assert iv.lo_by == "cap"
         assert_gates(t, w)
 
@@ -144,16 +122,15 @@ class TestCentralUniform:
         # above MODULUS_CAP; the interval holds the window
         t = validate_text(uniform_gram(n, z))
         assert decide_translatable(t).reason == "OK_FULLY_QUANTUM"
-        w = central_translate_uniform(t)
+        w = translate(t, force_sign=-1)
         assert w.Q < 0
-        w.unitary = synthesize_unitary(t, w)
         assert check_witness(t, w).passed
         assert_gates(t, translate(t))
 
 
 class TestSearch:
     def test_finds_negative_sign(self, uniform3):
-        out = search_translation(uniform3, sign=-1)
+        out = mixed_witness(uniform3, -1)
         assert out.witness is not None
         assert out.witness.Q < 0
         out.witness.unitary = synthesize_unitary(uniform3, out.witness)
@@ -163,8 +140,8 @@ class TestSearch:
     def test_inadmissible_sign_comes_back_empty(self, uniform3):
         # the signature admits only -1 here; for +1 every pair's modulus
         # quadratic has its roots at negative |Q|, so no Y is built
-        out = search_translation(uniform3, sign=+1)
-        assert out.witness is None and out.evaluations == 0
+        out = mixed_witness(uniform3, +1)
+        assert out.witness is None and out.interval.empty
         assert (out.interval.lo_by, out.interval.hi_by) == ("cap", "cap")
         assert out.refusal(+1).startswith("sign +1: no feasible Q, |Q| from inf (cap)")
 
@@ -177,9 +154,9 @@ class TestSearch:
         # cap, every B above its floor, the output Gram positive definite
         t = validate_text(gram)
         sign = min(decide_translatable(t).sign_constraint)
-        out = search_translation(t, sign)
+        out = mixed_witness(t, sign)
         iv, w = out.interval, out.witness
-        assert out.evaluations == 1 and 0 < iv.lo < iv.hi <= 1
+        assert 0 < iv.lo < iv.hi <= 1
         assert w.Q == sign * np.sqrt(iv.lo * iv.hi) and w.q == q_from_Q(w.Q)
         a = eigen_overlaps(t, sign)[0]
         assert max_modulus(t, w.Q, a) < translation.MODULUS_CAP
@@ -187,14 +164,19 @@ class TestSearch:
         assert np.linalg.eigvalsh(w.output_gram)[0] > 0
 
     def test_deterministic(self, uniform3):
-        a = search_translation(uniform3, sign=-1)
-        b = search_translation(uniform3, sign=-1)
+        a = mixed_witness(uniform3, -1)
+        b = mixed_witness(uniform3, -1)
         np.testing.assert_array_equal(a.witness.tablet, b.witness.tablet)
         assert a.witness.Q == b.witness.Q
 
-    def test_rejects_orthogonal_pairs(self, path3):
-        with pytest.raises(Exception):
-            search_translation(path3, sign=+1)
+    def test_orthogonal_pairs_stay_out_of_the_core(self, path3):
+        # the route is only ever given a core without orthogonal pairs;
+        # the decomposition hangs the rest of the text on it as pendants
+        parts = decide_translatable(path3).decomposition
+        core = list(parts.core)
+        assert parts.anchors and len(core) + len(parts.anchors) == 3
+        assert not qtext.texts._orthogonal(path3.gram[np.ix_(core, core)]).any()
+        assert_gates(path3, translate(path3))
 
 
 class TestTranslate:
@@ -328,7 +310,7 @@ class TestAttachClassical:
         return validate_text(g)
 
     def _witness(self):
-        return search_translation(validate_text(self.BASE), sign=+1).witness
+        return mixed_witness(validate_text(self.BASE), +1).witness
 
     def test_attach_grows_text(self):
         w = self._witness()
@@ -485,6 +467,11 @@ def eigen_overlaps(t, sign):
     return synth._eigen_overlaps(t, list(range(t.n)), sign)
 
 
+def mixed_witness(t, sign):
+    """`synth._mixed_witness` with every state in the core."""
+    return synth._mixed_witness(t, list(range(t.n)), {}, sign)
+
+
 def forced_output(t, Q, a):
     """The output Gram that overlaps `a` force at Q on a text without
     orthogonal pairs."""
@@ -635,11 +622,11 @@ class TestOneCheckPerWitness:
         # the unitary and the residuals come only from synth._finish
         eye3 = validate_text(np.eye(3))
         base = validate_text(uniform_gram(2, -0.3))
-        core = search_translation(base, sign=+1).witness
+        core = mixed_witness(base, +1).witness
         isolated = validate_text(with_pendant(base.gram, 0, 0.0))
         witnesses = [
             clone_classical(eye3),
-            central_translate_uniform(validate_text(uniform_gram(4, 0.3))),
+            mixed_witness(validate_text(uniform_gram(4, 0.3)), -1).witness,
             core,
             attach_classical(core, validate_text(with_pendant(base.gram, 0, 0.4))),
             witness_from_overlaps(eye3, 0.5, np.zeros(3), np.eye(3)),
@@ -779,8 +766,8 @@ class TestPsdFloor:
 
         monkeypatch.setattr(synth, "forced_outputs", forced_bad)
         sign = max(decide_translatable(t).sign_constraint)
-        out = search_translation(t, sign)
-        assert out.witness is None and out.evaluations == 1
+        out = mixed_witness(t, sign)
+        assert out.witness is None and not out.interval.empty
         assert out.refusal(sign).startswith(f"sign {sign:+d}: output Gram not PSD")
         with pytest.raises(SearchBudgetExhausted, match=r"not PSD in the middle of \|Q\| from"):
             translate(t)

@@ -59,6 +59,23 @@ class TestQParameter:
         q = 0.3 + 0.4j
         assert Q_from_q(q) == pytest.approx(2 * 0.3 / (1 + 0.25))
 
+    def test_unit_disc_keeps_the_direct_formula(self):
+        rng = np.random.default_rng(0)
+        for q in rng.uniform(-1, 1, (2000, 2)) @ np.array([1.0, 1j]):
+            if abs(q) <= 1.0:
+                assert Q_from_q(q) == 2.0 * q.real / (1.0 + abs(q) ** 2)
+
+    @pytest.mark.parametrize("q, Q", [(1e200, 2e-200), (1.4e154, 2 / 1.4e154),
+                                      (-3e300j, 0.0), (1e308 + 1e308j, 0.0),
+                                      (2.0 - 1j, 4.0 / 6.0)])
+    def test_large_q_does_not_overflow(self, q, Q):
+        # |q|^2 overflows from |q| ~ 1.34e154 on
+        assert Q_from_q(q) == pytest.approx(Q, rel=1e-14, abs=1e-300)
+
+    @pytest.mark.parametrize("q", [complex("inf"), complex("-infj"), complex("nan")])
+    def test_non_finite_q_gives_nan(self, q):
+        assert np.isnan(Q_from_q(q))
+
 
 class TestBuildOmega:
     def test_overlap_identity(self):
@@ -208,6 +225,21 @@ class TestCheckWitness:
         assert rep.r1 <= 1e-8 and rep.r2_ok and rep.r3 <= 1e-8
         assert rep.unitarity == pytest.approx(1.25)
         assert not rep.passed
+
+    @pytest.mark.parametrize("field", ["Q", "q", "tablet"])
+    def test_nan_fails_the_hard_gates(self, uniform3, field):
+        # NaN compares false with every tolerance: each gate must fail on
+        # it, before build_omega or the residuals see it
+        w = translate(uniform3)
+        tablet = np.array(w.tablet)
+        tablet[0] = np.nan
+        bad = TranslationWitness(
+            Q=np.nan if field == "Q" else w.Q,
+            q=complex(np.inf, 0.0) if field == "q" else w.q,
+            tablet=tablet if field == "tablet" else w.tablet,
+            output_gram=w.output_gram, unitary=w.unitary)
+        with pytest.raises(TranslationError):
+            check_witness(uniform3, bad)
 
     def test_witness_without_unitary_passes(self, uniform3):
         w = translate(uniform3)
