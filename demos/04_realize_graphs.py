@@ -4,7 +4,8 @@
 Which patterns of "these pairs overlap, those are orthogonal" admit a
 translatable text at all?  Exactly the well-split graphs.  The realization
 route picks a small negative overlap on the clique, hangs each pendant off
-its anchor, and certifies the result with a witness whose Q lies in (0, 1].
+its anchor, and certifies the result through `translate`'s one route, so
+the witness, with Q in (0, 1], is the one `translate` gives that text.
 """
 
 import numpy as np
@@ -37,7 +38,7 @@ for name, g in cases.items():
     same = graph_of_text(r.text) == g
     rep = check_witness(r.text, r.witness)
     print(r.text.gram.real)
-    print(f"graph reproduced exactly: {same};  Q = {r.witness.Q:.3f};  "
+    print(f"graph reproduced exactly: {same};  Q = {r.witness.Q:.3g};  "
           f"verified: {rep.passed} (r1 = {rep.r1:.1e})")
     d = decide_translatable(r.text)
     print(f"classifier agrees: {d.translatable} ({d.reason})\n")

@@ -13,10 +13,11 @@ Two construction routes, dispatched by `translate`, both in closed form:
 
 Q is never searched for.  It is the geometric middle of the |Q| interval of
 `_feasible_q`, on which the forced output Gram meets every constraint, and
-one `eigvalsh` confirms that Gram.  The builders return bare witnesses (no
-unitary, no residuals); `translate` and `realize_graph` end in `_finish`,
-which synthesizes the unitary, runs the one `check_witness` and stores its
-r1 and r3 as the residuals.
+one `eigvalsh` confirms that Gram.  `realize_graph` certifies the text it
+builds through the same route, so its witness is `translate`'s.  The
+builders return bare witnesses (no unitary, no residuals); `translate` and
+`realize_graph` end in `_finish`, which synthesizes the unitary, runs the
+one `check_witness` and stores its r1 and r3 as the residuals.
 """
 
 from __future__ import annotations
@@ -317,9 +318,10 @@ def attach_classical(base_witness: TranslationWitness, t_new: Text) -> Translati
 def _mixed_witness(t: Text, core: list[int], anchors: dict[int, int],
                    sign: int) -> SearchOutcome:
     """The route for every text with a complete core (all of it, with no
-    anchors, on a text without orthogonal pairs): the `_eigen_overlaps`
-    overlaps o at Q = sign sqrt(lo hi), the geometric middle of their
-    feasible |Q| interval, as one bare witness on the whole text.
+    anchors, on a text without orthogonal pairs), behind `translate` and
+    `realize_graph`: the `_eigen_overlaps` overlaps o at Q = sign sqrt(lo hi),
+    the geometric middle of their feasible |Q| interval, as one bare
+    witness on the whole text.
 
     It is the core's eigenvector route and a chain of `attach_classical`
     steps, one per pendant, in closed form: the chain ends in the unit
@@ -419,11 +421,12 @@ class RealizeResult:
 
 def realize_graph(g: SimpleGraph) -> RealizeResult:
     """A translatable text whose overlap graph equals `g` exactly, plus its
-    witness with 0 < Q <= 1.
+    witness with 0 < Q <= 1, deterministically.
 
     Clique states share a negative overlap z, each pendant overlaps its
-    anchor only, and isolated vertices become orthogonal summands.  The
-    construction is deterministic.
+    anchor only, and isolated vertices become orthogonal summands.  The text
+    is certified through the one route, `_mixed_witness` with Q > 0 on the
+    parts of the one `recognize` call: its witness is `translate(text)`'s.
     """
     rec = recognize(g)
     if not g.edges:
@@ -434,41 +437,23 @@ def realize_graph(g: SimpleGraph) -> RealizeResult:
     parts = read_well_split(g, rec)
     core = list(parts.core)
     pend, anch = list(parts.anchors), list(parts.anchors.values())
-    # the component with edges, in sorted order: eigenvalues and the tablet
-    # norm are taken on its block alone
+    # eigenvalues are taken on the component with edges alone, sorted
     comp = sorted(core + pend)
     block = np.ix_(comp, comp)
-
-    z0 = -min(0.1, 0.5 / max(1, len(core) - 1))
-    for z in (z0 * 0.5 ** i for i in range(60)):
-        for zi in (0.3 * 0.5 ** j for j in range(60)):
-            gram = np.eye(g.n, dtype=complex)
-            gram[np.ix_(core, core)] = z
-            gram[core, core] = 1.0
-            gram[pend, anch] = gram[anch, pend] = zi
-            if np.linalg.eigvalsh(gram[block])[0] > 1e-4:
-                break
-        else:
-            continue
-        o_full = np.zeros(g.n, dtype=complex)
-        o_full[core] = np.sqrt(-z)
-        o_local = o_full[comp]
-        s2 = float(np.real(np.vdot(o_local, np.linalg.solve(gram[block], o_local))))
-        if s2 <= 0.81:
+    z = -min(0.1, 0.5 / max(1, len(core) - 1))
+    for zi in (0.3 * 0.5 ** j for j in range(60)):
+        gram = np.eye(g.n, dtype=complex)
+        gram[np.ix_(core, core)] = z
+        gram[core, core] = 1.0
+        gram[pend, anch] = gram[anch, pend] = zi
+        if np.linalg.eigvalsh(gram[block])[0] > 1e-4:
             break
     else:
         raise SynthError("could not realize the graph with a feasible overlap scale")
-
-    # B at every anchor is 1 + Q * t^2 = 1 - z; pendants of one anchor
-    # overlap by 1 / B, a pendant and its anchor by 1 / sqrt(B)
-    inv_b = 1.0 / (1.0 - z)
-    Y_full = np.eye(g.n, dtype=complex)
-    Y_full[np.ix_(pend, pend)] = np.where(np.equal.outer(anch, anch), inv_b, 0.0)
-    Y_full[pend, pend] = 1.0
-    Y_full[pend, anch] = Y_full[anch, pend] = np.sqrt(inv_b)
-
     text = validate_text(gram)
     if graph_of_text(text) != g:
         raise SynthError("internal: realized text has the wrong overlap graph")
-    witness = witness_from_overlaps(text, 1.0, o_full, Y_full)
-    return RealizeResult(text=text, witness=_finish(text, witness))
+    out = _mixed_witness(text, core, parts.anchors, +1)
+    if out.witness is None:
+        raise SearchBudgetExhausted(out.refusal(+1))
+    return RealizeResult(text=text, witness=_finish(text, out.witness))

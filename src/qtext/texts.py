@@ -105,7 +105,8 @@ def validate_text(raw) -> Text:
         raise SizeMismatch("empty text")
     if not np.all(np.isfinite(gram.real)) or not np.all(np.isfinite(gram.imag)):
         raise NonFinite("gram matrix has non-finite entries")
-    herm = np.max(np.abs(gram - gram.conj().T)) if n else 0.0
+    with np.errstate(over="ignore"):  # an overflowing difference is inf
+        herm = np.max(np.abs(gram - gram.conj().T))
     if herm > HERMITIAN_TOL:
         raise NotHermitian(f"max |z - z^H| = {herm:.3e} exceeds {HERMITIAN_TOL:.0e}")
     diag = np.max(np.abs(np.diag(gram) - 1.0))

@@ -216,8 +216,7 @@ def witness_from_overlaps(t: Text, Q: float, overlaps: np.ndarray,
     witness has no unitary and no residuals; `translate` and
     `realize_graph` attach both when they check it.
     """
-    if not -1.0 <= float(Q) <= 1.0:
-        raise QOutOfRange(f"Q = {Q} outside [-1, 1]")
+    q = q_from_Q(Q)
     o = np.asarray(overlaps, dtype=complex)
     emb = embed_text(t, pad_extra_dim=True)
     span = emb.vectors[:-1, :]
@@ -232,15 +231,12 @@ def witness_from_overlaps(t: Text, Q: float, overlaps: np.ndarray,
         raise Infeasible(f"overlap vector needs tablet norm {np.sqrt(s2):.6f} > 1")
     pad = np.sqrt(max(0.0, 1.0 - s2))
     tablet = np.concatenate([tau, [pad]])
-    norm = np.linalg.norm(tablet)
-    if norm <= 0:
-        raise Infeasible("overlap vector gives a vanishing tablet")
-    tablet = tablet / norm
+    tablet = tablet / np.linalg.norm(tablet)
     a = tablet_overlaps(emb, tablet)
     B = 1.0 + Q * np.abs(a) ** 2
     if np.min(B) <= B_FLOOR:
         raise DegenerateB(f"min B_i = {np.min(B):.3e}")
-    return TranslationWitness(Q=float(Q), q=q_from_Q(Q), tablet=tablet,
+    return TranslationWitness(Q=float(Q), q=q, tablet=tablet,
                               output_gram=validate_text(output).gram)
 
 
@@ -263,10 +259,10 @@ def check_witness(t: Text, w: TranslationWitness) -> WitnessReport:
     Pass requires r1 <= 1e-8, a valid output Gram, and, when a unitary is
     attached, mapping residual r3 <= 1e-8 and unitarity defect
     max |U^H U - I| <= 1e-10.  Internal consistency (unit tablet, q vs Q,
-    B above its floor) is enforced with hard errors, which NaN and infinite
-    entries fail too, before any other arithmetic.  The defect is computed
-    in real arithmetic by `_unitarity_defect`, within rounding of the
-    complex product's value.
+    B above its floor, a finite output Gram) is enforced with hard errors,
+    which NaN and infinite entries fail too, before any other arithmetic.
+    The defect is computed in real arithmetic by `_unitarity_defect`,
+    within rounding of the complex product's value.
     """
     if not abs(Q_from_q(w.q) - w.Q) <= Q_CONSISTENCY_TOL:
         raise QOutOfRange(f"q = {w.q} does not represent Q = {w.Q}")
@@ -280,12 +276,15 @@ def check_witness(t: Text, w: TranslationWitness) -> WitnessReport:
     B = 1.0 + w.Q * np.abs(a) ** 2
     if not np.min(B) > B_FLOOR:
         raise DegenerateB(f"min B_i = {np.min(B):.3e}")
+    output = np.asarray(w.output_gram, dtype=complex)
+    if not np.isfinite(output).all():
+        raise TranslationError("output Gram has a non-finite entry")
     try:
-        out = validate_text(w.output_gram)
+        out = validate_text(output)
         r2_ok, r2_error = True, None
     except TextError as exc:
         r2_ok, r2_error = False, f"{type(exc).__name__}: {exc}"
-    r1 = overlap_residual(t, w.Q, a, np.asarray(w.output_gram, dtype=complex))
+    r1 = overlap_residual(t, w.Q, a, output)
     r3 = None
     unitarity = None
     if w.unitary is not None and r2_ok:

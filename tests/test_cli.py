@@ -206,6 +206,33 @@ class TestTranslateVerify:
         assert code == 3
         assert err.startswith("error: QOutOfRange: ")
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_output_exits_3(self, capsys, text_file, tmp_path, value):
+        # the output gate refuses the entry before any residual is taken,
+        # so no non-JSON token reaches the report
+        w = str(tmp_path / "w.json")
+        run(capsys, "translate", "-i", text_file, "-o", w)
+        d = json.load(open(w))
+        d["output_gram"][0][1][0] = d["output_gram"][1][0][0] = value
+        json.dump(d, open(w, "w"))
+        code, out, err = run(capsys, "verify", "-i", text_file, "-w", w, "--json")
+        assert code == 3 and out == ""
+        assert json.loads(err) == {"error": "TranslationError",
+                                   "message": "output Gram has a non-finite entry"}
+        code, _, err = run(capsys, "verify", "-i", text_file, "-w", w)
+        assert code == 3
+        assert err == "error: TranslationError: output Gram has a non-finite entry\n"
+
+    def test_unitary_of_the_wrong_shape_exits_3(self, capsys, text_file, tmp_path):
+        w = str(tmp_path / "w.json")
+        run(capsys, "translate", "-i", text_file, "-o", w)
+        d = json.load(open(w))
+        d["unitary"] = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+        json.dump(d, open(w, "w"))
+        code, _, err = run(capsys, "verify", "-i", text_file, "-w", w)
+        assert code == 3
+        assert err.startswith("error: DimensionMismatch: unitary has shape (2, 2)")
+
     def test_forced_sign_failure_exits_4(self, capsys, text_file, tmp_path):
         # z = 1/2 admits only Q < 0 and z = -1/4 only Q > 0, so the other
         # forced sign is refused up front
@@ -293,12 +320,16 @@ class TestTranslateVerify:
 EDGE_VALUES = [float("nan"), float("inf"), float("-inf"), 1e308, 1.4e154, 5e-324, -0.0]
 
 
+def reject_token(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 class TestMalformedWitnessValues:
     """A valid witness of a uniform 3-text with one number replaced by an
     edge value: verify reports it (exit 2 or 3) and never raises, under the
-    suite's error::RuntimeWarning filter.  A replacement that moves the
-    number by at most 1e-12, below every tolerance of the check, leaves a
-    valid witness, which still passes."""
+    suite's error::RuntimeWarning filter.  A replacement of Q, q or a tablet
+    entry that moves the number by at most 1e-12, below every tolerance of
+    the check, leaves a valid witness, which still passes."""
 
     @pytest.fixture(scope="class")
     def files(self, tmp_path_factory):
@@ -308,25 +339,38 @@ class TestMalformedWitnessValues:
         assert main(["translate", "-i", text, "-o", w]) == 0
         return text, qio.load_json(w), d
 
-    @given(field=st.sampled_from(["Q", "q", "tablet"]), part=st.integers(0, 1),
-           index=st.integers(0, 3), value=st.sampled_from(EDGE_VALUES))
+    @given(field=st.sampled_from(["Q", "q", "tablet", "output_gram"]),
+           part=st.integers(0, 1), index=st.integers(0, 3), col=st.integers(0, 2),
+           value=st.sampled_from(EDGE_VALUES))
     @settings(max_examples=200, deadline=None)
-    def test_verify_exits_2_or_3(self, files, field, part, index, value):
+    def test_verify_exits_2_or_3(self, files, field, part, index, col, value):
         text, base, d = files
         w = json.loads(json.dumps(base))
         if field == "Q":
             old, w["Q"] = w["Q"], value
         elif field == "q":
             old, w["q"][part] = w["q"][part], value
-        else:
+        elif field == "tablet":
             old, w["tablet"][index][part] = w["tablet"][index][part], value
+        else:
+            row = w["output_gram"][index % 3]
+            old, row[col][part] = row[col][part], value
         path = str(d / "bad.json")
         with open(path, "w") as fh:
             json.dump(w, fh)
-        with contextlib.redirect_stdout(io.StringIO()), \
+        with contextlib.redirect_stdout(io.StringIO()) as out, \
                 contextlib.redirect_stderr(io.StringIO()) as err:
             code = main(["verify", "-i", text, "-w", path])
-        if abs(value - old) <= 1e-12:
+        if field == "output_gram" and np.isfinite(value):
+            # a finite output entry is no hard error: the report is written,
+            # as strict JSON.  A move below every tolerance may still fail
+            # r3, since the stored unitary maps onto the embedding of the
+            # old output Gram, whose degenerate eigenbasis the move can turn
+            assert code in (0, 3) and err.getvalue() == ""
+            report = json.loads(out.getvalue(), parse_constant=reject_token)
+            assert report["passed"] == (code == 0)
+            assert code == 3 or abs(value - old) <= 1e-12
+        elif abs(value - old) <= 1e-12:
             assert code == 0, err.getvalue()
         else:
             assert code in (2, 3), err.getvalue()

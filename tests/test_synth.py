@@ -342,6 +342,22 @@ class TestAttachClassical:
             attach_classical(w, self._grown([0.95, 0.0]))
 
 
+def connected_shapes(max_n):
+    for n2 in range(2, max_n + 1):
+        for ell in range(n2 + 1):
+            for m in itertools.combinations_with_replacement(range(max_n, 0, -1), ell):
+                if n2 + sum(m) <= max_n:
+                    yield WellSplitShape(n2=n2, ell=ell, m=m)
+
+
+def assert_same_witness(a, b):
+    assert a.Q == b.Q and a.q == b.q
+    for x, y in ((a.tablet, b.tablet), (a.output_gram, b.output_gram),
+                 (a.unitary, b.unitary)):
+        np.testing.assert_array_equal(x, y)
+    assert a.residuals == b.residuals
+
+
 class TestRealizeGraph:
     def test_single_edge(self):
         res = realize_graph(make_graph(2, [(0, 1)]))
@@ -378,21 +394,43 @@ class TestRealizeGraph:
         with pytest.raises(GraphError):
             realize_graph(make_graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]))
 
-    @pytest.mark.parametrize("leaves, z, zi", [
-        (11, -0.05, 0.3),   # the tablet norm exceeds 0.9 once: z halves
-        (12, -0.1, 0.15),   # the first candidate Gram is singular: zi halves
-    ])
-    def test_star_halves_overlap_scale(self, leaves, z, zi):
+    @pytest.mark.parametrize("leaves, zi, Q", [
+        (11, 0.3, 0.0011459194703576062),   # z is not halved
+        (12, 0.15, 0.0003737591833148491),  # the first candidate Gram is singular: zi halves
+    ], ids=["z_kept", "zi_halves"])
+    def test_star_overlap_scale(self, leaves, zi, Q):
         # the splitting puts hub 0 and leaf 1 in the clique; leaves 2.. are
         # pendants of the hub
         g = make_graph(leaves + 1, [(0, v) for v in range(1, leaves + 1)])
         res = realize_graph(g)
         assert graph_of_text(res.text) == g
-        assert res.text.gram[0, 1] == z
+        assert res.text.gram[0, 1] == -0.1
         np.testing.assert_array_equal(res.text.gram[0, 2:], zi)
-        assert res.witness.Q == 1.0
+        assert res.witness.Q == pytest.approx(Q, rel=1e-6)
+        assert_same_witness(res.witness, translate(res.text))
         rep = check_witness(res.text, res.witness)
         assert rep.passed and rep.unitarity <= 1e-10
+
+    @pytest.mark.parametrize("g", [
+        *(pytest.param(shape_to_graph(s), id=f"n2={s.n2},m={s.m}")
+          for s in connected_shapes(7)),
+        pytest.param(make_graph(6, [(0, 1), (0, 2), (1, 2), (0, 3)]),
+                     id="triangle_pendant_two_isolated"),
+        pytest.param(make_graph(5, [(0, 1)]), id="edge_three_isolated"),
+    ])
+    def test_witness_is_translates(self, g):
+        # realize_graph certifies its text through translate's one route
+        res = realize_graph(g)
+        assert_same_witness(res.witness, translate(res.text))
+
+    def test_route_refusal_is_raised(self, monkeypatch):
+        empty = synth.QInterval(0.5, 0.25, "cap", "PSD")
+        monkeypatch.setattr(synth, "_mixed_witness",
+                            lambda *args: synth.SearchOutcome(None, empty))
+        with pytest.raises(SearchBudgetExhausted) as exc:
+            realize_graph(make_graph(2, [(0, 1)]))
+        assert str(exc.value) == ("sign +1: no feasible Q, |Q| from 0.5 (cap) "
+                                  "to 0.25 (PSD)")
 
     def test_deterministic(self):
         g = make_graph(4, [(0, 1), (0, 2), (0, 3)])
@@ -643,8 +681,20 @@ class TestOneCheckPerWitness:
         assert rep.passed
         assert res.witness.residuals == {"eq4": rep.r1, "eq2": rep.r3}
 
+    def test_finish_refuses_a_failing_witness(self):
+        # Q = 1 and overlaps sqrt(0.3) on z = -0.3 force y = 0 with
+        # B = 1.3; moving y by 3e-8 makes r1 = 1.3 * 0.3 * 3e-8 = 1.17e-8,
+        # above the gate, while the frame Grams differ by r1 / B = 9e-9, so
+        # the unitary is still synthesized and the check is what fails
+        t = validate_text(uniform_gram(2, -0.3))
+        y = np.eye(2, dtype=complex)
+        y[0, 1] = y[1, 0] = 3e-8
+        w = witness_from_overlaps(t, 1.0, np.full(2, np.sqrt(0.3), dtype=complex), y)
+        with pytest.raises(SearchBudgetExhausted, match="failed verification: r1=1.170e-08"):
+            synth._finish(t, w)
 
-RANDOM3 = gen_text(GenSpec(mode="random_efficient", n=3, seed=0)).gram
+
+RANDOM3 =gen_text(GenSpec(mode="random_efficient", n=3, seed=0)).gram
 
 
 class TestOneEmbeddingPerLookup:
@@ -1226,24 +1276,18 @@ def classical_texts():
         yield g
 
 
-def connected_shapes(max_n):
-    for n2 in range(2, max_n + 1):
-        for ell in range(n2 + 1):
-            for m in itertools.combinations_with_replacement(range(max_n, 0, -1), ell):
-                if n2 + sum(m) <= max_n:
-                    yield WellSplitShape(n2=n2, ell=ell, m=m)
-
-
 class TestUnchangedWitnessBytes:
-    """Witnesses whose numbers pass through no LAPACK call, pinned by one
-    digest recorded before Q was taken from its feasible interval: Q and
+    """Numbers that pass through no LAPACK call, pinned by digests: Q and
     the output Gram of clone_classical and of the classical forced-sign
-    witness, and the text Gram, Q and output Gram of realize_graph on
-    every connected well-split shape with at most 6 vertices."""
+    witness, recorded before Q was taken from its feasible interval, and
+    the text Gram of realize_graph on every connected well-split shape with
+    at most 6 vertices.  Realize's witness is translate's, checked by
+    TestRealizeGraph::test_witness_is_translates."""
 
-    DIGEST = "2a0abf882f5dfb8a8914e2d054faeba6145edc6efc81eac289458f66edc8b0fe"
+    CLASSICAL_DIGEST = "54fa70e9468258365f7489acb30293ed0dae6dc724ca2abc11765ba8241253ab"
+    REALIZED_DIGEST = "2ffd129af0413fb0ae0b7dac8fb0c17dac4ec3d9e9379efe6403aef8fca638d3"
 
-    def test_digest(self):
+    def test_classical_digest(self):
         h = hashlib.sha256()
         count = 0
         for g in classical_texts():
@@ -1252,10 +1296,14 @@ class TestUnchangedWitnessBytes:
                       translate(t, force_sign=-1)):
                 h.update(w.Q.hex().encode() + np.ascontiguousarray(w.output_gram).tobytes())
                 count += 1
+        assert count == 30
+        assert h.hexdigest() == self.CLASSICAL_DIGEST
+
+    def test_realized_digest(self):
+        h = hashlib.sha256()
+        count = 0
         for shape in connected_shapes(6):
-            r = realize_graph(shape_to_graph(shape))
-            h.update(np.ascontiguousarray(r.text.gram).tobytes() + r.witness.Q.hex().encode()
-                     + np.ascontiguousarray(r.witness.output_gram).tobytes())
+            h.update(np.ascontiguousarray(realize_graph(shape_to_graph(shape)).text.gram).tobytes())
             count += 1
-        assert count == 53
-        assert h.hexdigest() == self.DIGEST
+        assert count == 23
+        assert h.hexdigest() == self.REALIZED_DIGEST

@@ -55,6 +55,17 @@ class TestValidateText:
         with pytest.raises(NotHermitian):
             validate_text(g)
 
+    @pytest.mark.parametrize("entries", [[(0, 0)], [(0, 1), (1, 0)]],
+                             ids=["diagonal", "off_diagonal"])
+    def test_overflowing_asymmetry_is_not_hermitian(self, entries):
+        # Im(z - z^H) = 2e308 overflows to inf, which fails the gate
+        # without a warning
+        g = uniform_gram(3, 0.5)
+        for entry in entries:
+            g[entry] = 1e308j
+        with pytest.raises(NotHermitian, match="= inf exceeds"):
+            validate_text(g)
+
     def test_rejects_bad_diagonal(self):
         g = uniform_gram(3, 0.5)
         g[1, 1] = 1.0 + 1e-6

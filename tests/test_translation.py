@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from qtext import (
+    DegenerateB,
     DegenerateNormalizer,
+    DimensionMismatch,
     DuplicateStates,
     GenSpec,
     GramMismatch,
@@ -226,20 +228,44 @@ class TestCheckWitness:
         assert rep.unitarity == pytest.approx(1.25)
         assert not rep.passed
 
-    @pytest.mark.parametrize("field", ["Q", "q", "tablet"])
+    @pytest.mark.parametrize("field", ["Q", "q", "tablet", "output_gram"])
     def test_nan_fails_the_hard_gates(self, uniform3, field):
         # NaN compares false with every tolerance: each gate must fail on
         # it, before build_omega or the residuals see it
         w = translate(uniform3)
         tablet = np.array(w.tablet)
         tablet[0] = np.nan
+        y = np.array(w.output_gram)
+        y[0, 1] = y[1, 0] = np.nan
         bad = TranslationWitness(
             Q=np.nan if field == "Q" else w.Q,
             q=complex(np.inf, 0.0) if field == "q" else w.q,
             tablet=tablet if field == "tablet" else w.tablet,
-            output_gram=w.output_gram, unitary=w.unitary)
+            output_gram=y if field == "output_gram" else w.output_gram,
+            unitary=w.unitary)
         with pytest.raises(TranslationError):
             check_witness(uniform3, bad)
+
+    def test_degenerate_b(self):
+        # a tablet equal to psi_0 with Q = -1 gives B_0 = 1 - |a_0|^2 = 0
+        t = validate_text(uniform_gram(2, 0.5))
+        emb = embed_text(t)
+        tablet = emb.vectors[:, 0] / np.linalg.norm(emb.vectors[:, 0])
+        bad = TranslationWitness(Q=-1.0, q=q_from_Q(-1.0), tablet=tablet,
+                                 output_gram=np.eye(2, dtype=complex))
+        with pytest.raises(DegenerateB, match="min B_i"):
+            check_witness(t, bad)
+
+    def test_output_needs_more_dimensions(self):
+        # three states of rank 2 (1 + 2z = 0) and an unpadded tablet: the
+        # orthonormal output text needs a third dimension
+        t = validate_text(uniform_gram(3, -0.5))
+        assert embed_text(t).dim == 2
+        bad = TranslationWitness(Q=0.0, q=0j, tablet=np.array([1.0, 0.0], dtype=complex),
+                                 output_gram=np.eye(3, dtype=complex),
+                                 unitary=np.eye(4, dtype=complex))
+        with pytest.raises(DimensionMismatch, match="output text needs dimension 3"):
+            check_witness(t, bad)
 
     def test_witness_without_unitary_passes(self, uniform3):
         w = translate(uniform3)
