@@ -41,6 +41,7 @@ from .graphs import (
     induced_subgraph,
     make_graph,
     maximal_cliques,
+    overlap_mask,
     parameterize,
     read_well_split,
     recognize,

@@ -15,14 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .texts import Text, null_index_set, subtext, text_properties
-from .graphs import (
-    ForbiddenWitness,
-    WellSplitParts,
-    graph_of_text,
-    read_well_split,
-    recognize,
-)
+from .texts import Text, _lambda_min_above, _orthogonal, pd_tol, subtext, text_properties
+from .graphs import ForbiddenWitness, WellSplitParts, overlap_mask, read_well_split, recognize
 
 SIGNATURE_SCALE = 1e-9
 
@@ -69,7 +63,8 @@ def hadamard_inverse_signature(t: Text) -> EigenSignature:
     eigenvalue inside (threshold/10, threshold*10) raises
     BorderlineSignature instead of guessing a sign.
     """
-    if null_index_set(t):
+    # the diagonal of a valid text is never orthogonal
+    if _orthogonal(t.gram).any():
         raise HasOrthogonalPair("text has an orthogonal pair; signature undefined")
     M = 1.0 / t.gram
     lam = np.linalg.eigvalsh((M + M.conj().T) / 2.0)
@@ -117,18 +112,17 @@ def decide_translatable(t: Text) -> Decision:
     test on the complete core.  The returned reason is one of the OK_*
     codes or names the failed stage.
     """
-    props = text_properties(t)
-    if not props.efficient:
+    if not _lambda_min_above(t.gram, pd_tol(t.n)):  # not efficient
         return Decision(translatable=False, reason=REASON_NOT_EFFICIENT)
-    g = graph_of_text(t)
-    if not g.edges:
+    adj = overlap_mask(t.gram)
+    if not adj.any():
         return Decision(translatable=True, reason=REASON_OK_CLASSICAL,
                         decomposition=_all_isolated(t.n), sign_constraint=None)
-    rec = recognize(g)
+    rec = recognize(adj)
     if rec.witness is not None:  # not split, or split but not well-split
         return Decision(translatable=False, reason=REASON_NOT_WELL_SPLIT,
                         forbidden_witness=rec.witness)
-    parts = read_well_split(g, rec)
+    parts = read_well_split(adj, rec)
     sig = hadamard_inverse_signature(subtext(t, parts.core))
     if parts.anchors:
         # pendants force Q > 0 whether or not the core signature allows it

@@ -9,15 +9,17 @@ division each V1 vertex has at most one neighbour.  Equivalently, the
 graph avoids four induced subgraphs: two disjoint edges, the 4-cycle, the
 diamond (K4 minus an edge), and the 5-cycle.
 
-`recognize` reads splitness and one splitting off the degree order
-(Hammer & Simeone, *The splittance of a graph*, 1981) and decides
-well-splitness from that splitting.  Only a refusal searches for a
-forbidden induced subgraph, and it reports the first one in lexicographic
-subset order.  `read_well_split` is the one read-off of an accepted
-graph's recognition: its clique core, pendant anchors and isolated
-vertices.  `maximal_cliques`, `all_splittings` and `split_by_definition`
-enumerate from the definitions; they are referees for tests and demos,
-and no request path calls them.
+`recognize` runs on a boolean adjacency matrix: `overlap_mask` of the Gram
+matrix in `decide_translatable`, which builds no SimpleGraph, or the mask of
+a SimpleGraph's edges.  It reads splitness and one splitting off the degree
+order of the row sums (Hammer & Simeone, *The splittance of a graph*, 1981)
+and decides well-splitness from that splitting.  Only a refusal searches
+mask rows for a forbidden induced subgraph, and it reports the first one in
+lexicographic subset order.  `read_well_split` is the one read-off of an
+accepted graph's recognition: its clique core, pendant anchors and isolated
+vertices.  `graph_of_text` builds a SimpleGraph for `qtext graph` and the
+referees, which enumerate from the definitions for tests and demos:
+`maximal_cliques`, `all_splittings` and `split_by_definition`.
 """
 
 from __future__ import annotations
@@ -94,12 +96,27 @@ def make_graph(n: int, edges) -> SimpleGraph:
     return SimpleGraph(n=n, edges=frozenset(norm))
 
 
+def overlap_mask(z: np.ndarray) -> np.ndarray:
+    """Adjacency matrix of z's overlap graph: |z_ij| > 1e-9 off the diagonal."""
+    adj = ~_orthogonal(z)
+    np.fill_diagonal(adj, False)
+    return adj
+
+
 def graph_of_text(t: Text) -> SimpleGraph:
     """Overlap graph: edge (i, j) iff |z_ij| > 1e-9."""
-    # Masking i < j costs less than np.triu_indices at small n.
-    i, j = np.nonzero(~_orthogonal(t.gram))
-    upper = i < j
-    return SimpleGraph(n=t.n, edges=frozenset(zip(i[upper].tolist(), j[upper].tolist())))
+    i, j = np.nonzero(np.triu(overlap_mask(t.gram)))
+    return SimpleGraph(n=t.n, edges=frozenset(zip(i.tolist(), j.tolist())))
+
+
+def _adjacency(g: SimpleGraph | np.ndarray) -> np.ndarray:
+    """g itself, or the boolean adjacency matrix of a SimpleGraph."""
+    if isinstance(g, np.ndarray):
+        return g
+    adj = np.zeros((g.n, g.n), dtype=bool)
+    for i, j in g.edges:
+        adj[i, j] = adj[j, i] = True
+    return adj
 
 
 def connected_components(g: SimpleGraph) -> list[frozenset[int]]:
@@ -165,49 +182,49 @@ class Splitting:
     v2: frozenset[int]
 
 
-def _first_forbidden(g: SimpleGraph, kinds: tuple[str, ...],
+def _first_forbidden(adj: np.ndarray, deg: np.ndarray, kinds: tuple[str, ...],
                      min_degree: int) -> ForbiddenWitness | None:
     """First induced subgraph of one of `kinds` (all of one size), in
     lexicographic subset order.
 
     Only vertices of degree >= `min_degree` can lie on such a subgraph, so
-    only they are combined; dropping vertices keeps the subset order.  A
-    subset is named by its size, edge count and maximum degree.
+    only their mask rows are combined; dropping vertices keeps the subset
+    order.  A subset is named by its size, edge count and maximum degree.
     """
     size = _SIGNATURES[kinds[0]][0]
     wanted = {_SIGNATURES[kind][1:]: kind for kind in kinds}
     pairs = list(itertools.combinations(range(size), 2))
-    adj = [g.neighbors(v) for v in range(g.n)]
-    candidates = [v for v in range(g.n) if len(adj[v]) >= min_degree]
-    for sub in itertools.combinations(candidates, size):
-        deg = [0] * size
+    candidates = np.flatnonzero(deg >= min_degree).tolist()
+    rows = adj[np.ix_(candidates, candidates)].tolist()
+    for sub in itertools.combinations(range(len(candidates)), size):
+        d = [0] * size
         for a, b in pairs:
-            if sub[b] in adj[sub[a]]:
-                deg[a] += 1
-                deg[b] += 1
-        kind = wanted.get((sum(deg) // 2, max(deg)))
+            if rows[sub[a]][sub[b]]:
+                d[a] += 1
+                d[b] += 1
+        kind = wanted.get((sum(d) // 2, max(d)))
         if kind is not None:
-            return ForbiddenWitness(kind=kind, vertices=sub)
+            return ForbiddenWitness(kind=kind, vertices=tuple(candidates[k] for k in sub))
     return None
 
 
-def _splitting(g: SimpleGraph) -> Splitting | None:
-    """The splitting read off the degree order, or None when g is not split.
+def _splitting(deg: np.ndarray) -> Splitting | None:
+    """The splitting read off the degree order, or None when not split.
 
     With the vertices ordered by (-degree, index), degrees d_0 >= d_1 >= ...
-    and m = #{i : d_i >= i}, g is split iff sum_{i<m} d_i = m(m - 1) +
-    sum_{i>=m} d_i (Hammer-Simeone), and then the first m vertices K are a
+    and m = #{i : d_i >= i}, the graph is split iff sum_{i<m} d_i = m(m - 1)
+    + sum_{i>=m} d_i (Hammer-Simeone), and then the first m vertices K are a
     maximal clique with an independent complement.  Any other such
     splitting is K - u + v with u in K and v outside, both of degree m - 1,
     so u precedes v in the order and u < v.  K thus holds the hub (the
     first vertex) and is the lexicographically smallest v2 that does.
     """
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    d = [g.degree(v) for v in order]
-    m = sum(1 for i, di in enumerate(d) if di >= i)
-    if sum(d[:m]) != m * (m - 1) + sum(d[m:]):
+    order = np.argsort(-deg, kind="stable")
+    d = deg[order]
+    m = int(np.count_nonzero(d >= np.arange(len(d))))
+    if d[:m].sum() != m * (m - 1) + d[m:].sum():
         return None
-    return Splitting(v1=frozenset(order[m:]), v2=frozenset(order[:m]))
+    return Splitting(v1=frozenset(order[m:].tolist()), v2=frozenset(order[:m].tolist()))
 
 
 def maximal_cliques(g: SimpleGraph) -> list[frozenset[int]]:
@@ -260,9 +277,9 @@ class RecognitionResult:
     witness: ForbiddenWitness | None
 
 
-def recognize(g: SimpleGraph) -> RecognitionResult:
-    """Classify a graph as Independent (no edges), WellSplit,
-    SplitNotWellSplit or NotSplit.
+def recognize(g: SimpleGraph | np.ndarray) -> RecognitionResult:
+    """Classify a graph, a SimpleGraph or its boolean adjacency matrix, as
+    Independent (no edges), WellSplit, SplitNotWellSplit or NotSplit.
 
     Splitness and the Splitting come from one degree order (Hammer-Simeone,
     see `_splitting`).  v2 is a maximal clique, and a split graph is
@@ -274,16 +291,18 @@ def recognize(g: SimpleGraph) -> RecognitionResult:
     induced 2K2 or C4, else the first C5, when not split; the first
     diamond when split.  "First" is in lexicographic subset order.
     """
-    splitting = _splitting(g)
+    adj = _adjacency(g)
+    deg = adj.sum(axis=1)
+    splitting = _splitting(deg)
     if splitting is None:
-        witness = (_first_forbidden(g, ("TwoK2", "C4"), 1)
-                   or _first_forbidden(g, ("C5",), 2))
+        witness = (_first_forbidden(adj, deg, ("TwoK2", "C4"), 1)
+                   or _first_forbidden(adj, deg, ("C5",), 2))
         return RecognitionResult(GraphClass.NOT_SPLIT, None, _certified(witness))
-    if any(g.degree(v) > 1 for v in splitting.v1):
-        witness = _first_forbidden(g, ("Diamond",), 2)
+    if deg[list(splitting.v1)].max(initial=0) > 1:
+        witness = _first_forbidden(adj, deg, ("Diamond",), 2)
         return RecognitionResult(GraphClass.SPLIT_NOT_WELL_SPLIT, splitting,
                                  _certified(witness))
-    klass = GraphClass.WELL_SPLIT if g.edges else GraphClass.INDEPENDENT
+    klass = GraphClass.WELL_SPLIT if deg.any() else GraphClass.INDEPENDENT
     return RecognitionResult(klass, splitting, None)
 
 
@@ -335,7 +354,7 @@ class WellSplitParts:
         return WellSplitShape(n2=len(self.core), ell=len(m), m=m, labels=labels)
 
 
-def read_well_split(g: SimpleGraph, rec: RecognitionResult) -> WellSplitParts:
+def read_well_split(g: SimpleGraph | np.ndarray, rec: RecognitionResult) -> WellSplitParts:
     """The one read-off of a well-split graph from its recognition.
 
     v1 of the splitting holds the pendants (degree 1) and the isolated
@@ -347,15 +366,12 @@ def read_well_split(g: SimpleGraph, rec: RecognitionResult) -> WellSplitParts:
     """
     if rec.klass is not GraphClass.WELL_SPLIT:
         raise NotWellSplit(f"graph is {rec.klass.value}")
-    anchors = {}
-    isolated = []
-    for v in sorted(rec.splitting.v1):
-        if g.neighbors(v):
-            (anchors[v],) = g.neighbors(v)
-        else:
-            isolated.append(v)
+    v1 = np.array(sorted(rec.splitting.v1), dtype=int)
+    rows = _adjacency(g)[v1]
+    pendant = rows.any(axis=1)
+    anchors = dict(zip(v1[pendant].tolist(), rows[pendant].argmax(axis=1).tolist()))
     return WellSplitParts(core=tuple(sorted(rec.splitting.v2)), anchors=anchors,
-                          isolated=tuple(isolated))
+                          isolated=tuple(v1[~pendant].tolist()))
 
 
 def parameterize(g: SimpleGraph) -> WellSplitShape:

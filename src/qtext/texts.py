@@ -96,6 +96,10 @@ def validate_text(raw) -> Text:
         NotHermitian (1e-12), BadDiagonal (1e-12), DuplicateStates
         (off-diagonal modulus >= 1 - 1e-12), NotPSD (min eigenvalue
         below -1e-9 * n).
+
+    PSD is tested by Cholesky on the Hermitian part H, as
+    `_lambda_min_above` describes; only a failure or a text inside its
+    band runs `eigvalsh(H)`, whose lambda_min decides and NotPSD prints.
     """
     gram = np.array(raw, dtype=complex)
     if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
@@ -103,7 +107,7 @@ def validate_text(raw) -> Text:
     n = gram.shape[0]
     if n == 0:
         raise SizeMismatch("empty text")
-    if not np.all(np.isfinite(gram.real)) or not np.all(np.isfinite(gram.imag)):
+    if not np.isfinite(gram).all():  # both parts of every entry
         raise NonFinite("gram matrix has non-finite entries")
     with np.errstate(over="ignore"):  # an overflowing difference is inf
         herm = np.max(np.abs(gram - gram.conj().T))
@@ -118,10 +122,54 @@ def validate_text(raw) -> Text:
         raise DuplicateStates(
             f"|z_{i}{j}| = {abs(gram[i, j]):.12f}; states must be distinct up to phase"
         )
-    evals = np.linalg.eigvalsh((gram + gram.conj().T) / 2.0)
-    if evals[0] < -psd_tol(n):
-        raise NotPSD(f"min eigenvalue {evals[0]:.3e} below -{psd_tol(n):.1e}")
+    h = (gram + gram.conj().T) / 2.0
+    if not _lambda_min_above(h, -psd_tol(n)):
+        lam = np.linalg.eigvalsh(h)[0]
+        if lam < -psd_tol(n):
+            raise NotPSD(f"min eigenvalue {lam:.3e} below -{psd_tol(n):.1e}")
     return Text(n=n, gram=gram)
+
+
+def _lambda_min_above(h: np.ndarray, c: float) -> bool:
+    """Whether the lambda_min of `eigvalsh(h)` exceeds c.  Cholesky
+    factorizations of h - (c +- w) I decide it outside the band
+    w = 32 n (n + 1) u, u = 2^-53; `eigvalsh` runs only inside it.
+
+    Let h (n <= 10^5) have, in the lower triangle that both routines read,
+    off-diagonal moduli <= 1 and a diagonal within 1e-12 of 1, and let
+    |c| <= 1e-4.  ||h|| <= n (1 + 1e-12), so `eigvalsh` errs by at most
+    e = 16 n^2 u (1 + 1e-12) (p(n) = 16 n, as `_skipped` in generators
+    takes it).  A = fl(h - fl(c +- w) I) has each d_i = a_ii within 3 u of
+    h_ii - (c +- w) and below 1 + 3e-4.  With g = 8 (n + 1) u /
+    (1 - 8 (n + 1) u), gamma_{n+1} for complex operations (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., Lemma 3.5), and
+    e_c = n g (1 + 3e-4) / (1 - g) + 3 u:
+    - success at c + w: R^H R = A + dA, |dA| <= g |R^H| |R| (ibid., Thm
+      10.3, which needs only that the factorization completes), so
+      lambda_min(A) >= -g ||R||_F^2 >= -g tr(A) / (1 - g), and
+      lambda_min(h) >= c + w - e_c;
+    - failure at c - w: by Demmel's condition (ibid., Thm 10.7) A scaled to
+      a unit diagonal has lambda_min <= n g / (1 - g); a Rayleigh quotient
+      carries that to A times max d_i, so lambda_min(h) <= c - w + e_c;
+    - e + e_c < (16 n^2 + 8 n (n + 1) (1 + 1e-3) + 3) u < w.
+    """
+    w = 32 * len(h) * (len(h) + 1) * 2.0 ** -53
+    if _factors(h, c + w):
+        return True
+    if not _factors(h, c - w):
+        return False
+    return bool(np.linalg.eigvalsh(h)[0] > c)
+
+
+def _factors(h: np.ndarray, shift: float) -> bool:
+    """Whether the Cholesky factorization of h - shift I runs to completion."""
+    a = h.copy()
+    a.flat[::len(a) + 1] -= shift
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -145,7 +193,8 @@ class TextProperties:
 def _orthogonal(z: np.ndarray) -> np.ndarray:
     """Mask of the entries of z that count as orthogonal, |z_ij| <= 1e-9.
 
-    text_properties, graph_of_text and null_index_set all decide with it.
+    text_properties, null_index_set, the overlap graph's mask and the
+    signature's orthogonal-pair test all decide with it.
     The modulus is hypot(re, im), the scalar abs bit for bit; np.abs of a
     complex array can differ from it in the last bit, which moves entries
     at ZERO_TOL.
@@ -154,15 +203,15 @@ def _orthogonal(z: np.ndarray) -> np.ndarray:
 
 
 def text_properties(t: Text) -> TextProperties:
-    """Compute the structural flags of a validated text."""
+    """Compute the structural flags of a validated text; `efficient` is
+    decided by Cholesky outside a rounding band (`_lambda_min_above`)."""
     n = t.n
     off = ~np.eye(n, dtype=bool)
     offvals = t.gram[off]
     orthogonal = _orthogonal(offvals)
     classical = bool(np.all(orthogonal))
     fully_quantum = not np.any(orthogonal)
-    evals = np.linalg.eigvalsh(t.gram)
-    efficient = bool(evals[0] > pd_tol(n))
+    efficient = _lambda_min_above(t.gram, pd_tol(n))
     uniform = bool(n == 1 or np.max(np.abs(offvals - offvals[0])) <= UNIFORM_TOL)
     real_text = bool(np.max(np.abs(t.gram.imag)) <= REAL_TOL)
     return TextProperties(

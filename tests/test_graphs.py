@@ -7,6 +7,7 @@ import pytest
 
 from qtext import (
     ForbiddenWitness,
+    GenSpec,
     GraphClass,
     GraphError,
     InvalidShape,
@@ -17,11 +18,13 @@ from qtext import (
     all_splittings,
     connected_components,
     decide_translatable,
+    gen_text,
     graph_of_text,
     graphs_isomorphic,
     induced_subgraph,
     make_graph,
     maximal_cliques,
+    overlap_mask,
     parameterize,
     read_well_split,
     realize_graph,
@@ -423,6 +426,41 @@ class TestDecideRecognizesOnce:
         assert reasons == ["OK_FULLY_QUANTUM", "OK_MIXED", "NOT_WELL_SPLIT"]
         decide_translatable(validate_text(np.eye(4)))  # stops at the edge check
         assert len(calls) == len(texts)
+
+
+class TestDecideRunsOneEigvalsh:
+    """validate_text + decide_translatable on an efficient text with edges
+    runs the signature's eigvalsh and no other, recognizes once on the
+    overlap mask and builds no SimpleGraph; an edgeless text runs neither."""
+
+    def test_fully_quantum_and_mixed(self, count_calls):
+        star = make_graph(7, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4)])
+        grams = {
+            "OK_FULLY_QUANTUM": np.full((6, 6), 0.3) + 0.7 * np.eye(6),
+            "THEOREM_F_FAIL": gen_text(GenSpec(mode="random_efficient", n=5, seed=2)).gram,
+            "OK_MIXED": text_of_graph(star, -0.1).gram,
+        }
+        eig = count_calls(np.linalg.eigvalsh, np.linalg)
+        graphs = count_calls(graph_of_text)
+        recs = count_calls(recognize)
+        for reason, gram in grams.items():
+            before = len(eig), len(recs)
+            assert decide_translatable(validate_text(gram)).reason == reason
+            assert (len(eig), len(recs)) == (before[0] + 1, before[1] + 1)
+            assert isinstance(recs[-1][0], np.ndarray)
+        decide_translatable(validate_text(np.eye(4)))
+        assert (len(eig), len(recs)) == (len(grams), len(grams))
+        assert graphs == []
+
+    def test_mask_and_graph_recognize_alike(self):
+        rng = np.random.default_rng(41)
+        for n in [4] * 50 + [6] * 50 + [9, 16]:
+            t = validate_text(near_zero_gram(n, rng))
+            adj, g = overlap_mask(t.gram), graph_of_text(t)
+            rec = recognize(adj)
+            assert rec == recognize(g)
+            if rec.klass is GraphClass.WELL_SPLIT:
+                assert read_well_split(adj, rec) == read_well_split(g, rec)
 
 
 class TestRequestPathsRunNoReferee:

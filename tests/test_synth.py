@@ -732,9 +732,9 @@ class TestOneEmbeddingPerLookup:
 
 
 class TestTextPropertiesPerTranslate:
-    """decide_translatable computes the text's flags once.  _construct takes
-    classicality from the decision, so only clone_classical's own input
-    check computes them again."""
+    """decide_translatable tests efficiency without computing the text's
+    flags.  _construct takes classicality from the decision, so only
+    clone_classical's own input check computes them."""
 
     @pytest.mark.parametrize("gram", [
         RANDOM3,

@@ -5,11 +5,14 @@ import pytest
 
 from qtext import (
     BadDiagonal,
+    BorderlineSignature,
     DuplicateStates,
     NonFinite,
     NotHermitian,
     NotPSD,
     SizeMismatch,
+    TextError,
+    decide_translatable,
     embed_text,
     gram_of,
     graph_of_text,
@@ -19,6 +22,7 @@ from qtext import (
     texts_equivalent,
     validate_text,
 )
+from qtext.texts import pd_tol, psd_tol
 from tests.conftest import near_zero_gram, uniform_gram
 
 
@@ -150,6 +154,109 @@ class TestProperties:
             p = text_properties(t)
             assert p.classical == (not graph_of_text(t).edges)
             assert p.fully_quantum == (not null_index_set(t))
+
+
+# The PSD and efficiency rules as `eigvalsh` states them; validate_text and
+# text_properties decide by Cholesky factorizations outside a rounding band
+# and must agree with these everywhere.
+_eigvalsh = np.linalg.eigvalsh
+
+
+def referee_psd_error(gram):
+    """(class, message) validate_text raises for a Gram matrix that passes
+    every check before the PSD test, or None when it accepts it."""
+    n = len(gram)
+    lam = _eigvalsh((gram + gram.conj().T) / 2.0)[0]
+    if lam < -psd_tol(n):
+        return NotPSD, f"min eigenvalue {lam:.3e} below -{psd_tol(n):.1e}"
+    return None
+
+
+def referee_efficient(gram):
+    return bool(_eigvalsh(gram)[0] > pd_tol(len(gram)))
+
+
+def gram_with_lambda_min(rng, n, target):
+    """Seeded complex Gram matrix with unit diagonal whose computed
+    lambda_min is `target` up to rounding: off-diagonals of a random
+    full-rank Gram, scaled until lambda_min lands."""
+    v = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    v /= np.linalg.norm(v, axis=0)
+    base = v.conj().T @ v
+    base = (base + base.conj().T) / 2.0
+    np.fill_diagonal(base, 1.0)
+    off = base - np.eye(n)
+    alpha = 1.0
+    for _ in range(4):
+        lam = _eigvalsh(np.eye(n) + alpha * off)[0]
+        alpha *= (1.0 - target) / (1.0 - lam)
+    return np.eye(n) + alpha * off
+
+
+def band(n):
+    return 32 * n * (n + 1) * 2.0 ** -53
+
+
+class TestDefinitenessBand:
+    """Texts with lambda_min at -psd_tol(n) and +pd_tol(n), a few ulps
+    either way, sit inside the Cholesky band and must get the decision of
+    the eigvalsh rule; texts a few band widths away must get it without
+    eigvalsh, except for the NotPSD message."""
+
+    # A 2-text has lambda_min = 1 - |z_01| >= 0 once its states are
+    # distinct, so n = 2 has no text at -psd_tol.
+    CASES = [(2, +1)] + [(n, sign) for n in (4, 16, 32) for sign in (-1, +1)]
+
+    @staticmethod
+    def outcome(gram):
+        try:
+            t = validate_text(gram)
+        except TextError as exc:
+            return type(exc), str(exc)
+        return None, text_properties(t).efficient
+
+    @staticmethod
+    def expected(gram):
+        return referee_psd_error(gram) or (None, referee_efficient(gram))
+
+    @staticmethod
+    def refused_as_inefficient(gram):
+        try:
+            return decide_translatable(validate_text(gram)).reason == "NOT_EFFICIENT"
+        except BorderlineSignature:  # past the efficiency test
+            return False
+
+    @pytest.mark.parametrize("n, sign", CASES)
+    def test_inside_band_matches_eigvalsh_rule(self, n, sign, count_calls):
+        tol = psd_tol(n)
+        assert tol == pd_tol(n)
+        rng = np.random.default_rng([29, n, sign + 1])
+        offsets = [k * 2.0 ** -52 for k in (-3, -1, 0, 1, 3)] + [-band(n) / 8, band(n) / 8]
+        grams = [gram_with_lambda_min(rng, n, sign * tol + d) for d in offsets]
+        for g in grams:
+            assert abs(_eigvalsh(g)[0] - sign * tol) < band(n) / 4
+        want = [self.expected(g) for g in grams]
+        # both answers occur
+        assert len({w[0] or w[1] for w in want}) == 2
+        calls = count_calls(np.linalg.eigvalsh, np.linalg)
+        assert [self.outcome(g) for g in grams] == want
+        # every decision fell back on eigvalsh
+        assert len(calls) >= len(grams)
+        if sign > 0:
+            assert [self.refused_as_inefficient(g) for g in grams] == [
+                not eff for _, eff in want]
+
+    @pytest.mark.parametrize("n, sign", CASES)
+    @pytest.mark.parametrize("side", [-4, +4])
+    def test_outside_band_needs_no_eigvalsh(self, n, sign, side, count_calls):
+        tol = psd_tol(n)
+        rng = np.random.default_rng([31, n, sign + 1, side + 4])
+        g = gram_with_lambda_min(rng, n, sign * tol + side * band(n))
+        want = self.expected(g)
+        calls = count_calls(np.linalg.eigvalsh, np.linalg)
+        assert self.outcome(g) == want
+        # only a NotPSD message needs the eigenvalue
+        assert len(calls) == (want[0] is NotPSD)
 
 
 class TestUniformSpectrum:
