@@ -78,14 +78,11 @@ from .classify import (
     hadamard_inverse_signature,
 )
 from .synth import (
-    BadOverlapPattern,
     NotClassical,
-    QTooLarge,
     RealizeResult,
     SearchBudgetExhausted,
     SynthError,
     Untranslatable,
-    attach_classical,
     clone_classical,
     realize_graph,
     translate,

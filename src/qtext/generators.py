@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .texts import DISTINCT_TOL, Text, embed_text, null_index_set, psd_tol, validate_text
-from .graphs import SimpleGraph, graph_of_text
+from .graphs import SimpleGraph, _adjacency, graph_of_text
 from .translation import (B_FLOOR, EQ4_TOL, MODULUS_CAP, TranslationWitness,
                           forced_outputs, overlap_residual, q_from_Q)
 from .classify import hadamard_inverse_signature
@@ -94,10 +94,7 @@ def gen_text(spec: GenSpec) -> Text:
         if spec.graph is None:
             raise InfeasibleSpec("from_graph mode needs a graph")
         g = spec.graph
-        mask = np.zeros((g.n, g.n))
-        for (i, j) in g.edges:
-            mask[i, j] = mask[j, i] = 1.0
-        t = validate_text(_row_dominant(g.n, rng, mask=mask))
+        t = validate_text(_row_dominant(g.n, rng, mask=_adjacency(g)))
         if graph_of_text(t) != g:
             raise InfeasibleSpec("internal: generated text has the wrong graph")
         return t

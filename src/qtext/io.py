@@ -43,24 +43,8 @@ def _complex_from_json(pairs, ndim: int) -> np.ndarray:
     return out
 
 
-def matrix_to_json(m: np.ndarray) -> list:
-    return _complex_to_json(m)
-
-
-def matrix_from_json(rows) -> np.ndarray:
-    return _complex_from_json(rows, 2)
-
-
-def vector_to_json(v: np.ndarray) -> list:
-    return _complex_to_json(v)
-
-
-def vector_from_json(pairs) -> np.ndarray:
-    return _complex_from_json(pairs, 1)
-
-
 def text_to_dict(t: Text) -> dict:
-    return {"n": t.n, "gram": matrix_to_json(t.gram)}
+    return {"n": t.n, "gram": _complex_to_json(t.gram)}
 
 
 def _checked(x, types: tuple, what: str):
@@ -80,7 +64,7 @@ def _required(d: dict, key: str):
 
 
 def text_from_dict(d: dict) -> Text:
-    t = validate_text(matrix_from_json(_required(d, "gram")))
+    t = validate_text(_complex_from_json(_required(d, "gram"), 2))
     if "n" in d and _checked(d["n"], (int,), "n") != t.n:
         raise ValueError(f"declared n = {d['n']} but gram is {t.n} x {t.n}")
     return t
@@ -100,10 +84,10 @@ def witness_to_dict(w: TranslationWitness) -> dict:
     return {
         "Q": float(w.Q),
         "q": [float(complex(w.q).real), float(complex(w.q).imag)],
-        "tablet": vector_to_json(w.tablet),
+        "tablet": _complex_to_json(w.tablet),
         "embedding_dim": int(w.embedding_dim),
-        "output_gram": matrix_to_json(w.output_gram),
-        "unitary": None if w.unitary is None else matrix_to_json(w.unitary),
+        "output_gram": _complex_to_json(w.output_gram),
+        "unitary": None if w.unitary is None else _complex_to_json(w.unitary),
         "residuals": {
             "eq4": None if w.residuals.get("eq4") is None else float(w.residuals["eq4"]),
             "eq2": None if w.residuals.get("eq2") is None else float(w.residuals["eq2"]),
@@ -112,13 +96,13 @@ def witness_to_dict(w: TranslationWitness) -> dict:
 
 
 def witness_from_dict(d: dict) -> TranslationWitness:
-    tablet = vector_from_json(_required(d, "tablet"))
+    tablet = _complex_from_json(_required(d, "tablet"), 1)
     if len(tablet) != _checked(_required(d, "embedding_dim"), (int,), "embedding_dim"):
         raise ValueError("embedding_dim does not match the tablet length")
     Q = float(_checked(_required(d, "Q"), (int, float), "Q"))
     q = q_from_Q(Q) if d.get("q") is None else complex(_complex_from_json(d["q"], 0))
-    output = matrix_from_json(_required(d, "output_gram"))
-    unitary = None if d.get("unitary") is None else matrix_from_json(d["unitary"])
+    output = _complex_from_json(_required(d, "output_gram"), 2)
+    unitary = None if d.get("unitary") is None else _complex_from_json(d["unitary"], 2)
     stored = _checked(d.get("residuals", {}), (dict,), "residuals")
     residuals = {"eq4": stored.get("eq4"), "eq2": stored.get("eq2")}
     return TranslationWitness(Q=Q, q=q, tablet=tablet, output_gram=output,

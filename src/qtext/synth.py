@@ -9,7 +9,9 @@ Two construction routes, dispatched by `translate`, both in closed form:
   Gram matrix (stepped into the cone of valid directions when it has a
   zero entry), the all-ones vector on a uniform real core, and are zero
   off the core; each pendant's output is its anchor's, shrunk in closed
-  form, and isolated states join as a free classical summand.
+  form, and isolated states join as a free classical summand.  That closed
+  form is the end of the paper's chain of one-pendant attachments, which
+  the tests keep as a referee in `tests/conftest.py`.
 
 Q is never searched for.  It is the geometric middle of the |Q| interval of
 `_feasible_q`, on which the forced output Gram meets every constraint, and
@@ -31,7 +33,6 @@ from .texts import (
     DISTINCT_TOL,
     Text,
     SizeMismatch,
-    _orthogonal,
     psd_tol,
     subtext,
     text_properties,
@@ -48,11 +49,9 @@ from .classify import (
 from .translation import (
     TranslationWitness,
     TranslationError,
-    _embedding_for_tablet,
     check_witness,
     forced_outputs,
     synthesize_unitary,
-    tablet_overlaps,
     witness_from_overlaps,
     B_FLOOR,
     MODULUS_CAP,
@@ -81,14 +80,6 @@ class SearchBudgetExhausted(SynthError):
 
 
 class NotClassical(SynthError):
-    pass
-
-
-class QTooLarge(SynthError):
-    pass
-
-
-class BadOverlapPattern(SynthError):
     pass
 
 
@@ -279,42 +270,6 @@ def _pendant_rows(Y0: np.ndarray, anchors: dict[int, int], B: np.ndarray) -> np.
     return Y
 
 
-def attach_classical(base_witness: TranslationWitness, t_new: Text) -> TranslationWitness:
-    """Extend a witness on t_new without its last state to t_new; that state
-    phi must overlap exactly one earlier state, the anchor.
-
-    The new tablet is alpha * psi_0 + beta * (phi - P phi), with alpha fixed
-    by unit norm and beta by <phi|psi_0'> = 0: alpha times the old overlaps
-    and 0 with phi, with rho = |phi - P phi| > 0.  Q grows to Q / alpha^2,
-    which must stay <= 1, and every B_i stays.
-    """
-    n = t_new.n - 1
-    nz = np.flatnonzero(~_orthogonal(t_new.gram[n, :n])).tolist()
-    if len(nz) != 1:
-        raise BadOverlapPattern(
-            f"new state must overlap exactly one state; nonzero at {nz}")
-    Q = base_witness.Q
-    if not Q > 0:
-        raise SynthError("attachment requires a base witness with Q > 0")
-    base = subtext(t_new, range(n))
-    o = tablet_overlaps(_embedding_for_tablet(base, len(base_witness.tablet)),
-                        np.asarray(base_witness.tablet, dtype=complex))
-    zn = t_new.gram[:n, n]
-    c = np.linalg.solve(base.gram, np.column_stack([o, zn]))
-    if 1.0 - float(np.real(np.vdot(zn, c[:, 1]))) <= 1e-12:
-        raise TranslationError("new state lies in the span of the base text")
-    # 1 / alpha^2 = 1 + |<phi|P psi_0>|^2 / rho^2, growth of the span part
-    s2_old = min(1.0, float(np.real(np.vdot(o, c[:, 0]))))
-    o = np.append(o, 0.0)
-    alpha2 = 1.0 / (1.0 + float(np.real(np.vdot(o, np.linalg.solve(t_new.gram, o)))) - s2_old)
-    if Q / alpha2 > 1.0 + 1e-12:
-        raise QTooLarge(f"Q grows to {Q / alpha2:.6f} > 1 at this attachment")
-    Y0 = np.eye(n + 1, dtype=complex)
-    Y0[:n, :n] = base_witness.output_gram
-    Y = _pendant_rows(Y0, {n: nz[0]}, 1.0 + Q * np.abs(o) ** 2)
-    return witness_from_overlaps(t_new, min(Q / alpha2, 1.0), np.sqrt(alpha2) * o, Y)
-
-
 def _mixed_witness(t: Text, core: list[int], anchors: dict[int, int],
                    sign: int) -> SearchOutcome:
     """The route for every text with a complete core (all of it, with no
@@ -323,12 +278,13 @@ def _mixed_witness(t: Text, core: list[int], anchors: dict[int, int],
     the geometric middle of their feasible |Q| interval, as one bare
     witness on the whole text.
 
-    It is the core's eigenvector route and a chain of `attach_classical`
-    steps, one per pendant, in closed form: the chain ends in the unit
-    tablet with overlaps o, so the interval in the final Q needs no bound of
-    its own for the chain.  It is cut where a pendant's output overlap with
-    its anchor, 1 / sqrt(B_anchor), would reach 1 - DISTINCT_TOL
-    ("pendant").  Isolated states keep zero overlap and a fresh output.  One
+    It is the core's eigenvector route and a chain of one-pendant
+    attachments in closed form (the referee in `tests/conftest.py` takes
+    the steps one at a time): the chain ends in the unit tablet with
+    overlaps o, so the interval in the final Q needs no bound of its own
+    for the chain.  It is cut where a pendant's output
+    overlap with its anchor, 1 / sqrt(B_anchor), would reach
+    1 - DISTINCT_TOL ("pendant").  Isolated states keep zero overlap and a fresh output.  One
     eigvalsh refuses a core output Gram below validate_text's -psd_tol(k).
     """
     o, iv = _eigen_overlaps(t, core, sign)

@@ -1,5 +1,5 @@
-"""Shared fixtures: small hand-built texts used across the suite, and a
-call counter for qtext functions."""
+"""Shared fixtures: small hand-built texts used across the suite, the
+pendant-attachment referee, and a call counter for qtext functions."""
 
 import functools
 import sys
@@ -7,7 +7,19 @@ import sys
 import numpy as np
 import pytest
 
-from qtext import TranslationWitness, build_omega, validate_text
+from qtext import (
+    SynthError,
+    Text,
+    TranslationError,
+    TranslationWitness,
+    build_omega,
+    subtext,
+    tablet_overlaps,
+    validate_text,
+    witness_from_overlaps,
+)
+from qtext.synth import _pendant_rows
+from qtext.texts import _orthogonal
 from qtext.translation import _embedding_for_tablet
 
 
@@ -46,6 +58,52 @@ def off_frame_stretch(t, w):
     stretched = U + 0.5 * U @ (np.eye(len(U)) - P @ P.conj().T)
     return TranslationWitness(Q=w.Q, q=w.q, tablet=w.tablet,
                               output_gram=w.output_gram, unitary=stretched)
+
+
+# The paper's pendant chain, one attachment at a time, with its own two
+# refusals: the referee of the closed form in synth._mixed_witness.
+class QTooLarge(SynthError):
+    pass
+
+
+class BadOverlapPattern(SynthError):
+    pass
+
+
+def attach_classical(base_witness: TranslationWitness, t_new: Text) -> TranslationWitness:
+    """Extend a witness on t_new without its last state to t_new; that state
+    phi must overlap exactly one earlier state, the anchor.
+
+    The new tablet is alpha * psi_0 + beta * (phi - P phi), with alpha fixed
+    by unit norm and beta by <phi|psi_0'> = 0: alpha times the old overlaps
+    and 0 with phi, with rho = |phi - P phi| > 0.  Q grows to Q / alpha^2,
+    which must stay <= 1, and every B_i stays.
+    """
+    n = t_new.n - 1
+    nz = np.flatnonzero(~_orthogonal(t_new.gram[n, :n])).tolist()
+    if len(nz) != 1:
+        raise BadOverlapPattern(
+            f"new state must overlap exactly one state; nonzero at {nz}")
+    Q = base_witness.Q
+    if not Q > 0:
+        raise SynthError("attachment requires a base witness with Q > 0")
+    base = subtext(t_new, range(n))
+    o = tablet_overlaps(_embedding_for_tablet(base, len(base_witness.tablet)),
+                        np.asarray(base_witness.tablet, dtype=complex))
+    zn = t_new.gram[:n, n]
+    c = np.linalg.solve(base.gram, np.column_stack([o, zn]))
+    if 1.0 - float(np.real(np.vdot(zn, c[:, 1]))) <= 1e-12:
+        raise TranslationError("new state lies in the span of the base text")
+    # 1 / alpha^2 = 1 + |<phi|P psi_0>|^2 / rho^2, growth of the span part
+    s2_old = min(1.0, float(np.real(np.vdot(o, c[:, 0]))))
+    o = np.append(o, 0.0)
+    alpha2 = 1.0 / (1.0 + float(np.real(np.vdot(o, np.linalg.solve(t_new.gram, o)))) - s2_old)
+    if Q / alpha2 > 1.0 + 1e-12:
+        raise QTooLarge(f"Q grows to {Q / alpha2:.6f} > 1 at this attachment")
+    Y0 = np.eye(n + 1, dtype=complex)
+    Y0[:n, :n] = base_witness.output_gram
+    Y = _pendant_rows(Y0, {n: nz[0]}, 1.0 + Q * np.abs(o) ** 2)
+    return witness_from_overlaps(t_new, min(Q / alpha2, 1.0), np.sqrt(alpha2) * o, Y)
 
 
 @pytest.fixture

@@ -1,7 +1,8 @@
 """Witness construction: cloning, the closed-form uniform route, the
 eigenvector route (with its zero-entry and singular steps), the feasible
-|Q| interval, pendant attachment, graph realization, and a corpus guard
-over every route."""
+|Q| interval, the closed-form pendant chain against the one-at-a-time
+referee `attach_classical` of tests/conftest.py, graph realization, and a
+corpus guard over every route."""
 
 import hashlib
 import itertools
@@ -12,17 +13,14 @@ import numpy as np
 import pytest
 
 from qtext import (
-    BadOverlapPattern,
     BorderlineSignature,
     GraphError,
     NotClassical,
-    QTooLarge,
     TextError,
     Untranslatable,
     SearchBudgetExhausted,
     SynthError,
     WellSplitShape,
-    attach_classical,
     check_witness,
     clone_classical,
     decide_translatable,
@@ -46,7 +44,7 @@ from qtext import (
 from qtext.texts import embed_text
 import qtext.texts
 from qtext import synth, translation
-from tests.conftest import uniform_gram
+from tests.conftest import BadOverlapPattern, QTooLarge, attach_classical, uniform_gram
 
 
 class TestCloneClassical:
@@ -297,8 +295,10 @@ class TestTranslate:
 
 
 class TestAttachClassical:
-    """attach_classical(w, t_new) extends a witness on t_new without its last
-    state; the anchor is the one earlier state the last state overlaps."""
+    """The referee attach_classical(w, t_new) extends a witness on t_new
+    without its last state; the anchor is the one earlier state the last
+    state overlaps.  The package has no such function: a grown text is
+    translated by `translate`."""
 
     BASE = uniform_gram(2, -0.3)
 
@@ -340,6 +340,11 @@ class TestAttachClassical:
         w = witness_from_overlaps(base, Q, a, forced_output(base, Q, a))
         with pytest.raises(QTooLarge):
             attach_classical(w, self._grown([0.95, 0.0]))
+
+    def test_not_in_the_package(self):
+        for module in (qtext, synth):
+            for name in ("attach_classical", "QTooLarge", "BadOverlapPattern"):
+                assert not hasattr(module, name), (module.__name__, name)
 
 
 def connected_shapes(max_n):
@@ -660,13 +665,11 @@ class TestOneCheckPerWitness:
         # the unitary and the residuals come only from synth._finish
         eye3 = validate_text(np.eye(3))
         base = validate_text(uniform_gram(2, -0.3))
-        core = mixed_witness(base, +1).witness
         isolated = validate_text(with_pendant(base.gram, 0, 0.0))
         witnesses = [
             clone_classical(eye3),
             mixed_witness(validate_text(uniform_gram(4, 0.3)), -1).witness,
-            core,
-            attach_classical(core, validate_text(with_pendant(base.gram, 0, 0.4))),
+            mixed_witness(base, +1).witness,
             witness_from_overlaps(eye3, 0.5, np.zeros(3), np.eye(3)),
             synth._mixed_witness(isolated, [0, 1], {}, +1).witness,
         ]
@@ -1062,10 +1065,11 @@ class TestClosedFormChain:
     @pytest.mark.parametrize("gram", [OVERFLOW_TEXT, with_pendant(RANDOM3, 0, 0.1),
                                       with_pendant(uniform_gram(3, -1e-4), 0, 1 - 1e-7)],
                              ids=["overflow_once", "random3_pendant", "overflow_10_times"])
-    def test_no_chain_of_attachments_per_translate(self, gram, count_calls):
-        calls = count_calls(attach_classical)
-        w = translate(validate_text(gram))
-        assert len(calls) == 0 and w.Q > 0
+    def test_overflowing_chains_translate(self, gram):
+        t = validate_text(gram)
+        w = translate(t)
+        assert_gates(t, w)
+        assert w.Q > 0
 
     def test_chain_tablets_do_not_depend_on_core_q(self):
         t = validate_text(with_pendants(uniform_gram(3, -0.35), (0, 1), 0.3))
