@@ -1,13 +1,14 @@
 """JSON serialization of texts, graphs, witnesses, decisions, and reports.
 
-Complex numbers travel as [re, im] pairs.  Writers emit sorted keys and a
-trailing newline so identical objects serialize to identical bytes.
+Complex numbers travel as [re, im] pairs: the dict builders hold each
+complex array as a float array of shape `a.shape + (2,)`, which the writer
+turns into JSON.  Writers emit sorted keys and a trailing newline so
+identical objects serialize to identical bytes.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import sys
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -20,10 +21,11 @@ from .translation import TranslationWitness, q_from_Q
 from .classify import Decision
 
 
-def _complex_to_json(a) -> list:
-    """Nested lists shaped like `a` with every entry as an [re, im] pair."""
+def _complex_to_json(a) -> np.ndarray:
+    """The float array of shape `a.shape + (2,)` holding every entry of `a`
+    as its [re, im] pair."""
     a = np.asarray(a, dtype=complex)
-    return np.stack([a.real, a.imag], -1).tolist()
+    return np.stack([a.real, a.imag], -1)
 
 
 def _complex_from_json(pairs, ndim: int) -> np.ndarray:
@@ -141,44 +143,28 @@ def decision_to_dict(d: Decision) -> dict:
     }
 
 
-def _float_array(a: list):
-    """(shape, leaves) of a list nested to equal, non-zero lengths whose
-    leaves are all finite floats; None for any other list."""
-    shape, leaves, seen = [], [a], set()
-    while (kinds := set(map(type, leaves))) == {list}:
-        lengths, ids = set(map(len, leaves)), set(map(id, leaves))
-        # a list met at two depths is a cycle, never a regular array
-        if lengths == {0} or len(lengths) != 1 or not seen.isdisjoint(ids):
-            return None
-        seen |= ids
-        shape.append(lengths.pop())
-        leaves = list(chain.from_iterable(leaves))
-    # a sum of floats is finite only if every term is
-    if kinds != {float} or not math.isfinite(sum(leaves)):
-        return None
-    return shape, leaves
-
-
 def _encode(o, level: int) -> str:
-    """`o` as `json.dumps(o, indent=2, sort_keys=True)` writes it at nesting
-    `level`.  A regular array of finite floats is filled into one template
-    of its layout; anything but a dict with string keys or a non-empty list
-    is left to json itself."""
+    """`o` as `json.dumps(o, indent=2, sort_keys=True,
+    default=np.ndarray.tolist)` writes it at nesting `level`.  A non-empty
+    float64 array of finite entries is filled into one template of its
+    shape; any other array is written as its `.tolist()`, and anything but
+    a dict with string keys or a non-empty list is left to json itself."""
     if type(o) is dict and o and all(type(k) is str for k in o):
         return _bracket("{", [f"{encode_basestring_ascii(k)}: {_encode(v, level + 1)}"
                               for k, v in sorted(o.items())], "}", level)
     if type(o) is list and o:
-        array = _float_array(o)
-        if array is None:
-            return _bracket("[", [_encode(x, level + 1) for x in o], "]", level)
-        shape, leaves = array
+        return _bracket("[", [_encode(x, level + 1) for x in o], "]", level)
+    if type(o) is np.ndarray:
+        if o.dtype != np.float64 or not o.size or not np.isfinite(o).all():
+            return _encode(o.tolist(), level)
         template = "%s"
-        for depth in reversed(range(len(shape))):
-            template = _bracket("[", [template] * shape[depth], "]", level + depth)
-        return template % tuple(map(repr, leaves))
+        for depth in reversed(range(o.ndim)):
+            template = _bracket("[", [template] * o.shape[depth], "]", level + depth)
+        return template % tuple(map(repr, o.ravel().tolist()))
     # json escapes every newline inside a string, so each raw newline starts
     # a line that moves in by `level`
-    return json.dumps(o, indent=2, sort_keys=True).replace("\n", "\n" + "  " * level)
+    return json.dumps(o, indent=2, sort_keys=True,
+                      default=np.ndarray.tolist).replace("\n", "\n" + "  " * level)
 
 
 def _bracket(open_: str, items: list, close: str, level: int) -> str:
@@ -189,8 +175,8 @@ def _bracket(open_: str, items: list, close: str, level: int) -> str:
 
 def dump_json(obj, path: str | None) -> None:
     """Write `obj` as JSON to a path, or stdout for None or '-'.  The bytes
-    are `json.dumps(obj, indent=2, sort_keys=True)` plus a newline; the text
-    is rendered before the file is opened."""
+    are `json.dumps(obj, indent=2, sort_keys=True, default=np.ndarray.tolist)`
+    plus a newline; the text is rendered before the file is opened."""
     blob = _encode(obj, 0) + "\n"
     if path is None or path == "-":
         sys.stdout.write(blob)

@@ -439,7 +439,7 @@ class TestRealizeGen:
         assert abs(t.gram[0, 1]) > 1e-9 and abs(t.gram[0, 2]) <= 1e-9
 
 
-GRAM3 = qio.text_to_dict(validate_text(uniform_gram(3, 0.5)))["gram"]
+GRAM3 = qio.text_to_dict(validate_text(uniform_gram(3, 0.5)))["gram"].tolist()
 
 
 # (argv, payload) pairs of TestMalformedJson; a callable payload maps a

@@ -67,7 +67,7 @@ class TestComplexArrays:
             flat = a.reshape(-1)
             flat[0] = complex(-0.0, 1e-300)
             flat[-1] = complex(1e-300, -0.0)
-            got = json.dumps(qio._complex_to_json(a), indent=2, sort_keys=True)
+            got = json.dumps(qio._complex_to_json(a).tolist(), indent=2, sort_keys=True)
             want = json.dumps(self.reference_pairs(a), indent=2, sort_keys=True)
             assert got == want
             back = qio._complex_from_json(json.loads(got), a.ndim)
@@ -194,12 +194,14 @@ def _nested(flat, shape):
 
 @st.composite
 def regular_arrays(draw):
-    """Equal-length nested lists of floats, all finite (the template path)
-    or possibly not (json's own path)."""
+    """Equal-length nested lists of floats or the float64 array of the same
+    values, all finite (an array takes the template path) or possibly not
+    (json's own path)."""
     shape = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
     size = int(np.prod(shape))
     leaf = draw(st.sampled_from([FINITE, FLOATS]))
-    return _nested(draw(st.lists(leaf, min_size=size, max_size=size)), shape)
+    value = _nested(draw(st.lists(leaf, min_size=size, max_size=size)), shape)
+    return draw(st.sampled_from([value, np.array(value)]))
 
 
 JSON_VALUES = st.recursive(
@@ -210,12 +212,14 @@ JSON_VALUES = st.recursive(
 
 
 def _json_bytes(obj) -> bytes:
-    return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
+    return (json.dumps(obj, indent=2, sort_keys=True, default=np.ndarray.tolist)
+            + "\n").encode()
 
 
 class TestDumpJsonBytes:
-    """`dump_json` writes exactly `json.dumps(obj, indent=2, sort_keys=True)`
-    and a newline, though it fills float arrays from a template."""
+    """`dump_json` writes exactly `json.dumps(obj, indent=2, sort_keys=True,
+    default=np.ndarray.tolist)` and a newline, though it fills float64
+    arrays from a template."""
 
     @pytest.fixture(scope="class")
     def dump_path(self, tmp_path_factory):
@@ -233,12 +237,14 @@ class TestDumpJsonBytes:
                       EDGE_FLOATS, [EDGE_FLOATS[3:]] * 2, [[[0.5]]], (0.5, 1.5),
                       {"é": "ünï ", "": [1, True, None]}, {2: 2.0, 0.5: [], False: 3}, {None: 1},
                       [{1: [(1.0, "c\nd")], 2.5: {"a\nb": {}}}],
-                      [1.0, 2], [np.float64(0.1), 0.2], [True, 1.0]]:
+                      [1.0, 2], [np.float64(0.1), 0.2], [True, 1.0],
+                      np.zeros((2, 0)), {"a": np.zeros((0, 3, 2))}, np.array(0.1),
+                      [np.array(np.nan)], np.arange(6).reshape(2, 3),
+                      np.array([[True, False]]), np.array([0.1, 1e16], dtype=np.float32)]:
             qio.dump_json(value, str(p))
             assert p.read_bytes() == _json_bytes(value), value
 
     def test_cycle_raises(self):
-        # an error, as from json, not an endless walk down the array
         a = []
         a.append(a)
         with pytest.raises(RecursionError):
