@@ -23,8 +23,9 @@ from .classify import Decision
 
 def _complex_to_json(a) -> np.ndarray:
     """The float array of shape `a.shape + (2,)` holding every entry of `a`
-    as its [re, im] pair."""
-    a = np.asarray(a, dtype=complex)
+    as its [re, im] pair; a real `a` is stacked with +0.0, not made complex."""
+    a = np.asarray(a)
+    a = a.astype(complex if np.iscomplexobj(a) else float, copy=False)
     return np.stack([a.real, a.imag], -1)
 
 

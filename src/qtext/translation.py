@@ -140,7 +140,9 @@ class TranslationWitness:
     q             : a representative with 2 Re(q)/(1+|q|^2) = Q
     tablet        : unit tablet in embedding coordinates (optionally padded)
     output_gram   : Gram matrix of the output text
-    unitary       : optional unitary on the doubled padded space
+    unitary       : optional unitary on the doubled padded space; float64
+                    when the text's frames and targets are exactly real,
+                    complex128 otherwise and after loading from JSON
     residuals     : {'eq4': overlap residual, 'eq2': mapping residual}, as
                     the one check of a finished witness found them; empty
                     on a bare witness
@@ -261,8 +263,10 @@ def check_witness(t: Text, w: TranslationWitness) -> WitnessReport:
     max |U^H U - I| <= 1e-10.  Internal consistency (unit tablet, q vs Q,
     B above its floor, a finite output Gram) is enforced with hard errors,
     which NaN and infinite entries fail too, before any other arithmetic.
-    The defect is computed in real arithmetic by `_unitarity_defect`,
-    within rounding of the complex product's value.
+    A U and frames whose imaginary parts are all exactly zero are taken
+    as float64, so a real witness loaded as complex128 gives the bits of
+    the in-memory check.  The defect is computed in real arithmetic by
+    `_unitarity_defect`, within rounding of the complex product's value.
     """
     if not abs(Q_from_q(w.q) - w.Q) <= Q_CONSISTENCY_TOL:
         raise QOutOfRange(f"q = {w.q} does not represent Q = {w.Q}")
@@ -288,12 +292,13 @@ def check_witness(t: Text, w: TranslationWitness) -> WitnessReport:
     r3 = None
     unitarity = None
     if w.unitary is not None and r2_ok:
-        U = np.asarray(w.unitary, dtype=complex)
+        U = np.asarray(w.unitary)
+        U = _real_if_exact(U.astype(np.result_type(U, float), copy=False))
         D = emb.vectors.shape[0] ** 2
         if U.shape != (D, D):
             raise DimensionMismatch(f"unitary has shape {U.shape}, expected {(D, D)}")
         unitarity = _unitarity_defect(U)
-        omegas = build_omega(emb, tablet, w.q)
+        omegas = _real_if_exact(build_omega(emb, tablet, w.q))
         targets = _product_targets(out, emb)
         r3 = float(np.max(np.linalg.norm(U @ omegas - targets, axis=0)))
     passed = bool(r1 <= EQ4_TOL and r2_ok and (
@@ -303,15 +308,15 @@ def check_witness(t: Text, w: TranslationWitness) -> WitnessReport:
 
 
 def _unitarity_defect(U: np.ndarray) -> float:
-    """max |U^H U - I| over the entries of a complex D x D matrix U.
+    """max |U^H U - I| over the entries of a float64 or complex D x D
+    matrix U.
 
-    With U = X + iY, Re(U^H U) = X^T X + Y^T Y is one symmetric product
-    R^T R of the stacked R = [X; Y] (BLAS syrk), and Im(U^H U) = M - M^T
-    with M = X^T Y, one real product.  When Y is exactly zero, so is the
-    imaginary part, and only X^T X runs: D^3/2 multiply-adds against the
-    4 D^3 of the complex product.  At most 4 D^2 floats are held at once,
-    R, G and M or G, M and G + iM: R is freed before M - M^T takes its
-    temporary copy.
+    A float64 U takes U^T U alone (BLAS syrk): D^3/2 multiply-adds against
+    the 4 D^3 of the complex product, with no copy of U.  With a complex
+    U = X + iY, Re(U^H U) = X^T X + Y^T Y is one symmetric product R^T R
+    of the stacked R = [X; Y], and Im(U^H U) = M - M^T with M = X^T Y, one
+    real product.  At most 4 D^2 floats are held at once, R, G and M or
+    G, M and G + iM: R is freed before M - M^T takes its temporary copy.
 
     Rounding, u the unit roundoff and gamma_k = k u / (1 - k u), in any
     summation order: entry (i, j) of R^T R is a dot product of the stacked
@@ -329,9 +334,8 @@ def _unitarity_defect(U: np.ndarray) -> float:
     input warns only where a product itself overflows.
     """
     D = U.shape[0]
-    if not U.imag.any():
-        X = U.real.copy()
-        G = X.T @ X
+    if not np.iscomplexobj(U):
+        G = U.T @ U
         G[np.diag_indices(D)] -= 1.0
         return float(np.max(np.abs(G, out=G)))
     R = np.empty((2 * D, D))
@@ -360,6 +364,14 @@ def _product_targets(out_text: Text, emb: StateEmbedding) -> np.ndarray:
     return (chi[:, None, :] * emb.vectors[None, :, :]).reshape(d * d, n)
 
 
+def _real_if_exact(a: np.ndarray) -> np.ndarray:
+    """The contiguous real part of a complex array whose imaginary parts are
+    all exactly zero, an exact conversion; any other array as it is."""
+    if np.iscomplexobj(a) and not a.imag.any():
+        return np.ascontiguousarray(a.real)
+    return a
+
+
 def _orthonormal_polar(W: np.ndarray) -> np.ndarray:
     u, _, vh = np.linalg.svd(W, full_matrices=False)
     return u @ vh
@@ -374,14 +386,17 @@ def synthesize_unitary(t: Text, w: TranslationWitness) -> np.ndarray:
     with E (D x m, m = min(D, 2k)) the reduced QR basis of [P, Qf], and
     p = E^H P, q = E^H Qf each completed in C^m by the last m - k columns
     of a complete QR, U = I + E (V - I) E^H with V = [q cq][p cp]^H.  That
-    costs O(D^2 k), and the result is deterministic.  The unitary is not
-    checked here; that is `check_witness`'s job.
+    costs O(D^2 k), and the result is deterministic.  Frames and targets
+    whose imaginary parts are all exactly zero are taken as float64, so a
+    real text runs every factorization real, completes in R^m, and gets a
+    float64 U.  The unitary is not checked here; that is `check_witness`'s
+    job.
     """
     tablet = np.asarray(w.tablet, dtype=complex)
     emb = _embedding_for_tablet(t, len(tablet))
-    A = build_omega(emb, tablet, w.q)
+    A = _real_if_exact(build_omega(emb, tablet, w.q))
     out = validate_text(w.output_gram)
-    Bm = _product_targets(out, emb)
+    Bm = _real_if_exact(_product_targets(out, emb))
     Ga = A.conj().T @ A
     Gb = Bm.conj().T @ Bm
     mismatch = float(np.max(np.abs(Ga - Gb)))

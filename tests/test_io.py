@@ -60,19 +60,26 @@ class TestComplexArrays:
             return [[float(x.real), float(x.imag)] for x in a]
         return [[[float(v.real), float(v.imag)] for v in row] for row in a]
 
-    def test_writers_match_reference_bytes(self):
+    @pytest.mark.parametrize("kind", ["complex", "real"])
+    def test_writers_match_reference_bytes(self, kind):
+        # a float64 array is written as the complex array it equals, with
+        # +0.0 imaginary parts
         rng = np.random.default_rng(4)
         for shape in [(1, 1), (3, 3), (17, 17), (5,), (40,)]:
-            a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            a = rng.normal(size=shape)
+            if kind == "complex":
+                a = a + 1j * rng.normal(size=shape)
             flat = a.reshape(-1)
-            flat[0] = complex(-0.0, 1e-300)
-            flat[-1] = complex(1e-300, -0.0)
+            flat[0] = complex(-0.0, 1e-300) if kind == "complex" else -0.0
+            flat[-1] = complex(1e-300, -0.0) if kind == "complex" else 1e-300
             got = json.dumps(qio._complex_to_json(a).tolist(), indent=2, sort_keys=True)
             want = json.dumps(self.reference_pairs(a), indent=2, sort_keys=True)
             assert got == want
+            assert qio._encode(qio._complex_to_json(a), 0) == want
             back = qio._complex_from_json(json.loads(got), a.ndim)
             assert back.shape == a.shape
-            assert back.tobytes() == a.tobytes()  # exact, signs of zero included
+            # exact, signs of zero included
+            assert back.tobytes() == a.astype(complex).tobytes()
 
     def test_malformed_pairs_rejected(self):
         for rows in ([[[1.0, 0.0, 2.0]]], [[[1.0]]], [[[None, 0.0]]],

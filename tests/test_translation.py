@@ -34,6 +34,7 @@ from qtext import (
     validate_text,
     witness_from_overlaps,
 )
+from qtext import io as qio
 from qtext import translation
 from tests.conftest import off_frame_stretch, uniform_gram
 from tests.test_synth import with_pendant
@@ -427,17 +428,19 @@ class TestUnitaryOnEveryRoute:
 
     def test_unitarity_matches_identity_form(self, finished):
         # check_witness computes the defect in real arithmetic; it is the
-        # value of max |U^H U - I| from the complex product, up to rounding
+        # value of max |U^H U - I| from the complex product, up to rounding,
+        # for a float64 U and for the complex128 U a witness file loads as
         t, w = finished
-        for u in (w.unitary, off_frame_stretch(t, w).unitary):
+        for u in (w.unitary, np.asarray(w.unitary, dtype=complex),
+                  off_frame_stretch(t, w).unitary):
             bare = TranslationWitness(Q=w.Q, q=w.q, tablet=w.tablet,
                                       output_gram=w.output_gram, unitary=u)
             got = check_witness(t, bare).unitarity
             assert abs(got - _complex_defect(u)) <= _rounding_bound(u)
 
     def test_phase_keeps_the_defect(self, finished):
-        # every finished U here with a zero imaginary part takes the real
-        # path; e^{0.3i} U takes the complex one
+        # every float64 U here takes the real path; e^{0.3i} U takes the
+        # complex one
         _, w = finished
         u = np.asarray(w.unitary)
         defect = translation._unitarity_defect
@@ -447,7 +450,7 @@ class TestUnitaryOnEveryRoute:
         # column 1 gains 1e-9 i times column 0: (U^H U)_01 gains 1e-9 i and
         # no real part, so only the imaginary block can see it
         t, w = _translated(uniform_gram(8, 0.4))
-        u = np.array(w.unitary)
+        u = np.array(w.unitary, dtype=complex)
         assert not u.imag.any()
         u[:, 1] += 1e-9j * u[:, 0]
         rep = check_witness(t, TranslationWitness(Q=w.Q, q=w.q, tablet=w.tablet,
@@ -461,7 +464,7 @@ class TestUnitaryOnEveryRoute:
         # |G| is taken without squaring its entries, so 1e200 in G warns no
         # more than the complex product did; NaN fails the gate
         t, w = _translated(uniform_gram(3, 0.4))
-        u = np.array(w.unitary)
+        u = np.array(w.unitary, dtype=complex)
         u[0, 1] = entry
         bare = TranslationWitness(Q=w.Q, q=w.q, tablet=w.tablet,
                                   output_gram=w.output_gram, unitary=u)
@@ -470,13 +473,15 @@ class TestUnitaryOnEveryRoute:
             rep = check_witness(t, bare)
         assert not rep.passed
 
-    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("kind", ["float64", "real", "complex"])
     def test_seeded_unitary_passes(self, kind):
         rng = np.random.default_rng(23)
         z = rng.standard_normal((50, 50))
         if kind == "complex":
             z = z + 1j * rng.standard_normal((50, 50))
-        u = np.linalg.qr(z)[0].astype(complex)
+        u = np.linalg.qr(z)[0]
+        if kind != "float64":
+            u = u.astype(complex)
         got = translation._unitarity_defect(u)
         assert got <= translation.UNITARITY_TOL
         assert abs(got - _complex_defect(u)) <= _rounding_bound(u)
@@ -496,6 +501,82 @@ class TestUnitaryOnEveryRoute:
         for call in calls:
             kwargs = call[-1] if isinstance(call[-1], dict) else {}
             assert not kwargs.get("full_matrices", call[1] if len(call) > 1 else True)
+
+
+def _isolated_uniform(n, idx, z):
+    """Identity n-text with a uniform block on the states `idx`."""
+    g = np.eye(n, dtype=complex)
+    g[np.ix_(idx, idx)] = uniform_gram(len(idx), z)
+    return g
+
+
+def _noisy_classical(n, seed):
+    """Classical n-text whose off-diagonal entries are complex and below 1e-9."""
+    rng = np.random.default_rng(seed)
+    noise = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    g = np.eye(n, dtype=complex) + 1e-10 * (noise + noise.conj().T) / 4.0
+    np.fill_diagonal(g, 1.0)
+    return g
+
+
+REAL_TEXTS = {
+    "uniform8+": lambda: _translated(uniform_gram(8, 0.4)),
+    "uniform8-": lambda: _translated(uniform_gram(8, -0.5 / 7)),
+    "realized": lambda: _realized(WellSplitShape(n2=3, ell=2, m=(2, 1))),
+    "isolated_uniform": lambda: _translated(_isolated_uniform(8, [0, 2, 3, 5, 7], -0.1)),
+    "identity": lambda: _translated(np.eye(3)),
+}
+COMPLEX_TEXTS = {
+    "random_efficient3": lambda: _translated(
+        gen_text(GenSpec(mode="random_efficient", n=3, seed=1)).gram),
+    "noisy_classical": lambda: _translated(_noisy_classical(4, 7)),
+}
+
+
+class TestRealUnitary:
+    """A text whose frames and targets are exactly real gets a float64
+    unitary; any other text keeps a complex128 one."""
+
+    @pytest.mark.parametrize("label", list(REAL_TEXTS))
+    def test_real_text_gets_float64(self, label):
+        t, w = REAL_TEXTS[label]()
+        assert w.unitary.dtype == np.float64
+        assert check_witness(t, w).passed
+
+    @pytest.mark.parametrize("label", list(COMPLEX_TEXTS))
+    def test_complex_text_keeps_complex128(self, label):
+        t, w = COMPLEX_TEXTS[label]()
+        assert np.iscomplexobj(t.gram) and t.gram.imag.any()
+        assert w.unitary.dtype == np.complex128 and w.unitary.imag.any()
+        assert check_witness(t, w).passed
+
+    def test_real_kernels(self, count_calls):
+        # the embeddings keep their complex eigh of a text's Gram, so their
+        # bits stay; every factorization of the frames runs real
+        t, w = _translated(uniform_gram(8, -0.5 / 7))
+        calls = {fn.__name__: count_calls(fn, np.linalg)
+                 for fn in (np.linalg.qr, np.linalg.svd, np.linalg.eigh)}
+        synthesize_unitary(t, w)
+        assert all(calls.values())
+        grams = (t.gram, validate_text(w.output_gram).gram)
+        frame_grams = [c[0] for c in calls["eigh"]
+                       if not any(np.array_equal(c[0], g) for g in grams)]
+        assert len(frame_grams) == 1
+        for a in frame_grams + [c[0] for c in calls["qr"] + calls["svd"]]:
+            assert a.dtype == np.float64
+
+    def test_round_trip_keeps_the_report(self, tmp_path):
+        # a v1 file loads U as complex128 with a zero imaginary part, which
+        # check_witness takes back to the same float64 U
+        t, w = _translated(uniform_gram(8, -0.5 / 7))
+        assert w.unitary.dtype == np.float64
+        path = str(tmp_path / "w.json")
+        qio.save_witness(w, path)
+        back = qio.load_witness(path)
+        assert back.unitary.dtype == np.complex128 and not back.unitary.imag.any()
+        a, b = check_witness(t, w), check_witness(t, back)
+        assert a.passed and b.passed
+        assert (a.r1, a.r3, a.unitarity) == (b.r1, b.r3, b.unitarity)
 
 
 class TestOverlapResidual:
