@@ -80,6 +80,6 @@ print(f"feasible point found: {probe.found} "
 
 print("\n=== exact cloning of a classical text ===")
 t_id = validate_text(np.eye(3))
-w0 = translate(t_id, q0=True)
+w0 = translate(t_id, force_sign=0)
 rep = check_witness(t_id, w0)
 print(f"Q = {w0.Q}, overlap residual = {rep.r1} (exactly zero)")

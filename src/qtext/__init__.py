@@ -50,7 +50,6 @@ from .graphs import (
 )
 from .translation import (
     DegenerateB,
-    DegenerateNormalizer,
     DimensionMismatch,
     GramMismatch,
     Infeasible,

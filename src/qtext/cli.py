@@ -13,8 +13,8 @@ malformed input exits 2 before any work starts; it then runs the handler
 on the loaded objects and maps a raised error through the subcommand's
 table, first matching class first.  An output that cannot be written
 (an `OSError` of the work) exits 2 as well; any other error propagates.
-Every file is written as `json.dumps(obj, indent=2, sort_keys=True)` and
-a newline, rendered before the file is opened.
+Every file is written by `io.dump_json`, the bytes of its `json.dumps`
+reference and a newline, rendered before the file is opened.
 """
 
 from __future__ import annotations
@@ -106,9 +106,9 @@ def _cmd_classify(args, t) -> int:
 
 
 def _cmd_translate(args, t) -> int:
-    sign = {"+": +1, "-": -1}.get(args.sign)
+    sign = 0 if args.q0 else {"+": +1, "-": -1}.get(args.sign)
     try:
-        w = translate(t, force_sign=sign, q0=args.q0)
+        w = translate(t, force_sign=sign)
     except Untranslatable as exc:
         # a refusal is a result: the decision is the output
         qio.dump_json(qio.decision_to_dict(exc.decision), args.output)

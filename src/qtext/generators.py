@@ -18,7 +18,7 @@ import numpy as np
 from .texts import DISTINCT_TOL, Text, embed_text, null_index_set, psd_tol, validate_text
 from .graphs import SimpleGraph, _adjacency, graph_of_text
 from .translation import (B_FLOOR, EQ4_TOL, MODULUS_CAP, TranslationWitness,
-                          forced_outputs, overlap_residual, q_from_Q)
+                          _forced_entries, forced_outputs, overlap_residual, q_from_Q)
 from .classify import hadamard_inverse_signature
 
 
@@ -169,8 +169,9 @@ def _skipped(yt: np.ndarray, Bmin: np.ndarray, best: float,
     lower `best`, read off the upper triangle alone.
 
     yt      : (m, T) upper triangles of the output Grams, free values placed,
-              in `np.triu_indices` order; any evaluation of the forced
-              entries, not necessarily the one the full Y gets
+              in `np.triu_indices` order; the forced entries are
+              `_forced_entries` on the triangle, which may differ from its
+              evaluation on the full Y in the last bits
     Bmin    : (m,) smallest B = 1 + Q |a_i|^2 of each sample
     nullok, nullpen : the null-residual test and term, None without
               orthogonal pairs
@@ -300,27 +301,27 @@ def oracle_feasible(t: Text, samples: int = 100000, seed: int = 0,
     batch runs in two stages.
 
     Stage 1 takes every sample on the upper triangle of Y alone: the
-    forced entries, the free values and the null term.  `_skipped` then
-    drops every sample that has B <= 1e-12, or that provably fails an
-    acceptance test while a lower bound on its penalty is at least the
-    best penalty from before the batch, in two tiers.  Tier 1 bounds the
-    modulus and PSD terms of every sample; its PSD bound is Rayleigh's,
-    lambda_min(Y) <= x^H Y x for a unit x, with x the eigenvector of the
-    probe's smallest eigenvalue when that is negative.  Tier 2 takes the
-    samples tier 1 keeps and asks for the PSD term that would lift their
-    bound to the best, c^2: a Cholesky factorization of the triangle's
-    Hermitian matrix, shifted by a little more than c, that fails in
-    floats proves lambda_min(Y) < -c.  The triangle may differ from the
-    full Y in the last bits (another loop, FMA), so the margins cover
-    that, the rounding of the bounds, the backward error of `eigvalsh`
-    and the rounding of the factorization.
+    forced entries (`_forced_entries` on the triangle), the free values
+    and the null term.  `_skipped` then drops every sample that has
+    B <= 1e-12, or that provably fails an acceptance test while a lower
+    bound on its penalty is at least the best penalty from before the
+    batch, in two tiers.  Tier 1 bounds the modulus and PSD terms of every
+    sample; its PSD bound is Rayleigh's, lambda_min(Y) <= x^H Y x for a
+    unit x, with x the eigenvector of the probe's smallest eigenvalue when
+    that is negative.  Tier 2 takes the samples tier 1 keeps and asks for
+    the PSD term that would lift their bound to the best, c^2: a Cholesky
+    factorization of the triangle's Hermitian matrix, shifted by a little
+    more than c, that fails in floats proves lambda_min(Y) < -c.  The
+    triangle may differ from the full Y in the last bits (another loop,
+    FMA), so the margins cover that, the rounding of the bounds, the
+    backward error of `eigvalsh` and the rounding of the factorization.
 
-    Stage 2 builds the full Y of the kept samples alone, then runs the
-    modulus and null tests, `eigvalsh`, the penalty and the acceptance
-    test on them; a batch that keeps none skips it, unless it is the last.
-    A skipped sample could neither be accepted nor lower the best, so the
-    prune is exact: the report is the one the unpruned evaluation gives,
-    bit for bit, with the same draws.
+    Stage 2 builds the full Y of the kept samples alone (`forced_outputs`),
+    then runs the modulus and null tests, `eigvalsh`, the penalty and the
+    acceptance test on them; a batch that keeps none skips it, unless it is
+    the last.  A skipped sample could neither be accepted nor lower the
+    best, so the prune is exact: the report is the one the unpruned
+    evaluation gives, bit for bit, with the same draws.
     """
     rng = np.random.default_rng([seed, 1618])
     emb = embed_text(t, pad_extra_dim=True)
@@ -361,9 +362,7 @@ def oracle_feasible(t: Text, samples: int = 100000, seed: int = 0,
         A = tablets @ E.conj()
         B = 1.0 + Q[:, None] * np.abs(A) ** 2
         safeB = np.where(B > B_FLOOR, B, 1.0)
-        yt = z[iu] + Q[:, None] * (A[:, iu[0]] * A[:, iu[1]].conj())
-        with np.errstate(divide="ignore", invalid="ignore"):
-            yt /= np.sqrt(safeB[:, iu[0]] * safeB[:, iu[1]]) * zden[iu]
+        yt = _forced_entries(z, zden, Q[:, None], A, safeB, *iu)
         yt[:, free_u] = free_vals
         if free_i.size:
             # orthogonal input pairs still constrain the tablet:

@@ -38,7 +38,8 @@ from .texts import (
     text_properties,
     validate_text,
 )
-from .graphs import SimpleGraph, graph_of_text, read_well_split, recognize
+from .graphs import (SimpleGraph, WellSplitParts, graph_of_text, read_well_split,
+                     recognize)
 from .classify import (
     REASON_OK_CLASSICAL,
     SIGNATURE_SCALE,
@@ -276,16 +277,16 @@ def _mixed_witness(t: Text, core: list[int], anchors: dict[int, int],
     anchors, on a text without orthogonal pairs), behind `translate` and
     `realize_graph`: the `_eigen_overlaps` overlaps o at Q = sign sqrt(lo hi),
     the geometric middle of their feasible |Q| interval, as one bare
-    witness on the whole text.
+    witness on the whole text.  `_route` is its one caller.
 
     It is the core's eigenvector route and a chain of one-pendant
     attachments in closed form (the referee in `tests/conftest.py` takes
     the steps one at a time): the chain ends in the unit tablet with
     overlaps o, so the interval in the final Q needs no bound of its own
-    for the chain.  It is cut where a pendant's output
-    overlap with its anchor, 1 / sqrt(B_anchor), would reach
-    1 - DISTINCT_TOL ("pendant").  Isolated states keep zero overlap and a fresh output.  One
-    eigvalsh refuses a core output Gram below validate_text's -psd_tol(k).
+    for the chain.  It is cut where a pendant's output overlap with its
+    anchor, 1 / sqrt(B_anchor), would reach 1 - DISTINCT_TOL ("pendant").
+    Isolated states keep zero overlap and a fresh output.  One eigvalsh
+    refuses a core output Gram below validate_text's -psd_tol(k).
     """
     o, iv = _eigen_overlaps(t, core, sign)
     if o is None:
@@ -305,20 +306,17 @@ def _mixed_witness(t: Text, core: list[int], anchors: dict[int, int],
     return SearchOutcome(witness_from_overlaps(t, Q, o, _pendant_rows(Y0, anchors, B)), iv)
 
 
-def translate(t: Text, force_sign: int | None = None,
-              q0: bool = False) -> TranslationWitness:
+def translate(t: Text, force_sign: int | None = None) -> TranslationWitness:
     """Decide, construct, and verify a translation of a text.
 
     Raises Untranslatable(decision) when the classifier refuses, and
     SearchBudgetExhausted, naming the constraints on Q that bind, when
     `force_sign` is a sign of Q the classifier does not admit or when the
-    closed-form construction yields no verified witness.  With q0=True only
-    classical texts are accepted and the clone construction is used; it
-    excludes `force_sign` (ValueError).  Every route ends in `_finish`.
+    closed-form construction yields no verified witness.  force_sign=0 is
+    the sign of Q = 0: `decide_zero_translatable` admits the classical
+    texts alone, and they are cloned.  Every route ends in `_finish`.
     """
-    if q0 and force_sign is not None:
-        raise ValueError("q0 and force_sign exclude each other")
-    return _finish(t, _construct(t, force_sign, q0))
+    return _finish(t, _construct(t, force_sign))
 
 
 def _finish(t: Text, w: TranslationWitness) -> TranslationWitness:
@@ -334,19 +332,14 @@ def _finish(t: Text, w: TranslationWitness) -> TranslationWitness:
     return w
 
 
-def _construct(t: Text, force_sign: int | None, q0: bool) -> TranslationWitness:
+def _construct(t: Text, force_sign: int | None) -> TranslationWitness:
     """The bare witness that `translate` finishes."""
-    if q0:
-        d = decide_zero_translatable(t)
-        if not d.translatable:
-            raise Untranslatable(d)
-        return clone_classical(t)
-    decision = decide_translatable(t)
+    decision = decide_zero_translatable(t) if force_sign == 0 else decide_translatable(t)
     if not decision.translatable:
         raise Untranslatable(decision)
     # on a translatable text OK_CLASSICAL is exactly props.classical
     if decision.reason == REASON_OK_CLASSICAL:
-        if force_sign is None:
+        if not force_sign:
             return clone_classical(t)
         # any sign works on an orthogonal family: a tablet orthogonal to
         # every state leaves all output overlaps free
@@ -360,7 +353,13 @@ def _construct(t: Text, force_sign: int | None, q0: bool) -> TranslationWitness:
                 f"sign(Q) = {force_sign} is not admissible for this text; "
                 f"admissible: {sorted(signs)}")
         signs = frozenset({force_sign})
-    parts, refusals = decision.decomposition, []
+    return _route(t, decision.decomposition, signs)
+
+
+def _route(t: Text, parts: WellSplitParts, signs: frozenset[int]) -> TranslationWitness:
+    """`_mixed_witness` on `parts` for each of `signs`, + first: the first
+    bare witness, or SearchBudgetExhausted naming every sign's refusal."""
+    refusals = []
     for sign in sorted(signs, reverse=True):
         out = _mixed_witness(t, list(parts.core), parts.anchors, sign)
         if out.witness is not None:
@@ -381,8 +380,8 @@ def realize_graph(g: SimpleGraph) -> RealizeResult:
 
     Clique states share a negative overlap z, each pendant overlaps its
     anchor only, and isolated vertices become orthogonal summands.  The text
-    is certified through the one route, `_mixed_witness` with Q > 0 on the
-    parts of the one `recognize` call: its witness is `translate(text)`'s.
+    is certified through `_route` with Q > 0 on the parts of the one
+    `recognize` call, as in `translate`: its witness is `translate(text)`'s.
     """
     rec = recognize(g)
     if not g.edges:
@@ -409,7 +408,5 @@ def realize_graph(g: SimpleGraph) -> RealizeResult:
     text = validate_text(gram)
     if graph_of_text(text) != g:
         raise SynthError("internal: realized text has the wrong overlap graph")
-    out = _mixed_witness(text, core, parts.anchors, +1)
-    if out.witness is None:
-        raise SearchBudgetExhausted(out.refusal(+1))
-    return RealizeResult(text=text, witness=_finish(text, out.witness))
+    witness = _finish(text, _route(text, parts, frozenset({+1})))
+    return RealizeResult(text=text, witness=witness)

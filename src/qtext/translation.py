@@ -45,7 +45,6 @@ B_FLOOR = 1e-12
 # a bound of the feasible set: constructed output overlaps stay at or below
 # this modulus, a margin inside validate_text's 1 - 1e-12
 MODULUS_CAP = 1.0 - 1e-6
-NORMALIZER_FLOOR = 1e-12
 FRAME_RANK_TOL = 1e-12
 
 
@@ -54,10 +53,6 @@ class TranslationError(ValueError):
 
 
 class QOutOfRange(TranslationError):
-    pass
-
-
-class DegenerateNormalizer(TranslationError):
     pass
 
 
@@ -116,14 +111,16 @@ def build_omega(emb: StateEmbedding, tablet: np.ndarray, q: complex) -> np.ndarr
     """Frame states Omega_i, as the columns of a D x n matrix on the doubled
     space of an embedding (D = dim^2).
 
-    A_i = 1 + |q|^2 + 2 Re(q) |<psi_i|psi_0>|^2 must stay above 1e-12.
+    The normalizer A_i = 1 + |q|^2 + 2 Re(q) |<psi_i|psi_0>|^2 is
+    (1 + |q|^2) B_i; B_i at or below B_FLOOR raises DegenerateB.
     """
     q = complex(q)
     tablet = np.array(tablet, dtype=complex)
     a = tablet_overlaps(emb, tablet)
     A = 1.0 + abs(q) ** 2 + 2.0 * q.real * np.abs(a) ** 2
-    if np.min(A) <= NORMALIZER_FLOOR:
-        raise DegenerateNormalizer(f"min A_i = {np.min(A):.3e}")
+    B = A / (1.0 + abs(q) ** 2)
+    if np.min(B) <= B_FLOOR:
+        raise DegenerateB(f"min B_i = {np.min(B):.3e}")
     V = emb.vectors
     D, n = V.shape[0] ** 2, V.shape[1]
     # column i is kron(psi_i, tablet) + q kron(tablet, psi_i)
@@ -194,18 +191,27 @@ def overlap_residual(t: Text, Q: float, overlaps: np.ndarray,
     return float(np.max(resid[iu]))
 
 
+def _forced_entries(z, zden, Q, A, B, i, j):
+    """Output overlaps the overlap conditions force on the pairs (i, j),
+    (z_ij + Q A_i conj(A_j)) / (sqrt(B_i B_j) zden_ij), broadcast, with the
+    state last in A and B; zden is z with nonzero values where the caller
+    fills in free entries.  Each pair gather is taken where the expression
+    needs it, so an oracle batch never holds all four at once.  The route
+    (through `forced_outputs`) and both oracle stages evaluate it."""
+    y = z[i, j] + Q * (A[..., i] * A[..., j].conj())
+    with np.errstate(divide="ignore", invalid="ignore"):
+        y /= np.sqrt(B[..., i] * B[..., j]) * zden[i, j]
+    return y
+
+
 def forced_outputs(z: np.ndarray, zden: np.ndarray, Q: np.ndarray, A: np.ndarray,
                    B: np.ndarray) -> np.ndarray:
     """Output Grams forced by a batch of samples, one per row of Q, the
-    overlaps A and B = 1 + Q |A|^2: Y[s, i, j] = (z_ij + Q_s A_si
-    conj(A_sj)) / (sqrt(B_si B_sj) zden_ij), with a unit diagonal.  zden is
-    z with nonzero values where the caller fills in free entries itself."""
-    Y = z[None, :, :] + Q[:, None, None] * (A[:, :, None] * A.conj()[:, None, :])
-    den = np.sqrt(B[:, :, None] * B[:, None, :])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        Y /= den * zden[None, :, :]
-    diag = np.arange(z.shape[0])
-    Y[:, diag, diag] = 1.0
+    overlaps A and B = 1 + Q |A|^2: `_forced_entries` on every pair, with
+    a unit diagonal."""
+    k = np.arange(z.shape[0])
+    Y = _forced_entries(z, zden, Q[:, None, None], A, B, k[:, None], k[None, :])
+    Y[:, k, k] = 1.0
     return Y
 
 
@@ -213,20 +219,17 @@ def witness_from_overlaps(t: Text, Q: float, overlaps: np.ndarray,
                           output: np.ndarray) -> TranslationWitness:
     """Assemble a bare witness from the overlap vector it must induce.
 
-    The tablet is reconstructed inside the span of the states (minimal
-    norm), with the remaining weight on one fresh padded coordinate.  The
-    witness has no unitary and no residuals; `translate` and
-    `realize_graph` attach both when they check it.
+    The tablet is solved for inside the span of the states (minimal norm),
+    so the Gram matrix must be nonsingular (else np.linalg.LinAlgError),
+    with the remaining weight on one fresh padded coordinate.  The witness
+    has no unitary and no residuals; `translate` and `realize_graph` attach
+    both when they check it.
     """
     q = q_from_Q(Q)
     o = np.asarray(overlaps, dtype=complex)
     emb = embed_text(t, pad_extra_dim=True)
     span = emb.vectors[:-1, :]
-    gram = t.gram
-    try:
-        coeff = np.linalg.solve(gram, o)
-    except np.linalg.LinAlgError:
-        coeff = np.linalg.lstsq(gram, o, rcond=None)[0]
+    coeff = np.linalg.solve(t.gram, o)
     tau = span @ coeff
     s2 = float(np.real(np.vdot(o, coeff)))
     if s2 > 1.0 + 1e-9:

@@ -232,18 +232,18 @@ class TestTranslate:
 
     def test_q0_on_classical_is_exact(self):
         t = validate_text(np.eye(4))
-        w = translate(t, q0=True)
+        w = translate(t, force_sign=0)
         assert w.Q == 0.0
         assert w.residuals["eq4"] == 0.0
 
-    @pytest.mark.parametrize("sign", [+1, -1])
-    def test_q0_excludes_forced_sign(self, sign):
-        with pytest.raises(ValueError, match="exclude"):
-            translate(validate_text(np.eye(3)), force_sign=sign, q0=True)
+    def test_sign_zero_is_the_default_clone(self):
+        for g in classical_texts():
+            t = validate_text(g)
+            assert_same_witness(translate(t, force_sign=0), translate(t))
 
     def test_q0_on_quantum_raises(self, uniform3):
         with pytest.raises(Untranslatable) as exc_info:
-            translate(uniform3, q0=True)
+            translate(uniform3, force_sign=0)
         assert exc_info.value.decision.reason == "Q0_NOT_CLASSICAL"
 
     def test_determinism(self, path3):
@@ -650,7 +650,7 @@ class TestOneCheckPerWitness:
         w = translate(validate_text(g))
         assert len(calls) == 1 and calls[0][1] is w
 
-    @pytest.mark.parametrize("kwargs", [{}, {"q0": True}, {"force_sign": +1},
+    @pytest.mark.parametrize("kwargs", [{}, {"force_sign": 0}, {"force_sign": +1},
                                         {"force_sign": -1}])
     def test_clone_routes_carry_final_check(self, kwargs, count_calls):
         calls = count_calls(check_witness)
@@ -781,7 +781,7 @@ class TestOneUnitaryPerWitness:
         (RANDOM3, {}),
         (with_pendant(with_pendant(RANDOM3, 0, 0.0), 0, 0.0), {}),
         (with_pendant(RANDOM3, 0, 0.1), {}),
-        (np.eye(3), {"q0": True}),
+        (np.eye(3), {"force_sign": 0}),
         (np.eye(3), {"force_sign": -1}),
     ], ids=["uniform8", "random3", "core_two_isolated", "core_pendant",
             "q0_clone", "classical_forced_sign"])

@@ -8,7 +8,6 @@ import pytest
 
 from qtext import (
     DegenerateB,
-    DegenerateNormalizer,
     DimensionMismatch,
     DuplicateStates,
     GenSpec,
@@ -22,6 +21,7 @@ from qtext import (
     check_witness,
     embed_text,
     gen_text,
+    oracle_feasible,
     overlap_residual,
     q_from_Q,
     realize_graph,
@@ -30,6 +30,7 @@ from qtext import (
     subtext,
     synthesize_unitary,
     tablet_overlaps,
+    text_properties,
     translate,
     validate_text,
     witness_from_overlaps,
@@ -116,7 +117,7 @@ class TestBuildOmega:
         # q = -1 with the tablet equal to a state of the text kills Omega_i
         emb = embed_text(uniform3)
         tab = emb.vectors[:, 0].copy()
-        with pytest.raises(DegenerateNormalizer):
+        with pytest.raises(DegenerateB):
             build_omega(emb, tab, -1.0)
 
     def test_columns_equal_kron_reference(self):
@@ -154,8 +155,19 @@ def _forced_output(t, Q, a):
 
 
 class TestOutputGram:
-    """The one forced-output kernel, translation.forced_outputs, on texts
-    without orthogonal pairs (where every output entry is forced)."""
+    """The one forced-output kernel, translation._forced_entries: through
+    forced_outputs on texts without orthogonal pairs (where every output
+    entry is forced), and the callers it serves."""
+
+    def test_route_and_both_oracle_stages_call_it(self, count_calls):
+        calls = count_calls(translation._forced_entries)
+        translate(validate_text(uniform_gram(4, 0.4)))
+        assert [np.ndim(c[-1]) for c in calls] == [2]
+        calls.clear()
+        # the probe alone: stage 1 on the triangle, stage 2 on the full Y
+        t = validate_text(with_pendant(uniform_gram(3, 0.4), 0, 0.1))
+        oracle_feasible(t, samples=1)
+        assert [np.ndim(c[-1]) for c in calls] == [1, 2]
 
     def test_two_state_zero_overlap(self):
         # z = -0.1, tablet overlap 0.4 on both states, Q = -z/t^2 = 0.625
@@ -358,7 +370,7 @@ def witness_cases():
     for n in (1, 2, 3, 8, 16, 24, 32):
         for z in ((0.4,) if n == 1 else (0.4, -0.5 / (n - 1))):
             cases[f"uniform{n}_z{z:+.3f}"] = lambda n=n, z=z: _translated(uniform_gram(n, z))
-    for kwargs in ({}, {"q0": True}, {"force_sign": +1}, {"force_sign": -1}):
+    for kwargs in ({}, {"force_sign": 0}, {"force_sign": +1}, {"force_sign": -1}):
         label = "classical3" + "".join(f"_{k}{v}" for k, v in kwargs.items())
         cases[label] = lambda kwargs=kwargs: _translated(np.eye(3), **kwargs)
     core = gen_text(GenSpec(mode="random_efficient", n=3, seed=0)).gram
@@ -584,6 +596,16 @@ class TestOverlapResidual:
         t = validate_text(np.eye(3))
         a = np.zeros(3, dtype=complex)
         assert overlap_residual(t, 0.3, a, np.eye(3, dtype=complex)) == 0.0
+
+
+def test_witness_from_overlaps_needs_a_nonsingular_gram():
+    # a valid text of three states in a plane: det = 0, not efficient
+    g = np.array([[1.0, 0.5, -0.5], [0.5, 1.0, 0.5], [-0.5, 0.5, 1.0]], dtype=complex)
+    t = validate_text(g)
+    assert np.linalg.det(g) == 0.0 and not text_properties(t).efficient
+    with pytest.raises(np.linalg.LinAlgError) as exc_info:
+        witness_from_overlaps(t, 0.0, np.zeros(3, dtype=complex), np.eye(3, dtype=complex))
+    assert isinstance(exc_info.value, ValueError)
 
 
 class TestRestrictWitness:
