@@ -15,7 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .texts import DISTINCT_TOL, Text, embed_text, null_index_set, psd_tol, validate_text
+from .texts import (DISTINCT_TOL, Text, _upper_index, embed_text, null_index_set, psd_tol,
+                    validate_text)
 from .graphs import SimpleGraph, _adjacency, graph_of_text
 from .translation import (B_FLOOR, EQ4_TOL, MODULUS_CAP, TranslationWitness,
                           _forced_entries, forced_outputs, overlap_residual, q_from_Q)
@@ -124,7 +125,7 @@ class _PruneConsts(NamedTuple):
     """What `_skipped` reads of a text; see `_prune_consts`."""
 
     n: int
-    iu: tuple[np.ndarray, np.ndarray]  # np.triu_indices(n, 1)
+    iu: tuple[np.ndarray, np.ndarray]  # _upper_index(n)
     zmin: float                        # smallest |z_ij| over non-orthogonal pairs
     tol: float                         # psd_tol(n)
     pairs: np.ndarray | None           # conj(x_i) x_j in triangle order, or None
@@ -135,7 +136,7 @@ def _prune_consts(n: int, zmin: float, x: np.ndarray | None = None) -> _PruneCon
     """The constants `_skipped` needs for an n-text, made once per oracle
     call rather than per batch; x is the vector of Rayleigh's bound, or None
     for no such bound."""
-    iu = np.triu_indices(n, 1)
+    iu = _upper_index(n)
     if x is None:
         return _PruneConsts(n, iu, zmin, psd_tol(n), None, 0.0)
     return _PruneConsts(n, iu, zmin, psd_tol(n), x[iu[0]].conj() * x[iu[1]],

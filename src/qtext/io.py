@@ -177,13 +177,16 @@ def _bracket(open_: str, items: list, close: str, level: int) -> str:
 def dump_json(obj, path: str | None) -> None:
     """Write `obj` as JSON to a path, or stdout for None or '-'.  The bytes
     are `json.dumps(obj, indent=2, sort_keys=True, default=np.ndarray.tolist)`
-    plus a newline; the text is rendered before the file is opened."""
-    blob = _encode(obj, 0) + "\n"
+    plus a newline; the text is rendered before the file is opened, and the
+    newline is written after it rather than appended to a copy of it."""
+    text = _encode(obj, 0)
     if path is None or path == "-":
-        sys.stdout.write(blob)
+        sys.stdout.write(text)
+        sys.stdout.write("\n")
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(blob)
+            fh.write(text)
+            fh.write("\n")
 
 
 def load_json(path: str) -> dict:

@@ -19,7 +19,9 @@ one `eigvalsh` confirms that Gram.  `realize_graph` certifies the text it
 builds through the same route, so its witness is `translate`'s.  The
 builders return bare witnesses (no unitary, no residuals); `translate` and
 `realize_graph` end in `_finish`, which synthesizes the unitary, runs the
-one `check_witness` and stores its r1 and r3 as the residuals.
+one check (`check_witness`'s, with the unitary's certified defect bound in
+place of the dense product when it clears the gate) and stores its r1 and
+r3 as the residuals.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .texts import (
     DISTINCT_TOL,
     Text,
     SizeMismatch,
+    _upper_index,
     psd_tol,
     subtext,
     text_properties,
@@ -50,7 +53,8 @@ from .classify import (
 from .translation import (
     TranslationWitness,
     TranslationError,
-    check_witness,
+    _certified_defect,
+    _check,
     forced_outputs,
     synthesize_unitary,
     witness_from_overlaps,
@@ -144,7 +148,7 @@ def _feasible_q(t: Text, a: np.ndarray, sign: int, q_psd: float) -> QInterval:
       that the signature of M does not admit this end proves nothing: the
       route's one eigvalsh of Y is the check.
     """
-    iu = np.triu_indices(t.n, 1)
+    iu = _upper_index(t.n)
     p = np.abs(a) ** 2
     pi, pj, z = p[iu[0]], p[iu[1]], t.gram[iu]
     cap2 = MODULUS_CAP * MODULUS_CAP
@@ -314,16 +318,21 @@ def translate(t: Text, force_sign: int | None = None) -> TranslationWitness:
     `force_sign` is a sign of Q the classifier does not admit or when the
     closed-form construction yields no verified witness.  force_sign=0 is
     the sign of Q = 0: `decide_zero_translatable` admits the classical
-    texts alone, and they are cloned.  Every route ends in `_finish`.
+    texts alone, and they are cloned.  Any other value than None, -1, 0 or
+    +1 raises ValueError.  Every route ends in `_finish`.
     """
     return _finish(t, _construct(t, force_sign))
 
 
 def _finish(t: Text, w: TranslationWitness) -> TranslationWitness:
     """Give a bare witness its unitary and check it once; the check's r1 and
-    r3 become its residuals.  Raises SearchBudgetExhausted if it fails."""
+    r3 become its residuals.  Raises SearchBudgetExhausted if it fails.
+
+    The check is `check_witness`'s with `_certified_defect` for the
+    unitarity defect, so it decides as `check_witness` does, without the
+    dense product whenever U's certified bound clears the gate."""
     w.unitary = synthesize_unitary(t, w)
-    report = check_witness(t, w)
+    report = _check(t, w, _certified_defect)
     if not report.passed:
         raise SearchBudgetExhausted(
             f"constructed witness failed verification: r1={report.r1:.3e}, "
@@ -334,6 +343,8 @@ def _finish(t: Text, w: TranslationWitness) -> TranslationWitness:
 
 def _construct(t: Text, force_sign: int | None) -> TranslationWitness:
     """The bare witness that `translate` finishes."""
+    if force_sign not in (None, -1, 0, +1):
+        raise ValueError(f"force_sign must be None, -1, 0 or +1, got {force_sign!r}")
     decision = decide_zero_translatable(t) if force_sign == 0 else decide_translatable(t)
     if not decision.translatable:
         raise Untranslatable(decision)

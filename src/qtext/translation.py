@@ -23,6 +23,7 @@ them wherever they are needed.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +31,7 @@ import numpy as np
 from .texts import (
     Text,
     StateEmbedding,
+    _upper_index,
     embed_text,
     subtext,
     validate_text,
@@ -46,6 +48,7 @@ B_FLOOR = 1e-12
 # this modulus, a margin inside validate_text's 1 - 1e-12
 MODULUS_CAP = 1.0 - 1e-6
 FRAME_RANK_TOL = 1e-12
+_ROUNDOFF = 2.0 ** -53
 
 
 class TranslationError(ValueError):
@@ -185,7 +188,7 @@ def overlap_residual(t: Text, Q: float, overlaps: np.ndarray,
     lhs = t.gram + Q * np.outer(a, a.conj())
     rhs = np.sqrt(np.outer(B, B)) * output * t.gram
     resid = np.abs(lhs - rhs)
-    iu = np.triu_indices(t.n, k=1)
+    iu = _upper_index(t.n)
     if iu[0].size == 0:
         return 0.0
     return float(np.max(resid[iu]))
@@ -271,6 +274,12 @@ def check_witness(t: Text, w: TranslationWitness) -> WitnessReport:
     the in-memory check.  The defect is computed in real arithmetic by
     `_unitarity_defect`, within rounding of the complex product's value.
     """
+    return _check(t, w, _unitarity_defect)
+
+
+def _check(t: Text, w: TranslationWitness, defect) -> WitnessReport:
+    """`check_witness`, with the unitarity defect of the float64 or
+    complex U taken as `defect(U)`."""
     if not abs(Q_from_q(w.q) - w.Q) <= Q_CONSISTENCY_TOL:
         raise QOutOfRange(f"q = {w.q} does not represent Q = {w.Q}")
     tablet = np.asarray(w.tablet, dtype=complex)
@@ -300,7 +309,7 @@ def check_witness(t: Text, w: TranslationWitness) -> WitnessReport:
         D = emb.vectors.shape[0] ** 2
         if U.shape != (D, D):
             raise DimensionMismatch(f"unitary has shape {U.shape}, expected {(D, D)}")
-        unitarity = _unitarity_defect(U)
+        unitarity = defect(U)
         omegas = _real_if_exact(build_omega(emb, tablet, w.q))
         targets = _product_targets(out, emb)
         r3 = float(np.max(np.linalg.norm(U @ omegas - targets, axis=0)))
@@ -392,9 +401,16 @@ def synthesize_unitary(t: Text, w: TranslationWitness) -> np.ndarray:
     costs O(D^2 k), and the result is deterministic.  Frames and targets
     whose imaginary parts are all exactly zero are taken as float64, so a
     real text runs every factorization real, completes in R^m, and gets a
-    float64 U.  The unitary is not checked here; that is `check_witness`'s
-    job.
+    float64 U.  The unitary is not checked here, but `_defect_bound`
+    bounds its defect from the factors, in O(D m^2); `synth._finish` takes
+    that bound in place of the dense product when it clears the gate
+    (`_certified_defect`), and `check_witness` always takes the product.
     """
+    return _factored_unitary(*_unitary_factors(t, w))
+
+
+def _unitary_factors(t: Text, w: TranslationWitness) -> tuple[np.ndarray, np.ndarray]:
+    """E and W = V - I of `synthesize_unitary`'s U = I + E W E^H."""
     tablet = np.asarray(w.tablet, dtype=complex)
     emb = _embedding_for_tablet(t, len(tablet))
     A = _real_if_exact(build_omega(emb, tablet, w.q))
@@ -421,9 +437,114 @@ def synthesize_unitary(t: Text, w: TranslationWitness) -> np.ndarray:
     cq = np.linalg.qr(q, mode="complete")[0][:, k:]
     V = np.hstack([q, cq]) @ np.hstack([p, cp]).conj().T
     V[np.diag_indices(len(V))] -= 1.0
-    U = (E @ V) @ Eh
+    return E, V
+
+
+# The last U that `_factored_unitary` formed, held by a weak reference, and
+# the bound `_defect_bound` certified for it.  `_certified_defect` gives the
+# bound back for that very array alone, so an entry another call left
+# behind costs the dense product, never a wrong answer.
+_certificate = (lambda: None, np.inf)
+
+
+def _factored_unitary(E: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """U = I + E W E^H, formed as fl(I + fl(fl(E W) E^H)), with its
+    `_defect_bound` kept in `_certificate`."""
+    global _certificate
+    T = E @ W
+    U = T @ E.conj().T
     U[np.diag_indices(len(U))] += 1.0
+    _certificate = (weakref.ref(U), _defect_bound(E, W, T, U))
     return U
+
+
+def _gamma(k: int) -> float:
+    """gamma_k = k u / (1 - k u), u = 2^-53 the unit roundoff."""
+    return k * _ROUNDOFF / (1.0 - k * _ROUNDOFF)
+
+
+def _defect_bound(E: np.ndarray, W: np.ndarray, T: np.ndarray, U: np.ndarray) -> float:
+    """An upper bound on max |U^H U - I| of U = fl(I + fl(T E^H)),
+    T = fl(E W), with E of size D x m and W of size m x m, from
+    O(D m^2) work and no D x D product.
+
+    Exact part.  With V = I + W and G = E^H E, the exact
+    U~ = I + E W E^H has
+        U~^H U~ - I = E (V^H V - I) E^H + E W^H (G - I) W E^H,
+    so ||U~^H U~ - I||_2 <= eU = e2 (eV + w2 eG), where each factor
+    bounds a 2-norm through ||X||_2 <= ||X||_F on m x m data, c_k the
+    rounding constant of a product with inner dimension k (below):
+    * ||G - I||_2 <= eG = ||fl(E^H E) - I||_F + c_D ||E||_F^2: entry (i, j)
+      of the product errs by at most c_D |e_i| |e_j| (Higham, Accuracy
+      and Stability of Numerical Algorithms, 2nd ed., §3.5), a matrix of
+      Frobenius norm c_D ||E||_F^2;
+    * ||V^H V - I||_2 <= eV = ||fl(fl(W^H W) + W + W^H)||_F
+      + c_(m+6) ||W||_F (||W||_F + 1): the product errs by c_m |w_i| |w_j|,
+      the two additions by at most 3u (|w_i| |w_j| + |W_ij| + |W_ji|)
+      together, and c_(m+6) >= c_m + 6u;
+    * ||E||_2^2 = ||G||_2 <= e2 = 1 + eG;
+    * ||W||_2^2 <= w2 = min(||W||_F^2, (1 + sqrt(1 + eV))^2), since
+      ||V||_2^2 <= 1 + eV.
+    Rounding part.  U = U~ + Delta: T errs by at most c_m |E| |W|
+    entrywise, T E^H by c_m |T| |E^H| and adding I by gamma_1 |u_jj|.
+    Column j of the first two is a matrix times column j of E^H, of norm
+    at most ||E||_2 <= sqrt(e2), and || |A| ||_2 <= ||A||_F, so every column of Delta
+    has norm at most
+        d = sqrt(e2) c_m (||E||_F ||W||_F + ||T||_F) + gamma_1 max_j |u_jj|.
+    Every column of U~ has norm at most ||U~||_2 <= sqrt(1 + eU), so each
+    entry of U^H U - I is at most eU + 2 sqrt(1 + eU) d + d^2.
+
+    c_k = gamma_k for float64 factors.  A complex BLAS product may sum the
+    real and the imaginary part of an entry over 2k real products each,
+    so c_k = sqrt(2) gamma_2k for complex ones.  No subtraction enters the
+    bound, so the rounding of its own evaluation is relative: each
+    Frobenius norm, of at most 2 D m squares, is within gamma_(2Dm+2) of
+    its exact value, no product in the formula holds more than eight
+    norms, and the factor 1 + 2^-20 covers them and the formula's own few
+    dozen roundings while D m <= 2^27; a larger pair gets no bound (inf).
+    NaN in a factor gives NaN, which clears no gate.
+    """
+    D, m = E.shape
+    if D * m > 1 << 27:
+        return np.inf
+    complex_ = np.iscomplexobj(U)
+
+    def c(k):
+        return np.sqrt(2.0) * _gamma(2 * k) if complex_ else _gamma(k)
+
+    G = E.conj().T @ E
+    G[np.diag_indices(m)] -= 1.0
+    X = W.conj().T @ W
+    X += W
+    X += W.conj().T
+    e, w = np.linalg.norm(E), np.linalg.norm(W)
+    eG = np.linalg.norm(G) + c(D) * e * e
+    eV = np.linalg.norm(X) + c(m + 6) * w * (w + 1.0)
+    e2 = 1.0 + eG
+    w2 = min(w * w, (1.0 + np.sqrt(1.0 + eV)) ** 2)
+    eU = e2 * (eV + w2 * eG)
+    d = (np.sqrt(e2) * c(m) * (e * w + np.linalg.norm(T))
+         + _gamma(1) * np.max(np.abs(np.diagonal(U))))
+    return float((eU + 2.0 * np.sqrt(1.0 + eU) * d + d * d) * (1.0 + 2.0 ** -20))
+
+
+def _certified_defect(U: np.ndarray) -> float:
+    """The bound `_defect_bound` certified for U, when it clears
+    UNITARITY_TOL with room for the dense kernel's rounding; else
+    `_unitarity_defect(U)`.
+
+    `_unitarity_defect` returns the exact defect of U to within
+    sqrt(2) gamma_2D max_j |u_j|^2 plus a few roundings of the result, and
+    max_j |u_j|^2 <= 1 + b for an exact defect at most b.  So when
+    b + 2 sqrt(2) gamma_2D (1 + b) <= UNITARITY_TOL, the factor 2 covering
+    those roundings and this comparison's own, the dense value passes the
+    gate too, and taking b changes no decision.
+    """
+    ref, bound = _certificate
+    if ref() is U and (bound + 2.0 * np.sqrt(2.0) * _gamma(2 * len(U)) * (1.0 + bound)
+                       <= UNITARITY_TOL):
+        return bound
+    return _unitarity_defect(U)
 
 
 def restrict_witness(t: Text, w: TranslationWitness, indices) -> TranslationWitness:

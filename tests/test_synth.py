@@ -230,6 +230,13 @@ class TestTranslate:
             assert np.sign(w.Q) == sign
             assert check_witness(t, w).passed
 
+    @pytest.mark.parametrize("sign", [2, 0.5, 40])
+    def test_force_sign_outside_the_signs_raises(self, sign, uniform3):
+        # on a classical text such a value used to scale FORCED_SIGN_Q
+        for t in (validate_text(np.eye(3)), uniform3):
+            with pytest.raises(ValueError, match="force_sign must be None, -1, 0 or"):
+                translate(t, force_sign=sign)
+
     def test_q0_on_classical_is_exact(self):
         t = validate_text(np.eye(4))
         w = translate(t, force_sign=0)
@@ -624,9 +631,12 @@ class TestSingularReciprocal:
 
 
 class TestOneCheckPerWitness:
+    """`synth._finish` checks each witness once, through `translation._check`,
+    the body `check_witness` shares."""
+
     @pytest.mark.parametrize("n", [3, 8])
     def test_uniform_translate_checks_once(self, n, count_calls):
-        calls = count_calls(check_witness)
+        calls = count_calls(translation._check)
         w = translate(validate_text(uniform_gram(n, 0.4)))
         assert len(calls) == 1 and calls[0][1] is w
 
@@ -636,7 +646,7 @@ class TestOneCheckPerWitness:
         ZERO_ENTRY_TEXTS["core_z0.01"],
     ], ids=["random3_seed0", "random4_seed1", "core_z0.01"])
     def test_eigen_translate_checks_once(self, gram, count_calls):
-        calls = count_calls(check_witness)
+        calls = count_calls(translation._check)
         w = translate(validate_text(gram))
         assert len(calls) == 1 and calls[0][1] is w
 
@@ -646,14 +656,14 @@ class TestOneCheckPerWitness:
         g = gen_text(GenSpec(mode="random_efficient", n=3, seed=0)).gram
         for anchor in pendants:
             g = with_pendant(g, anchor, 0.1)
-        calls = count_calls(check_witness)
+        calls = count_calls(translation._check)
         w = translate(validate_text(g))
         assert len(calls) == 1 and calls[0][1] is w
 
     @pytest.mark.parametrize("kwargs", [{}, {"force_sign": 0}, {"force_sign": +1},
                                         {"force_sign": -1}])
     def test_clone_routes_carry_final_check(self, kwargs, count_calls):
-        calls = count_calls(check_witness)
+        calls = count_calls(translation._check)
         t = validate_text(np.eye(3))
         w = translate(t, **kwargs)
         assert len(calls) == 1
@@ -677,7 +687,7 @@ class TestOneCheckPerWitness:
             assert w.unitary is None and w.residuals == {}
 
     def test_edgeless_realization_is_checked(self, count_calls):
-        calls = count_calls(check_witness)
+        calls = count_calls(translation._check)
         res = realize_graph(make_graph(3, []))
         assert len(calls) == 1
         rep = check_witness(res.text, res.witness)

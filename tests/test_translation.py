@@ -13,6 +13,7 @@ from qtext import (
     GenSpec,
     GramMismatch,
     QOutOfRange,
+    SearchBudgetExhausted,
     TranslationError,
     TranslationWitness,
     WellSplitShape,
@@ -36,7 +37,7 @@ from qtext import (
     witness_from_overlaps,
 )
 from qtext import io as qio
-from qtext import translation
+from qtext import synth, translation
 from tests.conftest import off_frame_stretch, uniform_gram
 from tests.test_synth import with_pendant
 
@@ -589,6 +590,81 @@ class TestRealUnitary:
         a, b = check_witness(t, w), check_witness(t, back)
         assert a.passed and b.passed
         assert (a.r1, a.r3, a.unitarity) == (b.r1, b.r3, b.unitarity)
+
+
+def _certified(t, w):
+    """A fresh synthesis of w's unitary and the defect bound certified for
+    it."""
+    U = synthesize_unitary(t, w)
+    ref, bound = translation._certificate
+    assert ref() is U
+    return U, bound
+
+
+class TestDefectCertificate:
+    """`synthesize_unitary` bounds the defect of its U from the factors;
+    `synth._finish` takes the bound in place of the dense product only when
+    it clears the gate with room for the product's rounding."""
+
+    def test_bound_covers_the_defect_and_clears_the_gate(self, finished, count_calls):
+        t, w = finished
+        U, bound = _certified(t, w)
+        assert U.tobytes() == np.asarray(w.unitary).tobytes()
+        assert translation._unitarity_defect(U) <= bound < translation.UNITARITY_TOL
+        dense = count_calls(translation._unitarity_defect)
+        assert translation._certified_defect(U) == bound
+        assert dense == []
+
+    def test_bound_is_for_that_array_alone(self, count_calls):
+        t, w = _translated(uniform_gram(8, 0.4))
+        U, _ = _certified(t, w)
+        dense = count_calls(translation._unitarity_defect)
+        copy = U.copy()
+        assert translation._certified_defect(copy) == translation._unitarity_defect(U)
+        assert len(dense) == 2 and dense[0][0] is copy
+
+    @pytest.mark.parametrize("factor, size", [(0, 1e-9), (0, 1e-11), (1, 1e-9), (1, 1e-11)],
+                             ids=["E_1e-9", "E_1e-11", "W_1e-9", "W_1e-11"])
+    def test_perturbed_factor_falls_back_to_the_dense_check(self, factor, size,
+                                                            monkeypatch, count_calls):
+        # a perturbation of 1e-9 fails both checks; one of 1e-11 leaves the
+        # dense defect under the gate but not the bound, so the dense
+        # product decides and the witness passes
+        t = validate_text(uniform_gram(8, 0.4))
+        rng = np.random.default_rng(5)
+        unperturbed = translation._unitary_factors
+
+        def perturbed(*args):
+            factors = list(unperturbed(*args))
+            factors[factor] = factors[factor] + size * rng.standard_normal(factors[factor].shape)
+            return tuple(factors)
+
+        monkeypatch.setattr(translation, "_unitary_factors", perturbed)
+        w = synth._construct(t, None)
+        dense = count_calls(translation._unitarity_defect)
+        try:
+            synth._finish(t, w)
+            passed = True
+        except SearchBudgetExhausted:
+            passed = False
+        assert len(dense) == 1 and dense[0][0] is w.unitary
+        assert translation._certificate[1] >= translation._unitarity_defect(w.unitary)
+        rep = check_witness(t, w)
+        assert passed == rep.passed == (size < 1e-10)
+        if passed:
+            assert w.residuals == {"eq4": rep.r1, "eq2": rep.r3}
+
+    @pytest.mark.parametrize("gram", [uniform_gram(24, -0.02), _noisy_classical(24, 7)],
+                             ids=["uniform24", "noisy_classical24"])
+    def test_translate_runs_no_dense_product(self, gram, count_calls):
+        t = validate_text(gram)
+        dense = count_calls(translation._unitarity_defect)
+        w = translate(t)
+        assert dense == []
+        rep = check_witness(t, w)
+        assert len(dense) == 1 and dense[0][0] is w.unitary
+        assert rep.passed and w.residuals == {"eq4": rep.r1, "eq2": rep.r3}
+        assert rep == translation._check(t, w, translation._unitarity_defect)
 
 
 class TestOverlapResidual:
