@@ -19,14 +19,15 @@ one `eigvalsh` confirms that Gram.  `realize_graph` certifies the text it
 builds through the same route, so its witness is `translate`'s.  The
 builders return bare witnesses (no unitary, no residuals); `translate` and
 `realize_graph` end in `_finish`, which synthesizes the unitary, runs the
-one check (`check_witness`'s, with the unitary's certified defect bound in
-place of the dense product when it clears the gate) and stores its r1 and
-r3 as the residuals.
+one check (`check_witness`'s, on the frames the unitary was built from,
+with the unitary's factor bound in place of any other defect when it
+clears the gate) and stores its r1 and r3 as the residuals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 import scipy  # unused here; perfbench/tracing.py patches synth.scipy.optimize
@@ -55,6 +56,7 @@ from .translation import (
     TranslationError,
     _certified_defect,
     _check,
+    _witness_frames,
     forced_outputs,
     synthesize_unitary,
     witness_from_overlaps,
@@ -328,11 +330,13 @@ def _finish(t: Text, w: TranslationWitness) -> TranslationWitness:
     """Give a bare witness its unitary and check it once; the check's r1 and
     r3 become its residuals.  Raises SearchBudgetExhausted if it fails.
 
-    The check is `check_witness`'s with `_certified_defect` for the
-    unitarity defect, so it decides as `check_witness` does, without the
-    dense product whenever U's certified bound clears the gate."""
-    w.unitary = synthesize_unitary(t, w)
-    report = _check(t, w, _certified_defect)
+    The check is `check_witness`'s, on the frames U was built from, with
+    `_certified_defect` for the unitarity defect: U's factor bound when it
+    clears the gate, else the defect `check_witness` takes.  So it decides
+    as `check_witness` does."""
+    frames = _witness_frames(t, w)
+    w.unitary = synthesize_unitary(t, w, frames)
+    report = _check(t, w, partial(_certified_defect, frames=frames), frames)
     if not report.passed:
         raise SearchBudgetExhausted(
             f"constructed witness failed verification: r1={report.r1:.3e}, "

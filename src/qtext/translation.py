@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -142,7 +143,11 @@ class TranslationWitness:
     output_gram   : Gram matrix of the output text
     unitary       : optional unitary on the doubled padded space; float64
                     when the text's frames and targets are exactly real,
-                    complex128 otherwise and after loading from JSON
+                    complex128 otherwise and after loading from JSON;
+                    `check_witness` certifies its unitarity from U and the
+                    frames alone from D = SPAN_MIN_DIM on, and takes the
+                    dense product below that or when the bound does not
+                    clear
     residuals     : {'eq4': overlap residual, 'eq2': mapping residual}, as
                     the one check of a finished witness found them; empty
                     on a bare witness
@@ -271,15 +276,45 @@ def check_witness(t: Text, w: TranslationWitness) -> WitnessReport:
     which NaN and infinite entries fail too, before any other arithmetic.
     A U and frames whose imaginary parts are all exactly zero are taken
     as float64, so a real witness loaded as complex128 gives the bits of
-    the in-memory check.  The defect is computed in real arithmetic by
-    `_unitarity_defect`, within rounding of the complex product's value.
+    the in-memory check.
+
+    The reported unitarity is one of two values, and either decides as the
+    dense value would (`_span_defect`).  From D = SPAN_MIN_DIM on, it is
+    the upper bound that `_span_bound` certifies from U and the frames
+    alone, in O(D^2 n), whenever that bound clears the gate with room for
+    the dense kernel's rounding: about 1e-12 on a passing witness.
+    Otherwise it is the dense `_unitarity_defect`, D^3 / 2 multiply-adds
+    in real arithmetic, within rounding of the complex product's value.
     """
-    return _check(t, w, _unitarity_defect)
+    return _check(t, w)
 
 
-def _check(t: Text, w: TranslationWitness, defect) -> WitnessReport:
+class _Frames(NamedTuple):
+    """What a witness's unitary is built and checked on: the embedding of
+    its tablet, and the frame states Omega and the targets chi (x) psi as
+    columns, each float64 when its imaginary parts are all exactly zero."""
+
+    emb: StateEmbedding
+    omegas: np.ndarray
+    targets: np.ndarray
+
+
+def _frames(emb: StateEmbedding, tablet: np.ndarray, q: complex, out: Text) -> _Frames:
+    return _Frames(emb, _real_if_exact(build_omega(emb, tablet, q)),
+                   _real_if_exact(_product_targets(out, emb)))
+
+
+def _witness_frames(t: Text, w: TranslationWitness) -> _Frames:
+    tablet = np.asarray(w.tablet, dtype=complex)
+    return _frames(_embedding_for_tablet(t, len(tablet)), tablet, w.q,
+                   validate_text(w.output_gram))
+
+
+def _check(t: Text, w: TranslationWitness, defect=None,
+           frames: _Frames | None = None) -> WitnessReport:
     """`check_witness`, with the unitarity defect of the float64 or
-    complex U taken as `defect(U)`."""
+    complex U taken as `defect(U)` when given, and on `frames`, the
+    `_witness_frames(t, w)` a caller has just built, when given."""
     if not abs(Q_from_q(w.q) - w.Q) <= Q_CONSISTENCY_TOL:
         raise QOutOfRange(f"q = {w.q} does not represent Q = {w.Q}")
     tablet = np.asarray(w.tablet, dtype=complex)
@@ -287,7 +322,7 @@ def _check(t: Text, w: TranslationWitness, defect) -> WitnessReport:
         norm = np.linalg.norm(tablet)
     if not abs(norm - 1.0) <= TABLET_NORM_TOL:
         raise TranslationError(f"tablet norm {norm:.12f} is not 1")
-    emb = _embedding_for_tablet(t, len(tablet))
+    emb = _embedding_for_tablet(t, len(tablet)) if frames is None else frames.emb
     a = tablet_overlaps(emb, tablet)
     B = 1.0 + w.Q * np.abs(a) ** 2
     if not np.min(B) > B_FLOOR:
@@ -295,11 +330,12 @@ def _check(t: Text, w: TranslationWitness, defect) -> WitnessReport:
     output = np.asarray(w.output_gram, dtype=complex)
     if not np.isfinite(output).all():
         raise TranslationError("output Gram has a non-finite entry")
-    try:
-        out = validate_text(output)
-        r2_ok, r2_error = True, None
-    except TextError as exc:
-        r2_ok, r2_error = False, f"{type(exc).__name__}: {exc}"
+    r2_ok, r2_error = True, None
+    if frames is None:
+        try:
+            out = validate_text(output)
+        except TextError as exc:
+            r2_ok, r2_error = False, f"{type(exc).__name__}: {exc}"
     r1 = overlap_residual(t, w.Q, a, output)
     r3 = None
     unitarity = None
@@ -309,10 +345,10 @@ def _check(t: Text, w: TranslationWitness, defect) -> WitnessReport:
         D = emb.vectors.shape[0] ** 2
         if U.shape != (D, D):
             raise DimensionMismatch(f"unitary has shape {U.shape}, expected {(D, D)}")
-        unitarity = defect(U)
-        omegas = _real_if_exact(build_omega(emb, tablet, w.q))
-        targets = _product_targets(out, emb)
-        r3 = float(np.max(np.linalg.norm(U @ omegas - targets, axis=0)))
+        if frames is None:
+            frames = _frames(emb, tablet, w.q, out)
+        unitarity = defect(U) if defect else _span_defect(U, frames)
+        r3 = float(np.max(np.linalg.norm(U @ frames.omegas - frames.targets, axis=0)))
     passed = bool(r1 <= EQ4_TOL and r2_ok and (
         r3 is None or (r3 <= EQ2_TOL and unitarity <= UNITARITY_TOL)))
     return WitnessReport(r1=r1, r2_ok=r2_ok, r2_error=r2_error,
@@ -389,7 +425,8 @@ def _orthonormal_polar(W: np.ndarray) -> np.ndarray:
     return u @ vh
 
 
-def synthesize_unitary(t: Text, w: TranslationWitness) -> np.ndarray:
+def synthesize_unitary(t: Text, w: TranslationWitness,
+                       frames: _Frames | None = None) -> np.ndarray:
     """Unitary mapping each frame state Omega_i onto chi_i (x) psi_i.
 
     Exists iff the two families share a Gram matrix (checked at 1e-8).
@@ -403,19 +440,20 @@ def synthesize_unitary(t: Text, w: TranslationWitness) -> np.ndarray:
     real text runs every factorization real, completes in R^m, and gets a
     float64 U.  The unitary is not checked here, but `_defect_bound`
     bounds its defect from the factors, in O(D m^2); `synth._finish` takes
-    that bound in place of the dense product when it clears the gate
-    (`_certified_defect`), and `check_witness` always takes the product.
+    that bound in place of any other when it clears the gate
+    (`_certified_defect`).  `check_witness` trusts no factor: it
+    certifies U from U and the frames alone (`_span_defect`).  `frames`,
+    when given, are `_witness_frames(t, w)`, built by a caller that checks
+    U on them too.
     """
-    return _factored_unitary(*_unitary_factors(t, w))
+    if frames is None:
+        frames = _witness_frames(t, w)
+    return _factored_unitary(*_unitary_factors(frames))
 
 
-def _unitary_factors(t: Text, w: TranslationWitness) -> tuple[np.ndarray, np.ndarray]:
+def _unitary_factors(frames: _Frames) -> tuple[np.ndarray, np.ndarray]:
     """E and W = V - I of `synthesize_unitary`'s U = I + E W E^H."""
-    tablet = np.asarray(w.tablet, dtype=complex)
-    emb = _embedding_for_tablet(t, len(tablet))
-    A = _real_if_exact(build_omega(emb, tablet, w.q))
-    out = validate_text(w.output_gram)
-    Bm = _real_if_exact(_product_targets(out, emb))
+    A, Bm = frames.omegas, frames.targets
     Ga = A.conj().T @ A
     Gb = Bm.conj().T @ Bm
     mismatch = float(np.max(np.abs(Ga - Gb)))
@@ -528,23 +566,153 @@ def _defect_bound(E: np.ndarray, W: np.ndarray, T: np.ndarray, U: np.ndarray) ->
     return float((eU + 2.0 * np.sqrt(1.0 + eU) * d + d * d) * (1.0 + 2.0 ** -20))
 
 
-def _certified_defect(U: np.ndarray) -> float:
-    """The bound `_defect_bound` certified for U, when it clears
-    UNITARITY_TOL with room for the dense kernel's rounding; else
-    `_unitarity_defect(U)`.
+def _clears(bound: float, D: int) -> bool:
+    """Whether a bound b on the defect of a D x D matrix decides as
+    `_unitarity_defect` would.
 
     `_unitarity_defect` returns the exact defect of U to within
     sqrt(2) gamma_2D max_j |u_j|^2 plus a few roundings of the result, and
     max_j |u_j|^2 <= 1 + b for an exact defect at most b.  So when
     b + 2 sqrt(2) gamma_2D (1 + b) <= UNITARITY_TOL, the factor 2 covering
     those roundings and this comparison's own, the dense value passes the
-    gate too, and taking b changes no decision.
+    gate too, and taking b changes no decision.  NaN clears nothing.
     """
+    return bool(bound + 2.0 * np.sqrt(2.0) * _gamma(2 * D) * (1.0 + bound) <= UNITARITY_TOL)
+
+
+def _certified_defect(U: np.ndarray, frames: _Frames | None = None) -> float:
+    """The bound `_defect_bound` certified for U, when it `_clears`; else
+    `_span_defect(U, frames)`, the defect `check_witness` takes."""
     ref, bound = _certificate
-    if ref() is U and (bound + 2.0 * np.sqrt(2.0) * _gamma(2 * len(U)) * (1.0 + bound)
-                       <= UNITARITY_TOL):
+    if ref() is U and _clears(bound, len(U)):
         return bound
+    return _span_defect(U, frames)
+
+
+# Below this doubled-space dimension the dense product costs less than
+# `_span_bound` (one BLAS thread: equal near D = 350 on a float64 U)
+SPAN_MIN_DIM = 350
+
+
+def _span_defect(U: np.ndarray, frames: _Frames | None = None) -> float:
+    """The defect of U as `check_witness` reports it: `_span_bound` of U on
+    the n frames when D >= SPAN_MIN_DIM and D >= 16 n, where its two
+    D x 2n products cost at most half the dense D^3 / 2, and the bound
+    `_clears`; else the dense `_unitarity_defect(U)`.  A U that is not the
+    identity plus a term of rank 2n, or that holds NaN or an infinite
+    entry, gets no finite bound that clears, so the dense product decides
+    it."""
+    D = len(U)
+    if frames is not None and D >= max(SPAN_MIN_DIM, 16 * frames.omegas.shape[1]):
+        with np.errstate(all="ignore"):
+            bound = _span_bound(U, frames.omegas, frames.targets)
+        if _clears(bound, D):
+            return bound
     return _unitarity_defect(U)
+
+
+def _blocked_gram(Z: np.ndarray, c) -> tuple[np.ndarray, float]:
+    """Z^H Z of a D x k matrix, summed over about sqrt(D) row blocks of at
+    most b rows each, and c_G with |fl(Z^H Z) - Z^H Z| <= c_G |Z|^H |Z|.
+
+    Each block product errs by at most c(b) |Z_c|^H |Z_c| entrywise, c(b)
+    the rounding constant of a product with inner dimension b, and adding
+    the nb block products errs by at most gamma_nb times the sum of their
+    moduli, each at most (1 + c(b)) |Z_c|^H |Z_c|.  So
+    c_G = c(b) + gamma_nb (1 + c(b)), about 2 sqrt(D) u against the D u
+    of one product over all D rows.
+    """
+    D = len(Z)
+    b = -(-D // max(1, int(np.sqrt(D))))
+    G = Z[:b].conj().T @ Z[:b]
+    for i in range(b, D, b):
+        G += Z[i:i + b].conj().T @ Z[i:i + b]
+    nb = -(-D // b)
+    return G, c(b) + _gamma(nb) * (1.0 + c(b))
+
+
+def _span_bound(U: np.ndarray, omegas: np.ndarray, targets: np.ndarray) -> float:
+    """An upper bound on max |U^H U - I| of any D x D matrix U, read from U
+    and the frames alone, with O(D^2 m) work, m = 2n, and no D x D
+    product.  It trusts nothing of how U was made.
+
+    Let Eb (D x m) be the Householder QR basis of [Omega | chi (x) psi],
+    K = fl(U Eb), and, exactly, N = K - Eb, U0 = I + N Eb^H, S = Eb^H Eb
+    and R = U - U0.  Nothing is assumed of the arrays Eb and K: the bound
+    holds for whatever they are, and is small when U is the identity plus
+    a term inside span Eb, as a translation's unitary is.
+
+    Exact part.  Expanding K = Eb (Eb^H K) + Y gives the identity
+        U0^H U0 - I = Eb X Eb^H + Y Eb^H + Eb Y^H,
+        X = K^H K + S - 2I,  Y = K - Eb (Eb^H K),
+    so with ||Eb||_2^2 = ||S||_2 <= s and ||.||_2 <= ||.||_F,
+    ||U0^H U0 - I||_2 <= e0 = s ||X||_F + 2 sqrt(s) ||Y||_F.  Every
+    column of U0 has norm at most ||U0||_2 <= sqrt(1 + e0), and U^H U - I
+    = (U0^H U0 - I) + U0^H R + R^H U0 + R^H R, so with r >= ||R||_F each
+    entry of U^H U - I is at most e0 + 2 sqrt(1 + e0) r + r^2.
+
+    Rounding part (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., §3.5).  c_k is gamma_k for float64 data and sqrt(2) gamma_2k
+    for complex data, as in `_defect_bound`.  S^, C^ = (Eb^H K)^ and
+    (K^H K)^ are the blocks of `_blocked_gram` of Z = [Eb | K], whose
+    block for columns Z_a, Z_b errs by at most c_G ||Z_a||_F ||Z_b||_F in
+    the Frobenius norm.  With e = ||Eb||_F and k = ||K||_F:
+    * s = 1 + (1 + gamma_1) ||fl(S^ - I)||_F + c_G e^2, as
+      ||S||_2 <= 1 + ||S - I||_F;
+    * X^ = fl(fl((K^H K)^ + S^) - 2I): the sum errs by at most
+      u (|(K^H K)^| + |S^|), the diagonal by gamma_1 |X^_jj|, so
+      ||X||_F <= x = (1 + gamma_1) ||X^||_F
+      + u (||(K^H K)^||_F + ||S^||_F) + c_G (k^2 + e^2);
+    * Y^ = fl(K - fl(Eb C^)): Eb C^ errs by c_m |Eb| |C^|, the subtraction
+      by gamma_1 |Y^|, and Eb (C^ - Eb^H K) has Frobenius norm at most
+      sqrt(s) c_G e k, so ||Y||_F <= y = (1 + gamma_1) ||Y^||_F
+      + c_m e ||C^||_F + sqrt(s) c_G e k;
+    * R^ = fl(fl(U - fl(N^ Eb^H)) - I), N^ = fl(K - Eb): N^ - N is at most
+      gamma_1 |N^|, the product errs by c_m |N^| |Eb|^H, the subtraction by
+      gamma_1 |fl(U - P^)|, whose Frobenius norm is at most
+      (1 + gamma_1) ||R^||_F + sqrt(D), and the diagonal by
+      gamma_1 |R^_jj|, so ||R||_F <= r = (1 + gamma_3) ||R^||_F
+      + gamma_1 sqrt(D) + (gamma_1 sqrt(s) + c_m e) ||N^||_F.
+    The bound is e0 + 2 sqrt(1 + e0) r + r^2 with e0 = s x + 2 sqrt(s) y.
+
+    No subtraction enters it, so the rounding of its own evaluation is
+    relative: each Frobenius norm, of at most 2 D^2 squares, is within
+    gamma_(2D^2+2) of its exact value, no product in the formula holds more
+    than eight norms, and the factor 1 + 2^-20 covers them and the
+    formula's own few dozen roundings while 2 D^2 <= 2^27; a larger U gets
+    no bound (inf).  Underflow is outside this model; NaN gives NaN and an
+    overflow inf or NaN, and neither clears a gate.
+    """
+    D = len(U)
+    if 2 * D * D > 1 << 27:
+        return np.inf
+    Eb = np.linalg.qr(np.hstack([omegas, targets]))[0]
+    m = Eb.shape[1]
+    K = U @ Eb
+    complex_ = np.iscomplexobj(K)
+
+    def c(k):
+        return np.sqrt(2.0) * _gamma(2 * k) if complex_ else _gamma(k)
+
+    G, cG = _blocked_gram(np.hstack([Eb, K]), c)
+    S, C, KK = G[:m, :m], G[:m, m:], G[m:, m:]
+    e, k = np.linalg.norm(Eb), np.linalg.norm(K)
+    X = KK + S
+    x_sum = _ROUNDOFF * (np.linalg.norm(KK) + np.linalg.norm(S))
+    X[np.diag_indices(m)] -= 2.0
+    S[np.diag_indices(m)] -= 1.0
+    s = 1.0 + (1.0 + _gamma(1)) * np.linalg.norm(S) + cG * e * e
+    x = (1.0 + _gamma(1)) * np.linalg.norm(X) + x_sum + cG * (k * k + e * e)
+    y = ((1.0 + _gamma(1)) * np.linalg.norm(K - Eb @ C) + c(m) * e * np.linalg.norm(C)
+         + np.sqrt(s) * cG * e * k)
+    e0 = s * x + 2.0 * np.sqrt(s) * y
+    N = K - Eb
+    R = N @ Eb.conj().T
+    np.subtract(U, R, out=R)
+    R[np.diag_indices(D)] -= 1.0
+    r = ((1.0 + _gamma(3)) * np.linalg.norm(R) + _gamma(1) * np.sqrt(D)
+         + (_gamma(1) * np.sqrt(s) + c(m) * e) * np.linalg.norm(N))
+    return float((e0 + 2.0 * np.sqrt(1.0 + e0) * r + r * r) * (1.0 + 2.0 ** -20))
 
 
 def restrict_witness(t: Text, w: TranslationWitness, indices) -> TranslationWitness:

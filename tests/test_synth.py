@@ -711,17 +711,17 @@ RANDOM3 =gen_text(GenSpec(mode="random_efficient", n=3, seed=0)).gram
 
 
 class TestOneEmbeddingPerLookup:
-    """embed_text runs once each time a witness meets its text (assembly,
-    unitary, check, attachment) and once per output Gram the unitary or the
-    check embeds; padding appends a zero row to that one embedding.  The
-    mixed route assembles one witness on the whole text, without a chain
-    of attachments."""
+    """embed_text runs once when a witness is assembled on its text, once
+    for the frames the unitary and its check share, and once for the
+    output Gram those frames embed; padding appends a zero row to the
+    text's one embedding.  The mixed route assembles one witness on the
+    whole text, without a chain of attachments."""
 
     @pytest.mark.parametrize("gram,expected", [
-        (uniform_gram(8, 0.4), 5),
-        (RANDOM3, 5),
-        (with_pendant(with_pendant(RANDOM3, 0, 0.0), 0, 0.0), 5),
-        (with_pendant(RANDOM3, 0, 0.1), 5),
+        (uniform_gram(8, 0.4), 3),
+        (RANDOM3, 3),
+        (with_pendant(with_pendant(RANDOM3, 0, 0.0), 0, 0.0), 3),
+        (with_pendant(RANDOM3, 0, 0.1), 3),
     ], ids=["uniform8", "random3", "core_two_isolated", "core_pendant"])
     def test_translate(self, gram, expected, count_calls):
         calls = count_calls(qtext.texts.embed_text)
@@ -732,7 +732,7 @@ class TestOneEmbeddingPerLookup:
     def test_realize_graph(self, count_calls):
         calls = count_calls(qtext.texts.embed_text)
         realize_graph(shape_to_graph(WellSplitShape(n2=3, ell=2, m=(2, 1))))
-        assert len(calls) == 5
+        assert len(calls) == 3
 
     def test_padded_embedding_matches_embed_text(self):
         t = validate_text(RANDOM3)
@@ -742,6 +742,34 @@ class TestOneEmbeddingPerLookup:
         np.testing.assert_array_equal(emb.vectors, ref.vectors)
         with pytest.raises(qtext.DimensionMismatch):
             translation._embedding_for_tablet(t, ref.dim + 1)
+
+
+class TestOneFrameBuildPerWitness:
+    """The frames Omega and chi (x) psi of a finished witness are built once,
+    and its unitary and its check share them."""
+
+    @pytest.mark.parametrize("gram,kwargs", [
+        (uniform_gram(8, 0.4), {}),
+        (uniform_gram(24, -0.02), {}),
+        (RANDOM3, {}),
+        (with_pendant(with_pendant(RANDOM3, 0, 0.0), 0, 0.0), {}),
+        (with_pendant(RANDOM3, 0, 0.1), {}),
+        (np.eye(3), {"force_sign": 0}),
+        (np.eye(3), {"force_sign": -1}),
+    ], ids=["uniform8", "uniform24", "random3", "core_two_isolated", "core_pendant",
+            "q0_clone", "classical_forced_sign"])
+    def test_translate(self, gram, kwargs, count_calls):
+        omegas = count_calls(translation.build_omega)
+        targets = count_calls(translation._product_targets)
+        w = translate(validate_text(gram), **kwargs)
+        assert len(omegas) == len(targets) == 1
+        assert w.residuals["eq2"] is not None
+
+    def test_realize_graph(self, count_calls):
+        omegas = count_calls(translation.build_omega)
+        targets = count_calls(translation._product_targets)
+        realize_graph(shape_to_graph(WellSplitShape(n2=3, ell=2, m=(2, 1))))
+        assert len(omegas) == len(targets) == 1
 
 
 class TestTextPropertiesPerTranslate:

@@ -1,6 +1,7 @@
 """Pair construction, the overlap identity, witness checking, and unitary
 synthesis."""
 
+import tempfile
 import warnings
 
 import numpy as np
@@ -439,17 +440,25 @@ class TestUnitaryOnEveryRoute:
         t, w = finished
         assert synthesize_unitary(t, w).tobytes() == synthesize_unitary(t, w).tobytes()
 
-    def test_unitarity_matches_identity_form(self, finished):
-        # check_witness computes the defect in real arithmetic; it is the
-        # value of max |U^H U - I| from the complex product, up to rounding,
-        # for a float64 U and for the complex128 U a witness file loads as
+    def test_unitarity_matches_identity_form(self, finished, count_calls):
+        # check_witness reports the value of max |U^H U - I| from the
+        # complex product, up to rounding, when its dense real kernel runs,
+        # and otherwise the span certificate, an upper bound on that value
+        # that clears the gate; for a float64 U and for the complex128 U a
+        # witness file loads as
         t, w = finished
+        dense = count_calls(translation._unitarity_defect)
         for u in (w.unitary, np.asarray(w.unitary, dtype=complex),
                   off_frame_stretch(t, w).unitary):
             bare = TranslationWitness(Q=w.Q, q=w.q, tablet=w.tablet,
                                       output_gram=w.output_gram, unitary=u)
+            dense.clear()
             got = check_witness(t, bare).unitarity
-            assert abs(got - _complex_defect(u)) <= _rounding_bound(u)
+            if dense:
+                assert abs(got - _complex_defect(u)) <= _rounding_bound(u)
+            else:
+                assert _complex_defect(u) - _rounding_bound(u) <= got
+                assert translation._clears(got, len(u))
 
     def test_phase_keeps_the_defect(self, finished):
         # every float64 U here takes the real path; e^{0.3i} U takes the
@@ -657,14 +666,148 @@ class TestDefectCertificate:
     @pytest.mark.parametrize("gram", [uniform_gram(24, -0.02), _noisy_classical(24, 7)],
                              ids=["uniform24", "noisy_classical24"])
     def test_translate_runs_no_dense_product(self, gram, count_calls):
+        # neither translate nor, on its span certificate, check_witness
         t = validate_text(gram)
         dense = count_calls(translation._unitarity_defect)
         w = translate(t)
-        assert dense == []
         rep = check_witness(t, w)
-        assert len(dense) == 1 and dense[0][0] is w.unitary
+        assert dense == []
         assert rep.passed and w.residuals == {"eq4": rep.r1, "eq2": rep.r3}
-        assert rep == translation._check(t, w, translation._unitarity_defect)
+        ref = translation._check(t, w, translation._unitarity_defect)
+        assert (rep.r1, rep.r2_ok, rep.r3, rep.passed) == (ref.r1, ref.r2_ok, ref.r3, ref.passed)
+        assert ref.unitarity - _rounding_bound(w.unitary) <= rep.unitarity
+
+
+def _span_witnesses():
+    """{label: builder of (text, finished witness)} on which check_witness
+    takes the span certificate: every `finished` witness at or above
+    SPAN_MIN_DIM, two complex ones, and one read back from a file."""
+    cases = {label: WITNESS_CASES[label] for label in WITNESS_CASES
+             if label.startswith(("uniform24", "uniform32"))}
+    for n in (20, 24):
+        cases[f"noisy_classical{n}"] = lambda n=n: _translated(_noisy_classical(n, 7))
+    cases["uniform24_loaded"] = _loaded_uniform24
+    return cases
+
+
+def _loaded_uniform24():
+    # a file stores every entry as a complex pair, so U loads as complex128
+    # with a zero imaginary part
+    t, w = _translated(uniform_gram(24, -0.02))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/w.json"
+        qio.save_witness(w, path)
+        back = qio.load_witness(path)
+    assert back.unitary.dtype == np.complex128 and not back.unitary.imag.any()
+    return t, back
+
+
+SPAN_WITNESSES = _span_witnesses()
+
+
+@pytest.fixture(scope="module", params=list(SPAN_WITNESSES))
+def span_witness(request):
+    return SPAN_WITNESSES[request.param]()
+
+
+def _with_unitary(w, u):
+    return TranslationWitness(Q=w.Q, q=w.q, tablet=w.tablet, output_gram=w.output_gram,
+                              unitary=u)
+
+
+def _off_span_moves(t, w, size):
+    """w's unitary U moved by `size` times a unit matrix in each way the
+    certificate must see, with span = span[Omega, chi (x) psi], j the
+    coordinate farthest from it and k the nearest: column j gains a unit
+    vector inside the span, or one outside it (both invisible to U Eb,
+    so only the remainder R sees them); U gains v s^H, v outside and s
+    inside (only (I - Eb Eb^H) K sees it); U gains U s s^H (only
+    K^H K + S - 2I sees it)."""
+    span = _frame_span(t, w)
+    rows = np.linalg.norm(span, axis=1)
+    j, k = int(np.argmin(rows)), int(np.argmax(rows))
+    U = np.asarray(w.unitary)
+    s = span @ span[k].conj()
+    s /= np.linalg.norm(s)
+    v = -span @ span[j].conj()
+    v[j] += 1.0
+    v /= np.linalg.norm(v)
+    moves = {}
+    for label, vec in (("column_inside", U @ s), ("column_outside", v)):
+        u = np.array(U, dtype=np.result_type(U, vec))
+        u[:, j] += size * vec
+        moves[label] = u
+    moves["outside_onto_span"] = U + size * np.outer(v, s.conj())
+    moves["inside_span"] = U + size * np.outer(U @ s, s.conj())
+    return moves
+
+
+class TestSpanCertificate:
+    """From D = SPAN_MIN_DIM on, check_witness bounds the defect of U from U
+    and the frames alone (`translation._span_bound`) and takes the bound
+    only when it decides as the dense product would."""
+
+    def test_bound_covers_the_defect_and_clears_the_gate(self, span_witness, count_calls):
+        t, w = span_witness
+        assert len(w.unitary) >= translation.SPAN_MIN_DIM
+        dense = count_calls(translation._unitarity_defect)
+        rep = check_witness(t, w)
+        assert dense == [] and rep.passed
+        u = np.asarray(w.unitary)
+        assert _complex_defect(u) - _rounding_bound(u) <= rep.unitarity < 1e-10
+
+    def test_bound_covers_moved_unitaries(self, span_witness):
+        # moves of 1e-6 leave every rounding term far below the defect, so
+        # a bound that missed a term would fall under it
+        t, w = span_witness
+        frames = translation._witness_frames(t, w)
+        for label, u in _off_span_moves(t, w, 1e-6).items():
+            defect = _complex_defect(u)
+            bound = translation._span_bound(u, frames.omegas, frames.targets)
+            assert defect - _rounding_bound(u) <= bound <= 3.0 * defect, label
+
+    def test_decides_as_the_dense_check(self, span_witness):
+        t, w = span_witness
+        rng = np.random.default_rng(3)
+        D = len(w.unitary)
+        cases = {f"{label}_{size:g}": u for size in (1e-9, 1e-11)
+                 for label, u in _off_span_moves(t, w, size).items()}
+        cases["off_frame_stretch"] = off_frame_stretch(t, w).unitary
+        cases["random_orthogonal"] = np.linalg.qr(rng.standard_normal((D, D)))[0]
+        for label, u in cases.items():
+            bare = _with_unitary(w, u)
+            rep = check_witness(t, bare)
+            ref = translation._check(t, bare, translation._unitarity_defect)
+            assert rep.passed == ref.passed == label.endswith("1e-11"), label
+            assert (rep.r1, rep.r3) == (ref.r1, ref.r3)
+
+    @pytest.mark.parametrize("entry", [np.nan, 1e100, -1e100], ids=["nan", "huge", "-huge"])
+    def test_bad_entry_fails_without_a_warning(self, span_witness, entry):
+        t, w = span_witness
+        u = np.array(w.unitary)
+        u[0, 1] = entry
+        bare = _with_unitary(w, u)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = check_witness(t, bare)
+        assert not rep.passed
+        assert not translation._check(t, bare, translation._unitarity_defect).passed
+
+    def test_below_the_crossover_the_dense_product_decides(self, count_calls):
+        t, w = _translated(uniform_gram(16, 0.4))
+        assert len(w.unitary) < translation.SPAN_MIN_DIM
+        dense = count_calls(translation._unitarity_defect)
+        assert check_witness(t, w).passed
+        assert len(dense) == 1 and dense[0][0] is w.unitary
+
+    def test_translate_of_a_48_text_runs_no_dense_product(self, count_calls):
+        # the factor bound no longer clears at D = 2401; _finish falls back
+        # to the span certificate, not to the dense product
+        t = validate_text(uniform_gram(48, -0.02))
+        dense = count_calls(translation._unitarity_defect)
+        w = translate(t)
+        assert dense == []
+        assert not translation._clears(translation._certificate[1], len(w.unitary))
 
 
 class TestOverlapResidual:
