@@ -15,13 +15,16 @@ Two construction routes, dispatched by `translate`, both in closed form:
 
 Q is never searched for.  It is the geometric middle of the |Q| interval of
 `_feasible_q`, on which the forced output Gram meets every constraint, and
-one `eigvalsh` confirms that Gram.  `realize_graph` certifies the text it
-builds through the same route, so its witness is `translate`'s.  The
-builders return bare witnesses (no unitary, no residuals); `translate` and
-`realize_graph` end in `_finish`, which synthesizes the unitary, runs the
-one check (`check_witness`'s, on the frames the unitary was built from,
-with the unitary's factor bound in place of any other defect when it
-clears the gate) and stores its r1 and r3 as the residuals.
+one `eigvalsh` confirms that Gram.  `realize_graph` certifies a text with
+edges through the same route, so its witness is `translate`'s; an
+edgeless graph gets the identity text and a Q = 1 witness of its own,
+where `translate` clones that text with Q = 0.  The builders return bare
+witnesses (no unitary, no residuals); `translate` and `realize_graph` end
+in `_finish`, which synthesizes the unitary, runs the one check
+(`check_witness`'s, on the frames the unitary was built from, with the
+defect bound whose remainder is taken from the factors in place of any
+other defect when it clears the gate) and stores its r1 and r3 as the
+residuals.
 """
 
 from __future__ import annotations
@@ -331,9 +334,9 @@ def _finish(t: Text, w: TranslationWitness) -> TranslationWitness:
     r3 become its residuals.  Raises SearchBudgetExhausted if it fails.
 
     The check is `check_witness`'s, on the frames U was built from, with
-    `_certified_defect` for the unitarity defect: U's factor bound when it
-    clears the gate, else the defect `check_witness` takes.  So it decides
-    as `check_witness` does."""
+    `_certified_defect` for the unitarity defect: U's defect bound with the
+    remainder taken from the factors when it clears the gate, else the
+    defect `check_witness` takes.  So it decides as `check_witness` does."""
     frames = _witness_frames(t, w)
     w.unitary = synthesize_unitary(t, w, frames)
     report = _check(t, w, partial(_certified_defect, frames=frames), frames)
@@ -394,9 +397,12 @@ def realize_graph(g: SimpleGraph) -> RealizeResult:
     witness with 0 < Q <= 1, deterministically.
 
     Clique states share a negative overlap z, each pendant overlaps its
-    anchor only, and isolated vertices become orthogonal summands.  The text
-    is certified through `_route` with Q > 0 on the parts of the one
-    `recognize` call, as in `translate`: its witness is `translate(text)`'s.
+    anchor only, and isolated vertices become orthogonal summands.  A graph
+    with edges is certified through `_route` with Q > 0 on the parts of the
+    one `recognize` call, as in `translate`: its witness is
+    `translate(text)`'s.  A graph without edges gets the identity text and
+    its own witness, Q = 1 with zero overlaps, while `translate` clones
+    that text with Q = 0.
     """
     rec = recognize(g)
     if not g.edges:

@@ -144,10 +144,10 @@ class TranslationWitness:
     unitary       : optional unitary on the doubled padded space; float64
                     when the text's frames and targets are exactly real,
                     complex128 otherwise and after loading from JSON;
-                    `check_witness` certifies its unitarity from U and the
-                    frames alone from D = SPAN_MIN_DIM on, and takes the
-                    dense product below that or when the bound does not
-                    clear
+                    `check_witness` bounds its unitarity defect from U and
+                    the frames alone from D = SPAN_MIN_DIM on, and takes
+                    the dense product below that or when the bound does
+                    not clear
     residuals     : {'eq4': overlap residual, 'eq2': mapping residual}, as
                     the one check of a finished witness found them; empty
                     on a bare witness
@@ -280,11 +280,13 @@ def check_witness(t: Text, w: TranslationWitness) -> WitnessReport:
 
     The reported unitarity is one of two values, and either decides as the
     dense value would (`_span_defect`).  From D = SPAN_MIN_DIM on, it is
-    the upper bound that `_span_bound` certifies from U and the frames
-    alone, in O(D^2 n), whenever that bound clears the gate with room for
-    the dense kernel's rounding: about 1e-12 on a passing witness.
-    Otherwise it is the dense `_unitarity_defect`, D^3 / 2 multiply-adds
-    in real arithmetic, within rounding of the complex product's value.
+    the upper bound `_defect_bound` certifies for U = I + Eb W Eb^H + R,
+    Eb the QR basis of the frames and targets, with W and the remainder R
+    measured from U (`_span_bound`), in O(D^2 n), whenever that bound
+    clears the gate with room for the dense kernel's rounding: a few
+    1e-12 on a passing witness.  Otherwise it is the dense
+    `_unitarity_defect`, D^3 / 2 multiply-adds in real arithmetic, within
+    rounding of the complex product's value.
     """
     return _check(t, w)
 
@@ -439,12 +441,13 @@ def synthesize_unitary(t: Text, w: TranslationWitness,
     whose imaginary parts are all exactly zero are taken as float64, so a
     real text runs every factorization real, completes in R^m, and gets a
     float64 U.  The unitary is not checked here, but `_defect_bound`
-    bounds its defect from the factors, in O(D m^2); `synth._finish` takes
-    that bound in place of any other when it clears the gate
-    (`_certified_defect`).  `check_witness` trusts no factor: it
-    certifies U from U and the frames alone (`_span_defect`).  `frames`,
-    when given, are `_witness_frames(t, w)`, built by a caller that checks
-    U on them too.
+    bounds its defect from E and W, with the remainder of forming U taken
+    a priori, in O(D m^2); `synth._finish` takes that bound in place of
+    any other when it clears the gate (`_certified_defect`).
+    `check_witness` trusts no factor: it takes the same bound with the
+    remainder measured from U and the frames alone (`_span_defect`).
+    `frames`, when given, are `_witness_frames(t, w)`, built by a caller
+    that checks U on them too.
     """
     if frames is None:
         frames = _witness_frames(t, w)
@@ -481,18 +484,20 @@ def _unitary_factors(frames: _Frames) -> tuple[np.ndarray, np.ndarray]:
 # The last U that `_factored_unitary` formed, held by a weak reference, and
 # the bound `_defect_bound` certified for it.  `_certified_defect` gives the
 # bound back for that very array alone, so an entry another call left
-# behind costs the dense product, never a wrong answer.
+# behind costs `check_witness`'s own path, never a wrong answer.
 _certificate = (lambda: None, np.inf)
 
 
 def _factored_unitary(E: np.ndarray, W: np.ndarray) -> np.ndarray:
     """U = I + E W E^H, formed as fl(I + fl(fl(E W) E^H)), with its
-    `_defect_bound` kept in `_certificate`."""
+    `_defect_bound` kept in `_certificate`.  The remainder is known a
+    priori: adding I rounds entry (j, j) alone, by at most gamma_1 |u_jj|."""
     global _certificate
     T = E @ W
     U = T @ E.conj().T
     U[np.diag_indices(len(U))] += 1.0
-    _certificate = (weakref.ref(U), _defect_bound(E, W, T, U))
+    r = _gamma(1) * np.max(np.abs(np.diagonal(U)))
+    _certificate = (weakref.ref(U), _defect_bound(E, W, T, r))
     return U
 
 
@@ -501,10 +506,11 @@ def _gamma(k: int) -> float:
     return k * _ROUNDOFF / (1.0 - k * _ROUNDOFF)
 
 
-def _defect_bound(E: np.ndarray, W: np.ndarray, T: np.ndarray, U: np.ndarray) -> float:
-    """An upper bound on max |U^H U - I| of U = fl(I + fl(T E^H)),
-    T = fl(E W), with E of size D x m and W of size m x m, from
-    O(D m^2) work and no D x D product.
+def _defect_bound(E: np.ndarray, W: np.ndarray, T: np.ndarray, r: float) -> float:
+    """An upper bound on max |U^H U - I| of any D x D matrix U each of whose
+    columns lies within r of that of fl(T E^H) + I, T = fl(E W), with E of
+    size D x m and W of size m x m, from O(D m^2) work and no D x D
+    product.  Nothing is assumed of the arrays E and W.
 
     Exact part.  With V = I + W and G = E^H E, the exact
     U~ = I + E W E^H has
@@ -512,10 +518,10 @@ def _defect_bound(E: np.ndarray, W: np.ndarray, T: np.ndarray, U: np.ndarray) ->
     so ||U~^H U~ - I||_2 <= eU = e2 (eV + w2 eG), where each factor
     bounds a 2-norm through ||X||_2 <= ||X||_F on m x m data, c_k the
     rounding constant of a product with inner dimension k (below):
-    * ||G - I||_2 <= eG = ||fl(E^H E) - I||_F + c_D ||E||_F^2: entry (i, j)
-      of the product errs by at most c_D |e_i| |e_j| (Higham, Accuracy
-      and Stability of Numerical Algorithms, 2nd ed., §3.5), a matrix of
-      Frobenius norm c_D ||E||_F^2;
+    * ||G - I||_2 <= eG = ||fl(G) - I||_F + c_G ||E||_F^2, with fl(G) and
+      c_G from `_blocked_gram`, whose error matrix has Frobenius norm at
+      most c_G ||E||_F^2 (Higham, Accuracy and Stability of Numerical
+      Algorithms, 2nd ed., §3.5);
     * ||V^H V - I||_2 <= eV = ||fl(fl(W^H W) + W + W^H)||_F
       + c_(m+6) ||W||_F (||W||_F + 1): the product errs by c_m |w_i| |w_j|,
       the two additions by at most 3u (|w_i| |w_j| + |W_ij| + |W_ji|)
@@ -523,92 +529,48 @@ def _defect_bound(E: np.ndarray, W: np.ndarray, T: np.ndarray, U: np.ndarray) ->
     * ||E||_2^2 = ||G||_2 <= e2 = 1 + eG;
     * ||W||_2^2 <= w2 = min(||W||_F^2, (1 + sqrt(1 + eV))^2), since
       ||V||_2^2 <= 1 + eV.
-    Rounding part.  U = U~ + Delta: T errs by at most c_m |E| |W|
-    entrywise, T E^H by c_m |T| |E^H| and adding I by gamma_1 |u_jj|.
-    Column j of the first two is a matrix times column j of E^H, of norm
-    at most ||E||_2 <= sqrt(e2), and || |A| ||_2 <= ||A||_F, so every column of Delta
-    has norm at most
-        d = sqrt(e2) c_m (||E||_F ||W||_F + ||T||_F) + gamma_1 max_j |u_jj|.
-    Every column of U~ has norm at most ||U~||_2 <= sqrt(1 + eU), so each
-    entry of U^H U - I is at most eU + 2 sqrt(1 + eU) d + d^2.
+    Remainder.  R = U - U~ is U - fl(T E^H) - I, within r by assumption,
+    plus fl(T E^H) - E W E^H: T errs by at most c_m |E| |W| entrywise and
+    T E^H by c_m |T| |E^H|, so column j of the latter is a matrix times
+    column j of E^H, of norm at most ||E||_2 <= sqrt(e2), and as
+    || |A| ||_2 <= ||A||_F every column of R has norm at most
+        d = r + sqrt(e2) c_m (||E||_F ||W||_F + ||T||_F).
+    Every column of U~ has norm at most ||U~||_2 <= sqrt(1 + eU), and
+    U^H U - I = (U~^H U~ - I) + U~^H R + R^H U~ + R^H R, so each entry of
+    U^H U - I is at most eU + 2 sqrt(1 + eU) d + d^2.
 
     c_k = gamma_k for float64 factors.  A complex BLAS product may sum the
     real and the imaginary part of an entry over 2k real products each,
-    so c_k = sqrt(2) gamma_2k for complex ones.  No subtraction enters the
-    bound, so the rounding of its own evaluation is relative: each
-    Frobenius norm, of at most 2 D m squares, is within gamma_(2Dm+2) of
-    its exact value, no product in the formula holds more than eight
-    norms, and the factor 1 + 2^-20 covers them and the formula's own few
-    dozen roundings while D m <= 2^27; a larger pair gets no bound (inf).
-    NaN in a factor gives NaN, which clears no gate.
+    so c_k = sqrt(2) gamma_2k when E or W is complex.  No subtraction
+    enters the bound, so the rounding of its own evaluation is relative:
+    each Frobenius norm, of at most 2 D m squares here and 2^27 in the
+    caller's r, is within gamma_(2^28+2) of its exact value, no product in
+    the formula holds more than eight norms, and the factor 1 + 2^-20
+    covers them and the formula's own few dozen roundings while
+    D m <= 2^27; a larger pair gets no bound (inf).  NaN gives NaN, which
+    clears no gate.
     """
     D, m = E.shape
     if D * m > 1 << 27:
         return np.inf
-    complex_ = np.iscomplexobj(U)
+    complex_ = np.iscomplexobj(T)
 
     def c(k):
         return np.sqrt(2.0) * _gamma(2 * k) if complex_ else _gamma(k)
 
-    G = E.conj().T @ E
+    G, cG = _blocked_gram(E, c)
     G[np.diag_indices(m)] -= 1.0
     X = W.conj().T @ W
     X += W
     X += W.conj().T
     e, w = np.linalg.norm(E), np.linalg.norm(W)
-    eG = np.linalg.norm(G) + c(D) * e * e
+    eG = np.linalg.norm(G) + cG * e * e
     eV = np.linalg.norm(X) + c(m + 6) * w * (w + 1.0)
     e2 = 1.0 + eG
     w2 = min(w * w, (1.0 + np.sqrt(1.0 + eV)) ** 2)
     eU = e2 * (eV + w2 * eG)
-    d = (np.sqrt(e2) * c(m) * (e * w + np.linalg.norm(T))
-         + _gamma(1) * np.max(np.abs(np.diagonal(U))))
+    d = r + np.sqrt(e2) * c(m) * (e * w + np.linalg.norm(T))
     return float((eU + 2.0 * np.sqrt(1.0 + eU) * d + d * d) * (1.0 + 2.0 ** -20))
-
-
-def _clears(bound: float, D: int) -> bool:
-    """Whether a bound b on the defect of a D x D matrix decides as
-    `_unitarity_defect` would.
-
-    `_unitarity_defect` returns the exact defect of U to within
-    sqrt(2) gamma_2D max_j |u_j|^2 plus a few roundings of the result, and
-    max_j |u_j|^2 <= 1 + b for an exact defect at most b.  So when
-    b + 2 sqrt(2) gamma_2D (1 + b) <= UNITARITY_TOL, the factor 2 covering
-    those roundings and this comparison's own, the dense value passes the
-    gate too, and taking b changes no decision.  NaN clears nothing.
-    """
-    return bool(bound + 2.0 * np.sqrt(2.0) * _gamma(2 * D) * (1.0 + bound) <= UNITARITY_TOL)
-
-
-def _certified_defect(U: np.ndarray, frames: _Frames | None = None) -> float:
-    """The bound `_defect_bound` certified for U, when it `_clears`; else
-    `_span_defect(U, frames)`, the defect `check_witness` takes."""
-    ref, bound = _certificate
-    if ref() is U and _clears(bound, len(U)):
-        return bound
-    return _span_defect(U, frames)
-
-
-# Below this doubled-space dimension the dense product costs less than
-# `_span_bound` (one BLAS thread: equal near D = 350 on a float64 U)
-SPAN_MIN_DIM = 350
-
-
-def _span_defect(U: np.ndarray, frames: _Frames | None = None) -> float:
-    """The defect of U as `check_witness` reports it: `_span_bound` of U on
-    the n frames when D >= SPAN_MIN_DIM and D >= 16 n, where its two
-    D x 2n products cost at most half the dense D^3 / 2, and the bound
-    `_clears`; else the dense `_unitarity_defect(U)`.  A U that is not the
-    identity plus a term of rank 2n, or that holds NaN or an infinite
-    entry, gets no finite bound that clears, so the dense product decides
-    it."""
-    D = len(U)
-    if frames is not None and D >= max(SPAN_MIN_DIM, 16 * frames.omegas.shape[1]):
-        with np.errstate(all="ignore"):
-            bound = _span_bound(U, frames.omegas, frames.targets)
-        if _clears(bound, D):
-            return bound
-    return _unitarity_defect(U)
 
 
 def _blocked_gram(Z: np.ndarray, c) -> tuple[np.ndarray, float]:
@@ -631,88 +593,80 @@ def _blocked_gram(Z: np.ndarray, c) -> tuple[np.ndarray, float]:
     return G, c(b) + _gamma(nb) * (1.0 + c(b))
 
 
+def _clears(bound: float, D: int) -> bool:
+    """Whether a bound b on the defect of a D x D matrix decides as
+    `_unitarity_defect` would.
+
+    `_unitarity_defect` returns the exact defect of U to within
+    sqrt(2) gamma_2D max_j |u_j|^2 plus a few roundings of the result, and
+    max_j |u_j|^2 <= 1 + b for an exact defect at most b.  So when
+    b + 2 sqrt(2) gamma_2D (1 + b) <= UNITARITY_TOL, the factor 2 covering
+    those roundings and this comparison's own, the dense value passes the
+    gate too, and taking b changes no decision.  NaN clears nothing.
+    """
+    return bool(bound + 2.0 * np.sqrt(2.0) * _gamma(2 * D) * (1.0 + bound) <= UNITARITY_TOL)
+
+
+def _certified_defect(U: np.ndarray, frames: _Frames) -> float:
+    """The bound `_defect_bound` certified for U, when it `_clears`; else
+    `_span_defect(U, frames)`, the defect `check_witness` takes."""
+    ref, bound = _certificate
+    if ref() is U and _clears(bound, len(U)):
+        return bound
+    return _span_defect(U, frames)
+
+
+# Below this doubled-space dimension the dense product costs less than
+# `_span_bound` (one BLAS thread: equal near D = 350 on a float64 U)
+SPAN_MIN_DIM = 350
+
+
+def _span_defect(U: np.ndarray, frames: _Frames) -> float:
+    """The defect of U as `check_witness` reports it: `_span_bound` of U on
+    the n frames when D >= SPAN_MIN_DIM and D >= 16 n, where its two
+    D x 2n products cost at most half the dense D^3 / 2, and the bound
+    `_clears`; else the dense `_unitarity_defect(U)`.  The bound is
+    `_defect_bound`'s with the remainder measured from U, so a U that is
+    not the identity plus a term of rank 2n, or that holds NaN or an
+    infinite entry, gets no finite bound that clears, and the dense
+    product decides it."""
+    D = len(U)
+    if D >= max(SPAN_MIN_DIM, 16 * frames.omegas.shape[1]):
+        with np.errstate(all="ignore"):
+            bound = _span_bound(U, frames.omegas, frames.targets)
+        if _clears(bound, D):
+            return bound
+    return _unitarity_defect(U)
+
+
 def _span_bound(U: np.ndarray, omegas: np.ndarray, targets: np.ndarray) -> float:
     """An upper bound on max |U^H U - I| of any D x D matrix U, read from U
     and the frames alone, with O(D^2 m) work, m = 2n, and no D x D
     product.  It trusts nothing of how U was made.
 
-    Let Eb (D x m) be the Householder QR basis of [Omega | chi (x) psi],
-    K = fl(U Eb), and, exactly, N = K - Eb, U0 = I + N Eb^H, S = Eb^H Eb
-    and R = U - U0.  Nothing is assumed of the arrays Eb and K: the bound
-    holds for whatever they are, and is small when U is the identity plus
-    a term inside span Eb, as a translation's unitary is.
-
-    Exact part.  Expanding K = Eb (Eb^H K) + Y gives the identity
-        U0^H U0 - I = Eb X Eb^H + Y Eb^H + Eb Y^H,
-        X = K^H K + S - 2I,  Y = K - Eb (Eb^H K),
-    so with ||Eb||_2^2 = ||S||_2 <= s and ||.||_2 <= ||.||_F,
-    ||U0^H U0 - I||_2 <= e0 = s ||X||_F + 2 sqrt(s) ||Y||_F.  Every
-    column of U0 has norm at most ||U0||_2 <= sqrt(1 + e0), and U^H U - I
-    = (U0^H U0 - I) + U0^H R + R^H U0 + R^H R, so with r >= ||R||_F each
-    entry of U^H U - I is at most e0 + 2 sqrt(1 + e0) r + r^2.
-
-    Rounding part (Higham, Accuracy and Stability of Numerical Algorithms,
-    2nd ed., §3.5).  c_k is gamma_k for float64 data and sqrt(2) gamma_2k
-    for complex data, as in `_defect_bound`.  S^, C^ = (Eb^H K)^ and
-    (K^H K)^ are the blocks of `_blocked_gram` of Z = [Eb | K], whose
-    block for columns Z_a, Z_b errs by at most c_G ||Z_a||_F ||Z_b||_F in
-    the Frobenius norm.  With e = ||Eb||_F and k = ||K||_F:
-    * s = 1 + (1 + gamma_1) ||fl(S^ - I)||_F + c_G e^2, as
-      ||S||_2 <= 1 + ||S - I||_F;
-    * X^ = fl(fl((K^H K)^ + S^) - 2I): the sum errs by at most
-      u (|(K^H K)^| + |S^|), the diagonal by gamma_1 |X^_jj|, so
-      ||X||_F <= x = (1 + gamma_1) ||X^||_F
-      + u (||(K^H K)^||_F + ||S^||_F) + c_G (k^2 + e^2);
-    * Y^ = fl(K - fl(Eb C^)): Eb C^ errs by c_m |Eb| |C^|, the subtraction
-      by gamma_1 |Y^|, and Eb (C^ - Eb^H K) has Frobenius norm at most
-      sqrt(s) c_G e k, so ||Y||_F <= y = (1 + gamma_1) ||Y^||_F
-      + c_m e ||C^||_F + sqrt(s) c_G e k;
-    * R^ = fl(fl(U - fl(N^ Eb^H)) - I), N^ = fl(K - Eb): N^ - N is at most
-      gamma_1 |N^|, the product errs by c_m |N^| |Eb|^H, the subtraction by
-      gamma_1 |fl(U - P^)|, whose Frobenius norm is at most
-      (1 + gamma_1) ||R^||_F + sqrt(D), and the diagonal by
-      gamma_1 |R^_jj|, so ||R||_F <= r = (1 + gamma_3) ||R^||_F
-      + gamma_1 sqrt(D) + (gamma_1 sqrt(s) + c_m e) ||N^||_F.
-    The bound is e0 + 2 sqrt(1 + e0) r + r^2 with e0 = s x + 2 sqrt(s) y.
-
-    No subtraction enters it, so the rounding of its own evaluation is
-    relative: each Frobenius norm, of at most 2 D^2 squares, is within
-    gamma_(2D^2+2) of its exact value, no product in the formula holds more
-    than eight norms, and the factor 1 + 2^-20 covers them and the
-    formula's own few dozen roundings while 2 D^2 <= 2^27; a larger U gets
-    no bound (inf).  Underflow is outside this model; NaN gives NaN and an
-    overflow inf or NaN, and neither clears a gate.
+    It is `_defect_bound` of E = Eb, the Householder QR basis of
+    [Omega | chi (x) psi] (D x m), and W = fl(Eb^H fl(fl(U Eb) - Eb)), with
+    the remainder measured: R^ = fl(fl(U - fl(T Eb^H)) - I), T = fl(Eb W).
+    With F = fl(U - fl(T Eb^H)), |F - (U - fl(T Eb^H))| <= gamma_1 |F|,
+    |F_jj| <= 1 + (1 + gamma_1) |R^_jj| and subtracting I errs by
+    gamma_1 |R^_jj|, so every column of U - fl(T Eb^H) - I has norm at most
+    r = (1 + gamma_2) ||R^||_F + gamma_1.  The bound is small when U is the
+    identity plus a term inside span Eb, as a translation's unitary is.
+    A U with 2 D^2 > 2^27 gets no bound (inf), which keeps ||R^||_F inside
+    `_defect_bound`'s rounding model.  Underflow is outside that model; an
+    overflow gives inf or NaN, which clears no gate.
     """
     D = len(U)
     if 2 * D * D > 1 << 27:
         return np.inf
     Eb = np.linalg.qr(np.hstack([omegas, targets]))[0]
-    m = Eb.shape[1]
-    K = U @ Eb
-    complex_ = np.iscomplexobj(K)
-
-    def c(k):
-        return np.sqrt(2.0) * _gamma(2 * k) if complex_ else _gamma(k)
-
-    G, cG = _blocked_gram(np.hstack([Eb, K]), c)
-    S, C, KK = G[:m, :m], G[:m, m:], G[m:, m:]
-    e, k = np.linalg.norm(Eb), np.linalg.norm(K)
-    X = KK + S
-    x_sum = _ROUNDOFF * (np.linalg.norm(KK) + np.linalg.norm(S))
-    X[np.diag_indices(m)] -= 2.0
-    S[np.diag_indices(m)] -= 1.0
-    s = 1.0 + (1.0 + _gamma(1)) * np.linalg.norm(S) + cG * e * e
-    x = (1.0 + _gamma(1)) * np.linalg.norm(X) + x_sum + cG * (k * k + e * e)
-    y = ((1.0 + _gamma(1)) * np.linalg.norm(K - Eb @ C) + c(m) * e * np.linalg.norm(C)
-         + np.sqrt(s) * cG * e * k)
-    e0 = s * x + 2.0 * np.sqrt(s) * y
-    N = K - Eb
-    R = N @ Eb.conj().T
+    W = Eb.conj().T @ (U @ Eb - Eb)
+    T = Eb @ W
+    R = T @ Eb.conj().T
     np.subtract(U, R, out=R)
     R[np.diag_indices(D)] -= 1.0
-    r = ((1.0 + _gamma(3)) * np.linalg.norm(R) + _gamma(1) * np.sqrt(D)
-         + (_gamma(1) * np.sqrt(s) + c(m) * e) * np.linalg.norm(N))
-    return float((e0 + 2.0 * np.sqrt(1.0 + e0) * r + r * r) * (1.0 + 2.0 ** -20))
+    r = (1.0 + _gamma(2)) * np.linalg.norm(R) + _gamma(1)
+    return _defect_bound(Eb, W, T, r)
 
 
 def restrict_witness(t: Text, w: TranslationWitness, indices) -> TranslationWitness:

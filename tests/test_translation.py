@@ -602,35 +602,63 @@ class TestRealUnitary:
 
 
 def _certified(t, w):
-    """A fresh synthesis of w's unitary and the defect bound certified for
-    it."""
-    U = synthesize_unitary(t, w)
+    """A fresh synthesis of w's unitary, the defect bound certified for it,
+    and the frames it was built on."""
+    frames = translation._witness_frames(t, w)
+    U = synthesize_unitary(t, w, frames)
     ref, bound = translation._certificate
     assert ref() is U
-    return U, bound
+    return U, bound, frames
 
 
 class TestDefectCertificate:
-    """`synthesize_unitary` bounds the defect of its U from the factors;
-    `synth._finish` takes the bound in place of the dense product only when
-    it clears the gate with room for the product's rounding."""
+    """`translation._defect_bound` is the one certified bound.  It bounds
+    the exact part I + E W E^H from m x m data and adds a remainder r, which
+    `synthesize_unitary` takes a priori from the rounding of forming U out
+    of its factors and `check_witness` measures from U (`_span_bound`).
+    `synth._finish` takes the factor bound in place of any other only when
+    it clears the gate with room for the dense product's rounding."""
 
     def test_bound_covers_the_defect_and_clears_the_gate(self, finished, count_calls):
+        # the remainder measured from U bounds the same U too, at any D
         t, w = finished
-        U, bound = _certified(t, w)
+        U, bound, frames = _certified(t, w)
         assert U.tobytes() == np.asarray(w.unitary).tobytes()
         assert translation._unitarity_defect(U) <= bound < translation.UNITARITY_TOL
+        measured = translation._span_bound(U, frames.omegas, frames.targets)
+        for b in (bound, measured):
+            assert _complex_defect(U) - _rounding_bound(U) <= b
         dense = count_calls(translation._unitarity_defect)
-        assert translation._certified_defect(U) == bound
+        assert translation._certified_defect(U, frames) == bound
         assert dense == []
 
     def test_bound_is_for_that_array_alone(self, count_calls):
         t, w = _translated(uniform_gram(8, 0.4))
-        U, _ = _certified(t, w)
+        U, _, frames = _certified(t, w)
         dense = count_calls(translation._unitarity_defect)
         copy = U.copy()
-        assert translation._certified_defect(copy) == translation._unitarity_defect(U)
+        assert translation._certified_defect(copy, frames) == translation._unitarity_defect(U)
         assert len(dense) == 2 and dense[0][0] is copy
+
+    @pytest.mark.parametrize("gram", [uniform_gram(24, -0.02), _noisy_classical(24, 7)],
+                             ids=["uniform24", "noisy_classical24"])
+    def test_both_remainders_go_through_the_one_exact_part(self, gram, count_calls):
+        # translate passes the factors and the rounding of adding I;
+        # check_witness passes the QR basis of the frames and the measured
+        # remainder; each bound sums E^H E once over row blocks
+        t = validate_text(gram)
+        bounds = count_calls(translation._defect_bound)
+        grams = count_calls(translation._blocked_gram)
+        w = translate(t)
+        assert len(bounds) == len(grams) == 1
+        E, W, T, r = bounds[0]
+        assert grams[0][0] is E and E.shape[0] == len(w.unitary)
+        assert r == translation._gamma(1) * np.max(np.abs(np.diagonal(w.unitary)))
+        rep = check_witness(t, w)
+        assert len(bounds) == len(grams) == 2
+        Eb, Wb, Tb, rb = bounds[1]
+        assert grams[1][0] is Eb and Eb.shape == (len(w.unitary), 2 * t.n)
+        assert rep.passed and rep.unitarity == translation._defect_bound(Eb, Wb, Tb, rb)
 
     @pytest.mark.parametrize("factor, size", [(0, 1e-9), (0, 1e-11), (1, 1e-9), (1, 1e-11)],
                              ids=["E_1e-9", "E_1e-11", "W_1e-9", "W_1e-11"])
@@ -666,7 +694,7 @@ class TestDefectCertificate:
     @pytest.mark.parametrize("gram", [uniform_gram(24, -0.02), _noisy_classical(24, 7)],
                              ids=["uniform24", "noisy_classical24"])
     def test_translate_runs_no_dense_product(self, gram, count_calls):
-        # neither translate nor, on its span certificate, check_witness
+        # neither translate nor, on its measured remainder, check_witness
         t = validate_text(gram)
         dense = count_calls(translation._unitarity_defect)
         w = translate(t)
@@ -719,10 +747,11 @@ def _off_span_moves(t, w, size):
     """w's unitary U moved by `size` times a unit matrix in each way the
     certificate must see, with span = span[Omega, chi (x) psi], j the
     coordinate farthest from it and k the nearest: column j gains a unit
-    vector inside the span, or one outside it (both invisible to U Eb,
-    so only the remainder R sees them); U gains v s^H, v outside and s
-    inside (only (I - Eb Eb^H) K sees it); U gains U s s^H (only
-    K^H K + S - 2I sees it)."""
+    vector inside the span, or one outside it (both all but invisible to
+    U Eb, so only the measured remainder R sees them); U gains v s^H, v
+    outside and s inside (W = Eb^H (U Eb - Eb) misses v, so again only R
+    sees it); U gains U s s^H (inside the span, so only the exact part
+    sees it, through V^H V - I)."""
     span = _frame_span(t, w)
     rows = np.linalg.norm(span, axis=1)
     j, k = int(np.argmin(rows)), int(np.argmax(rows))
@@ -744,10 +773,12 @@ def _off_span_moves(t, w, size):
 
 class TestSpanCertificate:
     """From D = SPAN_MIN_DIM on, check_witness bounds the defect of U from U
-    and the frames alone (`translation._span_bound`) and takes the bound
-    only when it decides as the dense product would."""
+    and the frames alone (`translation._span_bound`, `_defect_bound` with
+    the remainder measured) and takes the bound only when it decides as
+    the dense product would."""
 
     def test_bound_covers_the_defect_and_clears_the_gate(self, span_witness, count_calls):
+        # the factor bound of a fresh synthesis covers the same U too
         t, w = span_witness
         assert len(w.unitary) >= translation.SPAN_MIN_DIM
         dense = count_calls(translation._unitarity_defect)
@@ -755,6 +786,9 @@ class TestSpanCertificate:
         assert dense == [] and rep.passed
         u = np.asarray(w.unitary)
         assert _complex_defect(u) - _rounding_bound(u) <= rep.unitarity < 1e-10
+        U, bound, _ = _certified(t, w)
+        assert np.array_equal(U, u)
+        assert _complex_defect(u) - _rounding_bound(u) <= bound < 1e-10
 
     def test_bound_covers_moved_unitaries(self, span_witness):
         # moves of 1e-6 leave every rounding term far below the defect, so
@@ -800,14 +834,16 @@ class TestSpanCertificate:
         assert check_witness(t, w).passed
         assert len(dense) == 1 and dense[0][0] is w.unitary
 
-    def test_translate_of_a_48_text_runs_no_dense_product(self, count_calls):
-        # the factor bound no longer clears at D = 2401; _finish falls back
-        # to the span certificate, not to the dense product
-        t = validate_text(uniform_gram(48, -0.02))
+    @pytest.mark.parametrize("n, z", [(48, -0.02), (64, -0.5 / 63)], ids=["n48", "n64"])
+    def test_translate_takes_the_factor_bound(self, n, z, count_calls):
+        # the factor bound clears at D = 2401 and D = 4225, so _finish runs
+        # neither the measured remainder nor the dense product
+        t = validate_text(uniform_gram(n, z))
         dense = count_calls(translation._unitarity_defect)
+        span = count_calls(translation._span_bound)
         w = translate(t)
-        assert dense == []
-        assert not translation._clears(translation._certificate[1], len(w.unitary))
+        assert dense == [] and span == []
+        assert translation._clears(translation._certificate[1], len(w.unitary))
 
 
 class TestOverlapResidual:
