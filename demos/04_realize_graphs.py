@@ -5,7 +5,10 @@ Which patterns of "these pairs overlap, those are orthogonal" admit a
 translatable text at all?  Exactly the well-split graphs.  The realization
 route picks a small negative overlap on the clique, hangs each pendant off
 its anchor, and certifies the result through `translate`'s one route, so
-the witness, with Q in (0, 1], is the one `translate` gives that text.
+the witness of a graph with edges, with Q in (0, 1], is the one
+`translate` gives that text.  A graph without edges, "all isolated" below,
+gets the identity text and its own witness with Q = 1, while `translate`
+clones that text with Q = 0.
 """
 
 import numpy as np

@@ -285,8 +285,8 @@ def check_witness(t: Text, w: TranslationWitness) -> WitnessReport:
     measured from U (`_span_bound`), in O(D^2 n), whenever that bound
     clears the gate with room for the dense kernel's rounding: a few
     1e-12 on a passing witness.  Otherwise it is the dense
-    `_unitarity_defect`, D^3 / 2 multiply-adds in real arithmetic, within
-    rounding of the complex product's value.
+    `_unitarity_defect`, one product: U^T U in D^3 / 2 multiply-adds on a
+    float64 U, U^H U in 4 D^3 real ones on a complex U.
     """
     return _check(t, w)
 
@@ -359,47 +359,25 @@ def _check(t: Text, w: TranslationWitness, defect=None,
 
 def _unitarity_defect(U: np.ndarray) -> float:
     """max |U^H U - I| over the entries of a float64 or complex D x D
-    matrix U.
-
-    A float64 U takes U^T U alone (BLAS syrk): D^3/2 multiply-adds against
-    the 4 D^3 of the complex product, with no copy of U.  With a complex
-    U = X + iY, Re(U^H U) = X^T X + Y^T Y is one symmetric product R^T R
-    of the stacked R = [X; Y], and Im(U^H U) = M - M^T with M = X^T Y, one
-    real product.  At most 4 D^2 floats are held at once, R, G and M or
-    G, M and G + iM: R is freed before M - M^T takes its temporary copy.
+    matrix U, from one product: U^T U for a float64 U (BLAS syrk, D^3 / 2
+    multiply-adds, no copy of U, the modulus taken in place), U^H U for a
+    complex one (4 D^3 real multiply-adds).
 
     Rounding, u the unit roundoff and gamma_k = k u / (1 - k u), in any
-    summation order: entry (i, j) of R^T R is a dot product of the stacked
-    real columns r_i, r_j of length 2D, so it errs by at most
-    gamma_2D sum_k |r_ki r_kj| <= gamma_2D |u_i| |u_j| by Cauchy-Schwarz,
-    as |r_i| = |u_i|.  The two sums of the imaginary part run over the
-    terms |x_ki y_kj| and |y_ki x_kj|, a dot product of |r_i| with |r_j|
-    with its halves swapped, so with the subtraction they err by at most
-    gamma_(D+1) |u_i| |u_j|.  The value returned is thus within
+    summation order: the real and the imaginary part of entry (i, j) are
+    each a sum of at most 2D real products, the terms of a dot product of
+    the real 2D-vectors (Re u_i, Im u_i) and (Re u_j, Im u_j), the halves
+    of the latter swapped for the imaginary part.  By Cauchy-Schwarz each
+    errs by at most gamma_2D |u_i| |u_j|, and the entry by at most
+    sqrt(2) gamma_2D |u_i| |u_j|.  The value returned is thus within
     sqrt(2) gamma_2D max_j |u_j|^2 (about 2e-13 at D = 625 for a unitary),
-    plus a few roundings of the result, of the exact defect.  The complex
-    product sums the same terms and obeys the same bound.
-
-    The modulus is numpy's abs, of G or of the complex G + iM, so finite
-    input warns only where a product itself overflows.
+    plus a few roundings of the result, of the exact defect.  The modulus
+    is numpy's abs, so finite input warns only where the product itself
+    overflows.
     """
-    D = U.shape[0]
-    if not np.iscomplexobj(U):
-        G = U.T @ U
-        G[np.diag_indices(D)] -= 1.0
-        return float(np.max(np.abs(G, out=G)))
-    R = np.empty((2 * D, D))
-    R[:D] = U.real
-    R[D:] = U.imag
-    G = R.T @ R
-    M = R[:D].T @ R[D:]
-    del R
-    M -= M.T
-    G[np.diag_indices(D)] -= 1.0
-    Z = np.empty((D, D), dtype=complex)
-    Z.real = G
-    Z.imag = M
-    return float(np.max(np.abs(Z, out=G)))
+    G = (U.conj().T if np.iscomplexobj(U) else U.T) @ U
+    G[np.diag_indices(len(U))] -= 1.0
+    return float(np.max(np.abs(G, out=None if np.iscomplexobj(G) else G)))
 
 
 def _product_targets(out_text: Text, emb: StateEmbedding) -> np.ndarray:

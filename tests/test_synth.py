@@ -26,6 +26,7 @@ from qtext import (
     decide_translatable,
     gen_text,
     GenSpec,
+    GraphClass,
     graph_of_text,
     graphs_isomorphic,
     make_graph,
@@ -434,6 +435,21 @@ class TestRealizeGraph:
         # realize_graph certifies its text through translate's one route
         res = realize_graph(g)
         assert_same_witness(res.witness, translate(res.text))
+
+    def test_witness_is_translates_on_every_labeled_graph_to_n5(self):
+        # every labeling of every well-split graph with an edge on at most 5
+        # vertices, isolated vertices included
+        graphs = []
+        for n in range(2, 6):
+            pairs = list(itertools.combinations(range(n), 2))
+            for bits in range(1 << len(pairs)):
+                g = make_graph(n, [p for k, p in enumerate(pairs) if bits >> k & 1])
+                if recognize(g).klass == GraphClass.WELL_SPLIT:
+                    graphs.append(g)
+        assert len(graphs) == 430
+        for g in graphs:
+            res = realize_graph(g)
+            assert_same_witness(res.witness, translate(res.text))
 
     def test_route_refusal_is_raised(self, monkeypatch):
         empty = synth.QInterval(0.5, 0.25, "cap", "PSD")

@@ -442,7 +442,7 @@ class TestUnitaryOnEveryRoute:
 
     def test_unitarity_matches_identity_form(self, finished, count_calls):
         # check_witness reports the value of max |U^H U - I| from the
-        # complex product, up to rounding, when its dense real kernel runs,
+        # complex product, up to rounding, when the dense product runs,
         # and otherwise the span certificate, an upper bound on that value
         # that clears the gate; for a float64 U and for the complex128 U a
         # witness file loads as
@@ -827,12 +827,19 @@ class TestSpanCertificate:
         assert not rep.passed
         assert not translation._check(t, bare, translation._unitarity_defect).passed
 
-    def test_below_the_crossover_the_dense_product_decides(self, count_calls):
-        t, w = _translated(uniform_gram(16, 0.4))
+    @pytest.mark.parametrize("gram", [uniform_gram(16, 0.4), _noisy_classical(16, 7)],
+                             ids=["uniform16", "noisy_classical16"])
+    def test_below_the_crossover_the_dense_product_decides(self, gram, count_calls):
+        # the noisy classical 16-text has a complex U at D = 289, the
+        # largest dense complex check of the translate benchmark
+        t, w = _translated(gram)
+        assert w.unitary.dtype == (complex if t.gram.imag.any() else float)
         assert len(w.unitary) < translation.SPAN_MIN_DIM
         dense = count_calls(translation._unitarity_defect)
-        assert check_witness(t, w).passed
+        rep = check_witness(t, w)
+        assert rep.passed
         assert len(dense) == 1 and dense[0][0] is w.unitary
+        assert abs(rep.unitarity - _complex_defect(w.unitary)) <= _rounding_bound(w.unitary)
 
     @pytest.mark.parametrize("n, z", [(48, -0.02), (64, -0.5 / 63)], ids=["n48", "n64"])
     def test_translate_takes_the_factor_bound(self, n, z, count_calls):
