@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .texts import Text, _lambda_min_above, _orthogonal, pd_tol, subtext, text_properties
+from .texts import Text, _orthogonal, subtext, text_properties
 from .graphs import ForbiddenWitness, WellSplitParts, overlap_mask, read_well_split, recognize
 
 SIGNATURE_SCALE = 1e-9
@@ -108,11 +108,12 @@ class Decision:
 def decide_translatable(t: Text) -> Decision:
     """Full decision procedure for a text.
 
-    Order of checks: efficiency, overlap-graph shape, then the spectral
-    test on the complete core.  The returned reason is one of the OK_*
+    Order of checks: efficiency (the text's own verdict, `Text.efficient`,
+    which `validate_text` has already taken), overlap-graph shape, then the
+    spectral test on the complete core.  The returned reason is one of the OK_*
     codes or names the failed stage.
     """
-    if not _lambda_min_above(t.gram, pd_tol(t.n)):  # not efficient
+    if not t.efficient:
         return Decision(translatable=False, reason=REASON_NOT_EFFICIENT)
     adj = overlap_mask(t.gram)
     if not adj.any():

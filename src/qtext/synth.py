@@ -33,7 +33,6 @@ from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
-import scipy  # unused here; perfbench/tracing.py patches synth.scipy.optimize
 
 from .texts import (
     DISTINCT_TOL,
@@ -71,6 +70,16 @@ from .translation import (
 FORCED_SIGN_Q = 0.05
 # 1 / sqrt(1 + x) < 1 - DISTINCT_TOL exactly when x > PENDANT_FLOOR
 PENDANT_FLOOR = (1.0 - DISTINCT_TOL) ** -2 - 1.0
+
+
+def __getattr__(name: str):
+    """`synth.scipy`, imported on first access (PEP 562): no route uses
+    scipy, but the benchmark's tracer patches `synth.scipy.optimize`, and
+    importing the package loads no part of scipy."""
+    if name == "scipy":
+        import scipy
+        return scipy
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class SynthError(ValueError):

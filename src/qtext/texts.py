@@ -10,6 +10,7 @@ strictly below one (distinctness up to phase).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -67,14 +68,41 @@ class SizeMismatch(TextError):
 class Text:
     """A validated text: `n` states with Gram matrix `gram` (complex, n x n).
 
-    Construct through `validate_text`; the array is stored read-only.
+    Construct through `validate_text`.  The array is stored read-only, and
+    a view is copied first, so no write to an array it came from reaches
+    it.  Since the matrix cannot change, two facts of it are computed on
+    first use and kept: `efficient` and the spectral embedding that
+    `embed_text` returns.
     """
 
     n: int
     gram: np.ndarray
 
     def __post_init__(self):
+        if self.gram.base is not None:
+            object.__setattr__(self, "gram", self.gram.copy())
         self.gram.setflags(write=False)
+
+    @cached_property
+    def efficient(self) -> bool:
+        """Whether the Gram matrix is positive definite with margin
+        pd_tol(n), decided by Cholesky outside a rounding band
+        (`_lambda_min_above`)."""
+        return _lambda_min_above(self.gram, pd_tol(self.n))
+
+    @cached_property
+    def _embedding(self) -> StateEmbedding:
+        """`embed_text(self)`: columns sqrt(lam) V^H of z = V diag(lam) V^H,
+        the eigenvalues in descending order, those at or below
+        max(lam_max, 1) * RANK_TOL dropped."""
+        evals, evecs = np.linalg.eigh(self.gram)
+        order = np.argsort(evals)[::-1]
+        evals = evals[order]
+        evecs = evecs[:, order]
+        keep = evals > max(evals[0], 1.0) * RANK_TOL
+        vectors = np.sqrt(evals[keep])[:, None] * evecs[:, keep].conj().T
+        return StateEmbedding(dim=int(np.count_nonzero(keep)),
+                              vectors=np.ascontiguousarray(vectors), padded=False)
 
 
 def validate_text(raw) -> Text:
@@ -88,6 +116,7 @@ def validate_text(raw) -> Text:
     Returns
     -------
     Text
+        With its `efficient` verdict already taken.
 
     Raises
     ------
@@ -97,9 +126,22 @@ def validate_text(raw) -> Text:
         (off-diagonal modulus >= 1 - 1e-12), NotPSD (min eigenvalue
         below -1e-9 * n).
 
-    PSD is tested by Cholesky on the Hermitian part H, as
-    `_lambda_min_above` describes; only a failure or a text inside its
-    band runs `eigvalsh(H)`, whose lambda_min decides and NotPSD prints.
+    The text's efficiency verdict, `_lambda_min_above(z, pd_tol(n))`, is
+    taken first and kept, and only a text it refuses runs the PSD test:
+    Cholesky on the Hermitian part H, as `_lambda_min_above` describes;
+    only a failure or a text inside its band runs `eigvalsh(H)`, whose
+    lambda_min decides and NotPSD prints.
+
+    Efficient implies PSD, for n <= 10^5 as `_lambda_min_above` assumes.
+    Both routines read the Hermitian matrix z_L of z's lower triangle and
+    the real part of its diagonal, and `eigvalsh` errs by at most
+    e = 16 n^2 u (1 + 1e-12), u = 2^-53.  A yes means lambda_min(z_L) >
+    pd_tol(n) - e.  The computed H has the diagonal z_L has, and off it
+    differs from z_L by at most HERMITIAN_TOL / 2 + u (the asymmetry and
+    the rounding of the sum), so in 2-norm by at most
+    (n - 1) (5e-13 + u), and `eigvalsh(H)` gives a lambda_min above
+    pd_tol(n) - 2 e - (n - 1) (5e-13 + u) > -psd_tol(n): the PSD test
+    would pass.
     """
     gram = np.array(raw, dtype=complex)
     if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
@@ -122,12 +164,15 @@ def validate_text(raw) -> Text:
         raise DuplicateStates(
             f"|z_{i}{j}| = {abs(gram[i, j]):.12f}; states must be distinct up to phase"
         )
+    t = Text(n=n, gram=gram)
+    if t.efficient:
+        return t
     h = (gram + gram.conj().T) / 2.0
     if not _lambda_min_above(h, -psd_tol(n)):
         lam = np.linalg.eigvalsh(h)[0]
         if lam < -psd_tol(n):
             raise NotPSD(f"min eigenvalue {lam:.3e} below -{psd_tol(n):.1e}")
-    return Text(n=n, gram=gram)
+    return t
 
 
 def _lambda_min_above(h: np.ndarray, c: float) -> bool:
@@ -211,21 +256,20 @@ def _upper_index(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def text_properties(t: Text) -> TextProperties:
-    """Compute the structural flags of a validated text; `efficient` is
-    decided by Cholesky outside a rounding band (`_lambda_min_above`)."""
+    """Compute the structural flags of a validated text; `efficient` is the
+    text's own verdict (`Text.efficient`), taken once."""
     n = t.n
     off = ~np.eye(n, dtype=bool)
     offvals = t.gram[off]
     orthogonal = _orthogonal(offvals)
     classical = bool(np.all(orthogonal))
     fully_quantum = not np.any(orthogonal)
-    efficient = _lambda_min_above(t.gram, pd_tol(n))
     uniform = bool(n == 1 or np.max(np.abs(offvals - offvals[0])) <= UNIFORM_TOL)
     real_text = bool(np.max(np.abs(t.gram.imag)) <= REAL_TOL)
     return TextProperties(
         classical=classical,
         fully_quantum=fully_quantum,
-        efficient=efficient,
+        efficient=t.efficient,
         uniform=uniform,
         real_text=real_text,
     )
@@ -273,21 +317,15 @@ def embed_text(t: Text, pad_extra_dim: bool = False) -> StateEmbedding:
 
     Uses the spectral factorization z = V diag(lam) V^H and keeps the
     eigenvalues above max(lam) * 1e-11, so the reconstruction error stays
-    within 1e-10 entrywise.
+    within 1e-10 entrywise.  The factorization runs once per text: the
+    unpadded embedding is the one the text keeps, and the padded one is
+    that embedding with one zero row appended.
     """
-    evals, evecs = np.linalg.eigh(t.gram)
-    order = np.argsort(evals)[::-1]
-    evals = evals[order]
-    evecs = evecs[:, order]
-    cut = max(evals[0], 1.0) * RANK_TOL
-    keep = evals > cut
-    rank = int(np.count_nonzero(keep))
-    vectors = np.sqrt(evals[keep])[:, None] * evecs[:, keep].conj().T
-    if pad_extra_dim:
-        vectors = np.vstack([vectors, np.zeros((1, t.n), dtype=complex)])
-    return StateEmbedding(dim=rank + (1 if pad_extra_dim else 0),
-                          vectors=np.ascontiguousarray(vectors),
-                          padded=pad_extra_dim)
+    emb = t._embedding
+    if not pad_extra_dim:
+        return emb
+    vectors = np.vstack([emb.vectors, np.zeros((1, t.n), dtype=complex)])
+    return StateEmbedding(dim=emb.dim + 1, vectors=vectors, padded=True)
 
 
 def gram_of(vectors: np.ndarray) -> np.ndarray:

@@ -167,13 +167,13 @@ class TranslationWitness:
 
 def _embedding_for_tablet(t: Text, tablet_len: int) -> StateEmbedding:
     """The embedding a tablet of this length lives in: the text's own, or
-    that embedding with one zero coordinate appended (padded)."""
-    base = embed_text(t)
+    that embedding with one zero coordinate appended (padded).  Both come
+    from the one spectral embedding the text keeps."""
+    base = t._embedding
     if tablet_len == base.dim:
         return base
     if tablet_len == base.dim + 1:
-        vectors = np.vstack([base.vectors, np.zeros((1, t.n), dtype=complex)])
-        return StateEmbedding(dim=tablet_len, vectors=vectors, padded=True)
+        return embed_text(t, pad_extra_dim=True)
     raise DimensionMismatch(
         f"tablet length {tablet_len} does not match embedding dimension "
         f"{base.dim} (or {base.dim} + 1)")
@@ -287,6 +287,12 @@ def check_witness(t: Text, w: TranslationWitness) -> WitnessReport:
     1e-12 on a passing witness.  Otherwise it is the dense
     `_unitarity_defect`, one product: U^T U in D^3 / 2 multiply-adds on a
     float64 U, U^H U in 4 D^3 real ones on a complex U.
+
+    r3 takes U Omega from the same pass over U whenever the span bound
+    decides: as fl(K_n S), K = U Eb of the bound and S the frames' block
+    of its QR factor, which moves r3 from the dense product's by at most
+    the bound `_span_bound` states (about 3e-11 at D = 625).  Otherwise it
+    is the dense U Omega, as below D = SPAN_MIN_DIM always.
     """
     return _check(t, w)
 
@@ -349,8 +355,10 @@ def _check(t: Text, w: TranslationWitness, defect=None,
             raise DimensionMismatch(f"unitary has shape {U.shape}, expected {(D, D)}")
         if frames is None:
             frames = _frames(emb, tablet, w.q, out)
-        unitarity = defect(U) if defect else _span_defect(U, frames)
-        r3 = float(np.max(np.linalg.norm(U @ frames.omegas - frames.targets, axis=0)))
+        unitarity, mapped = (defect(U), None) if defect else _span_defect(U, frames)
+        if mapped is None:
+            mapped = U @ frames.omegas
+        r3 = float(np.max(np.linalg.norm(mapped - frames.targets, axis=0)))
     passed = bool(r1 <= EQ4_TOL and r2_ok and (
         r3 is None or (r3 <= EQ2_TOL and unitarity <= UNITARITY_TOL)))
     return WitnessReport(r1=r1, r2_ok=r2_ok, r2_error=r2_error,
@@ -587,11 +595,11 @@ def _clears(bound: float, D: int) -> bool:
 
 def _certified_defect(U: np.ndarray, frames: _Frames) -> float:
     """The bound `_defect_bound` certified for U, when it `_clears`; else
-    `_span_defect(U, frames)`, the defect `check_witness` takes."""
+    the defect `check_witness` takes (`_span_defect`)."""
     ref, bound = _certificate
     if ref() is U and _clears(bound, len(U)):
         return bound
-    return _span_defect(U, frames)
+    return _span_defect(U, frames)[0]
 
 
 # Below this doubled-space dimension the dense product costs less than
@@ -599,52 +607,78 @@ def _certified_defect(U: np.ndarray, frames: _Frames) -> float:
 SPAN_MIN_DIM = 350
 
 
-def _span_defect(U: np.ndarray, frames: _Frames) -> float:
-    """The defect of U as `check_witness` reports it: `_span_bound` of U on
+def _span_defect(U: np.ndarray, frames: _Frames) -> tuple[float, np.ndarray | None]:
+    """The defect of U as `check_witness` reports it, and U Omega when the
+    span bound decides, else None.  The defect is `_span_bound` of U on
     the n frames when D >= SPAN_MIN_DIM and D >= 16 n, where its two
     D x 2n products cost at most half the dense D^3 / 2, and the bound
     `_clears`; else the dense `_unitarity_defect(U)`.  The bound is
     `_defect_bound`'s with the remainder measured from U, so a U that is
     not the identity plus a term of rank 2n, or that holds NaN or an
     infinite entry, gets no finite bound that clears, and the dense
-    product decides it."""
-    D = len(U)
-    if D >= max(SPAN_MIN_DIM, 16 * frames.omegas.shape[1]):
+    product decides it.  When the bound decides, U Omega is fl(K_n S) from
+    its own K = U Eb, D n^2 multiply-adds in place of D^2 n, and r3 moves
+    by at most the bound `_span_bound` gives against the dense product."""
+    D, n = len(U), frames.omegas.shape[1]
+    if D >= max(SPAN_MIN_DIM, 16 * n):
         with np.errstate(all="ignore"):
-            bound = _span_bound(U, frames.omegas, frames.targets)
+            bound, K, Rb = _span_bound(U, frames.omegas, frames.targets)
         if _clears(bound, D):
-            return bound
-    return _unitarity_defect(U)
+            return bound, K[:, :n] @ Rb[:n, :n]
+    return _unitarity_defect(U), None
 
 
-def _span_bound(U: np.ndarray, omegas: np.ndarray, targets: np.ndarray) -> float:
+def _span_bound(U: np.ndarray, omegas: np.ndarray,
+                targets: np.ndarray) -> tuple[float, np.ndarray | None, np.ndarray | None]:
     """An upper bound on max |U^H U - I| of any D x D matrix U, read from U
     and the frames alone, with O(D^2 m) work, m = 2n, and no D x D
-    product.  It trusts nothing of how U was made.
+    product, together with K = fl(U Eb) and the factor Rb of the QR below.
+    It trusts nothing of how U was made.
 
     It is `_defect_bound` of E = Eb, the Householder QR basis of
-    [Omega | chi (x) psi] (D x m), and W = fl(Eb^H fl(fl(U Eb) - Eb)), with
+    [Omega | chi (x) psi] = Eb Rb (D x m), and W = fl(Eb^H fl(K - Eb)), with
     the remainder measured: R^ = fl(fl(U - fl(T Eb^H)) - I), T = fl(Eb W).
     With F = fl(U - fl(T Eb^H)), |F - (U - fl(T Eb^H))| <= gamma_1 |F|,
     |F_jj| <= 1 + (1 + gamma_1) |R^_jj| and subtracting I errs by
     gamma_1 |R^_jj|, so every column of U - fl(T Eb^H) - I has norm at most
     r = (1 + gamma_2) ||R^||_F + gamma_1.  The bound is small when U is the
     identity plus a term inside span Eb, as a translation's unitary is.
-    A U with 2 D^2 > 2^27 gets no bound (inf), which keeps ||R^||_F inside
-    `_defect_bound`'s rounding model.  Underflow is outside that model; an
-    overflow gives inf or NaN, which clears no gate.
+    A U with 2 D^2 > 2^27 gets no bound (inf), and no K and Rb (None),
+    which keeps ||R^||_F inside `_defect_bound`'s rounding model.
+    Underflow is outside that model; an overflow gives inf or NaN, which
+    clears no gate.
+
+    r3 from K.  Rb is upper triangular, so Omega = E_n S up to the QR's
+    rounding, E_n the first n columns of Eb and S = Rb[:n, :n], and
+    `check_witness` takes U Omega as fl(K_n S), K_n the first n columns of
+    K.  Its r3' = max_i ||fl(K_n s_i) - t_i|| then lies within
+        ||U||_F (delta + c_D (nu + ||E_n||_F sigma)) + c_n ||K_n||_F sigma
+        + gamma_2D (r3 + r3')
+    of the dense r3 = max_i ||fl(U omega_i) - t_i||, with t_i = chi_i (x)
+    psi_i, nu = max_i ||omega_i|| (1 up to rounding), sigma = max_i ||s_i||,
+    c_k as in `_defect_bound`, and delta = max_i ||E_n s_i - omega_i||, the
+    QR's backward error on the frames.  Higham (Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., §19.3: Theorem 19.4 and the bound on
+    the explicitly formed factor) puts delta at most gamma~_(Dm)
+    (nu + sqrt(m) sigma), a small multiple of D m^(3/2) u.  The terms:
+    fl(U omega_i) errs by at most c_D ||U||_F nu; K_n by c_D |U| |E_n|,
+    which S carries to c_D ||U||_F ||E_n||_F sigma; the product with S
+    adds c_n ||K_n||_F sigma; U (E_n s_i - omega_i) has norm at most
+    ||U||_2 delta; and the subtraction and the norm round each r3 by a
+    relative gamma_2D.  About 3e-11 at D = 625, far below EQ2_TOL.
     """
     D = len(U)
     if 2 * D * D > 1 << 27:
-        return np.inf
-    Eb = np.linalg.qr(np.hstack([omegas, targets]))[0]
-    W = Eb.conj().T @ (U @ Eb - Eb)
+        return np.inf, None, None
+    Eb, Rb = np.linalg.qr(np.hstack([omegas, targets]))
+    K = U @ Eb
+    W = Eb.conj().T @ (K - Eb)
     T = Eb @ W
     R = T @ Eb.conj().T
     np.subtract(U, R, out=R)
     R[np.diag_indices(D)] -= 1.0
     r = (1.0 + _gamma(2)) * np.linalg.norm(R) + _gamma(1)
-    return _defect_bound(Eb, W, T, r)
+    return _defect_bound(Eb, W, T, r), K, Rb
 
 
 def restrict_witness(t: Text, w: TranslationWitness, indices) -> TranslationWitness:

@@ -595,7 +595,7 @@ class TestStartup:
     def test_import_leaves_scipy_submodules_unloaded(self):
         # the SVD null space is numpy's and every construction route is in
         # closed form, so neither starting the CLI nor translating on the
-        # eigenvector, singular-step, mixed and central routes loads
+        # eigenvector, singular-step, mixed and central routes loads scipy,
         # scipy.linalg or scipy.optimize
         src = os.path.dirname(os.path.dirname(qtext.__file__))
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -611,7 +611,7 @@ class TestStartup:
             "          core, mixed, np.full((4, 4), 0.3) + 0.7 * np.eye(4)):\n"
             "    t = validate_text(g)\n"
             "    assert check_witness(t, translate(t)).passed\n"
-            "print([m for m in ('scipy.linalg', 'scipy.optimize') if m in sys.modules])")
+            "print([m for m in ('scipy', 'scipy.linalg', 'scipy.optimize') if m in sys.modules])")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, env=dict(os.environ, PYTHONPATH=path))
         assert proc.returncode == 0, proc.stderr

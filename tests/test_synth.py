@@ -760,6 +760,36 @@ class TestOneEmbeddingPerLookup:
             translation._embedding_for_tablet(t, ref.dim + 1)
 
 
+class TestOneFactorizationPerRequest:
+    """A text keeps its efficiency verdict and its spectral embedding, so a
+    validate_text + translate + check_witness request runs eigh on z once,
+    and a validate_text + decide_translatable request factors z at pd_tol
+    once."""
+
+    TEXTS = {
+        "uniform8": uniform_gram(8, 0.4),
+        "uniform24": uniform_gram(24, -0.02),
+        "random3": RANDOM3,
+        "random4": gen_text(GenSpec(mode="random_efficient", n=4, seed=1)).gram,
+        "mixed": with_pendant(with_pendant(RANDOM3, 0, 0.1), 1, 0.0),
+        "classical": np.eye(5, dtype=complex),
+    }
+
+    @pytest.mark.parametrize("label", list(TEXTS))
+    def test_one_eigh_of_z(self, label, count_calls):
+        calls = count_calls(np.linalg.eigh, np.linalg)
+        t = validate_text(self.TEXTS[label])
+        assert check_witness(t, translate(t)).passed
+        assert sum(args[0] is t.gram for args in calls) == 1
+
+    @pytest.mark.parametrize("label", list(TEXTS))
+    def test_one_factorization_at_pd_tol(self, label, count_calls):
+        calls = count_calls(qtext.texts._lambda_min_above)
+        t = validate_text(self.TEXTS[label])
+        assert decide_translatable(t).translatable
+        assert [c for _, c in calls] == [qtext.texts.pd_tol(t.n)]
+
+
 class TestOneFrameBuildPerWitness:
     """The frames Omega and chi (x) psi of a finished witness are built once,
     and its unitary and its check share them."""

@@ -22,7 +22,7 @@ from qtext import (
     texts_equivalent,
     validate_text,
 )
-from qtext.texts import pd_tol, psd_tol
+from qtext.texts import Text, _lambda_min_above, pd_tol, psd_tol
 from tests.conftest import near_zero_gram, uniform_gram
 
 
@@ -259,6 +259,67 @@ class TestDefinitenessBand:
         assert len(calls) == (want[0] is NotPSD)
 
 
+def old_psd_outcome(gram):
+    """(class, message) of NotPSD, or None, by the PSD test validate_text
+    ran before it kept an efficiency verdict: the Cholesky band on the
+    Hermitian part first, eigvalsh only on a failure."""
+    n = len(gram)
+    h = (gram + gram.conj().T) / 2.0
+    if not _lambda_min_above(h, -psd_tol(n)):
+        lam = _eigvalsh(h)[0]
+        if lam < -psd_tol(n):
+            return NotPSD, f"min eigenvalue {lam:.3e} below -{psd_tol(n):.1e}"
+    return None
+
+
+class TestKeptVerdict:
+    """validate_text takes the efficiency verdict first and keeps it; only a
+    text that verdict refuses runs the PSD test."""
+
+    @pytest.mark.parametrize("n, sign", TestDefinitenessBand.CASES)
+    def test_verdict_and_refusals_are_unchanged(self, n, sign):
+        # texts within two band widths w of +pd_tol(n) and of -psd_tol(n)
+        rng = np.random.default_rng([37, n, sign + 1])
+        w = band(n)
+        offsets = [k * w for k in (-2, -1, -0.5, 0, 0.5, 1, 2)] + [k * 2.0 ** -52 for k in (-1, 1)]
+        outcomes = set()
+        for d in offsets:
+            g = gram_with_lambda_min(rng, n, sign * psd_tol(n) + d)
+            want = old_psd_outcome(g)
+            try:
+                t = validate_text(g)
+            except NotPSD as exc:
+                assert want == (NotPSD, str(exc))
+                outcomes.add("NotPSD")
+                continue
+            assert want is None
+            fresh = _lambda_min_above(np.array(g, dtype=complex), pd_tol(n))
+            assert t.__dict__["efficient"] == fresh == text_properties(t).efficient
+            outcomes.add(fresh)
+        # both answers occur at each edge
+        assert len(outcomes) == 2
+
+
+class TestTextOnAView:
+    def test_writes_to_the_base_do_not_reach_the_text(self):
+        g = np.eye(3, dtype=complex)
+        t = Text(3, g[:])
+        g[0, 1] = 0.5
+        g[1, 0] = 0.5
+        assert np.array_equal(t.gram, np.eye(3)) and not t.gram.flags.writeable
+        emb = embed_text(t)
+        g[0, 2] = g[2, 0] = 0.9
+        assert np.array_equal(t.gram, np.eye(3))
+        assert t.efficient == _lambda_min_above(np.eye(3, dtype=complex), pd_tol(3))
+        assert embed_text(t) is emb
+        np.testing.assert_array_equal(emb.vectors, embed_text(validate_text(np.eye(3))).vectors)
+
+    def test_owned_arrays_are_not_copied(self, path3):
+        raw = np.array(path3.gram)
+        assert validate_text(raw).gram.base is None
+        assert subtext(path3, [2, 0]).gram.base is None
+
+
 class TestUniformSpectrum:
     def test_frozen_eigenvalues(self):
         # uniform n=3, z=1/2: eigenvalues 1+(n-1)z and 1-z
@@ -304,6 +365,13 @@ class TestEmbedding:
         assert emb.dim == 4
         np.testing.assert_array_equal(emb.vectors[3], 0)
         np.testing.assert_allclose(gram_of(emb.vectors), uniform3.gram, atol=1e-10)
+
+    def test_padded_form_is_the_kept_embedding_and_a_zero_row(self, path3):
+        emb = embed_text(path3)
+        assert embed_text(path3) is emb and not emb.padded
+        padded = embed_text(path3, pad_extra_dim=True)
+        assert (padded.dim, padded.padded) == (emb.dim + 1, True)
+        assert padded.vectors.tobytes() == np.vstack([emb.vectors, np.zeros((1, 3))]).tobytes()
 
     def test_complex_round_trip(self):
         rng = np.random.default_rng(0)

@@ -611,6 +611,30 @@ def _certified(t, w):
     return U, bound, frames
 
 
+def _r3_gap_bound(t, w, r3, dense_r3):
+    """The bound `translation._span_bound` states on |r3 - dense_r3|, r3
+    read from its K = U Eb and dense_r3 from U Omega, with the constants of
+    a complex product (at least those of a real one) and the QR's backward
+    error delta measured, plus the rounding of measuring it."""
+    frames = translation._witness_frames(t, w)
+    U = np.asarray(w.unitary)
+    D, n = len(U), frames.omegas.shape[1]
+    Eb, Rb = np.linalg.qr(np.hstack([frames.omegas, frames.targets]))
+    E, S = Eb[:, :n], Rb[:n, :n]
+    K = U @ E
+
+    def c(k):
+        return np.sqrt(2.0) * translation._gamma(2 * k)
+
+    def colmax(a):
+        return float(np.max(np.linalg.norm(a, axis=0)))
+
+    nu, sigma, e = colmax(frames.omegas), colmax(S), np.linalg.norm(E)
+    delta = colmax(E @ S - frames.omegas) * (1.0 + c(n + 4)) + 2.0 * c(n) * (e * sigma + nu)
+    return ((np.linalg.norm(U) * (delta + c(D) * (nu + e * sigma)) + c(n) * np.linalg.norm(K) * sigma
+             + translation._gamma(2 * D) * (r3 + dense_r3)) * (1.0 + 1e-6))
+
+
 class TestDefectCertificate:
     """`translation._defect_bound` is the one certified bound.  It bounds
     the exact part I + E W E^H from m x m data and adds a remainder r, which
@@ -625,7 +649,7 @@ class TestDefectCertificate:
         U, bound, frames = _certified(t, w)
         assert U.tobytes() == np.asarray(w.unitary).tobytes()
         assert translation._unitarity_defect(U) <= bound < translation.UNITARITY_TOL
-        measured = translation._span_bound(U, frames.omegas, frames.targets)
+        measured = translation._span_bound(U, frames.omegas, frames.targets)[0]
         for b in (bound, measured):
             assert _complex_defect(U) - _rounding_bound(U) <= b
         dense = count_calls(translation._unitarity_defect)
@@ -694,15 +718,18 @@ class TestDefectCertificate:
     @pytest.mark.parametrize("gram", [uniform_gram(24, -0.02), _noisy_classical(24, 7)],
                              ids=["uniform24", "noisy_classical24"])
     def test_translate_runs_no_dense_product(self, gram, count_calls):
-        # neither translate nor, on its measured remainder, check_witness
+        # neither translate nor, on its measured remainder, check_witness;
+        # the check takes r3 from the span bound's U Eb, the stored eq2 is
+        # the dense r3 of translate's own check
         t = validate_text(gram)
         dense = count_calls(translation._unitarity_defect)
         w = translate(t)
         rep = check_witness(t, w)
         assert dense == []
-        assert rep.passed and w.residuals == {"eq4": rep.r1, "eq2": rep.r3}
         ref = translation._check(t, w, translation._unitarity_defect)
-        assert (rep.r1, rep.r2_ok, rep.r3, rep.passed) == (ref.r1, ref.r2_ok, ref.r3, ref.passed)
+        assert rep.passed and ref.passed and rep.r1 == ref.r1
+        assert w.residuals == {"eq4": rep.r1, "eq2": ref.r3}
+        assert abs(w.residuals["eq2"] - rep.r3) <= _r3_gap_bound(t, w, rep.r3, ref.r3)
         assert ref.unitarity - _rounding_bound(w.unitary) <= rep.unitarity
 
 
@@ -797,7 +824,7 @@ class TestSpanCertificate:
         frames = translation._witness_frames(t, w)
         for label, u in _off_span_moves(t, w, 1e-6).items():
             defect = _complex_defect(u)
-            bound = translation._span_bound(u, frames.omegas, frames.targets)
+            bound = translation._span_bound(u, frames.omegas, frames.targets)[0]
             assert defect - _rounding_bound(u) <= bound <= 3.0 * defect, label
 
     def test_decides_as_the_dense_check(self, span_witness):
@@ -813,7 +840,9 @@ class TestSpanCertificate:
             rep = check_witness(t, bare)
             ref = translation._check(t, bare, translation._unitarity_defect)
             assert rep.passed == ref.passed == label.endswith("1e-11"), label
-            assert (rep.r1, rep.r3) == (ref.r1, ref.r3)
+            # r3 from the span bound's U Eb where that bound decides
+            assert rep.r1 == ref.r1
+            assert abs(rep.r3 - ref.r3) <= _r3_gap_bound(t, bare, rep.r3, ref.r3), label
 
     @pytest.mark.parametrize("entry", [np.nan, 1e100, -1e100], ids=["nan", "huge", "-huge"])
     def test_bad_entry_fails_without_a_warning(self, span_witness, entry):
@@ -851,6 +880,31 @@ class TestSpanCertificate:
         w = translate(t)
         assert dense == [] and span == []
         assert translation._clears(translation._certificate[1], len(w.unitary))
+
+
+class TestR3FromTheSpanProduct:
+    """Where the span bound decides, check_witness reads U Omega off that
+    bound's own K = U Eb and the QR factor, and r3 moves from the dense
+    product's by at most the bound `translation._span_bound` states."""
+
+    def test_within_the_bound_of_the_dense_r3(self, span_witness):
+        t, w = span_witness
+        frames = translation._witness_frames(t, w)
+        U = translation._real_if_exact(np.asarray(w.unitary))
+        bound, K, Rb = translation._span_bound(U, frames.omegas, frames.targets)
+        from_K = np.linalg.norm(K[:, :t.n] @ Rb[:t.n, :t.n] - frames.targets, axis=0)
+        rep = check_witness(t, w)
+        dense = translation._check(t, w, translation._unitarity_defect)
+        assert rep.passed and dense.passed and rep.unitarity == bound
+        assert rep.r3 == float(np.max(from_K))
+        assert abs(rep.r3 - dense.r3) <= _r3_gap_bound(t, w, rep.r3, dense.r3) < 1e-10
+
+    def test_broken_unitaries_still_fail(self, span_witness):
+        t, w = span_witness
+        moved = np.array(w.unitary)
+        moved[0, 1] += 1e-9
+        for u in (off_frame_stretch(t, w).unitary, moved):
+            assert not check_witness(t, _with_unitary(w, u)).passed
 
 
 class TestOverlapResidual:
